@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .geometry import (FeasibilityMap, Mover, PathGain, Point2D, RadioConfig,
+from .geometry import (FeasibilityMap, Mover, Point2D, RadioConfig,
                        reflection_gain, variation_power, variation_power_exact,
                        vir, vir_map)
 from .capacity import (CapacityQuery, FitParams, capacity_curve, delta_d_min,

@@ -16,11 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-_UNITARY_TOL = 1e-9
-_MAX_DIM = 8
-
 
 @dataclass(frozen=True)
 class ChannelMatrix:
@@ -86,87 +81,15 @@ class MotionUpdate:
             raise ValueError(f"ell must be > 0, got {self.ell}")
 
 
-def _complete_basis(u_cols: list[np.ndarray], n: int) -> np.ndarray:
-    """Extend orthonormal columns to a full n x n unitary (deterministic)."""
-    basis = list(u_cols)
-    for k in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[k] = 1.0
-        for b in basis:
-            cand = cand - (b.conj() @ cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    return np.column_stack(basis)
-
-
 def svd_decompose(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray, BeamformingMatrix]:
-    """One-sided Jacobi SVD: returns (U, S, V) with H = U S V*.
+    """SVD (LAPACK, via numpy): returns (U, S, V) with H = U S V*.
 
     S is the rectangular diagonal matrix (non-negative, non-increasing).
-    Only small matrices are supported; the rotation count grows fast.
     """
-    mat = h.h
-    n_rx, n_tx = mat.shape
-    if max(n_rx, n_tx) > _MAX_DIM:
-        raise ValueError(f"matrix dimensions {mat.shape} exceed the supported {_MAX_DIM}")
-
-    a = mat.astype(complex).copy()
-    v = np.eye(n_tx, dtype=complex)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        s = np.zeros((n_rx, n_tx))
-        return np.eye(n_rx, dtype=complex), s, BeamformingMatrix(v)
-
-    # Columns whose squared norm falls below this are numerically zero
-    # (rank deficiency); rotating them against each other only stirs noise.
-    null_thresh = (1e-14 * scale) ** 2 * n_rx
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off_mass = 0.0
-        norm_sq = np.real(np.sum(a.conj() * a, axis=0))
-        for p in range(n_tx - 1):
-            for q in range(p + 1, n_tx):
-                hpp, hqq = norm_sq[p], norm_sq[q]
-                if hpp <= null_thresh or hqq <= null_thresh:
-                    continue
-                hpq = complex(a[:, p].conj() @ a[:, q])
-                mag = abs(hpq)
-                off_mass = max(off_mass, mag * mag / (hpp * hqq))
-                if mag * mag <= (_JACOBI_TOL ** 2) * hpp * hqq:
-                    continue
-                # Phase-reduce to the real symmetric 2x2 case, then rotate.
-                beta_c = np.conj(hpq / mag)
-                theta = 0.5 * math.atan2(2.0 * mag, hpp - hqq)
-                c, s_ = math.cos(theta), math.sin(theta)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s_ * beta_c * col_q
-                a[:, q] = -s_ * col_p + c * beta_c * col_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s_ * beta_c * vq
-                v[:, q] = -s_ * vp + c * beta_c * vq
-                norm_sq[p] = np.real(a[:, p].conj() @ a[:, p])
-                norm_sq[q] = np.real(a[:, q].conj() @ a[:, q])
-        if off_mass < _JACOBI_TOL ** 2:
-            break
-
-    sigma = np.sqrt(np.real(np.sum(a.conj() * a, axis=0)))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    tol = 1e-13 * max(float(sigma[0]), 1e-300)
-    u_cols = [a[:, j] / sigma[j] for j in range(min(n_rx, n_tx)) if sigma[j] > tol]
-    u = _complete_basis(u_cols, n_rx)
-    s = np.zeros((n_rx, n_tx))
-    for j in range(min(n_rx, n_tx)):
-        s[j, j] = sigma[j]
-    return u, s, BeamformingMatrix(v)
+    u, sigma, vh = np.linalg.svd(h.h)
+    s = np.zeros(h.h.shape)
+    np.fill_diagonal(s, sigma)
+    return u, s, BeamformingMatrix(vh.conj().T)
 
 
 def phase_normalize(v: BeamformingMatrix) -> tuple[BeamformingMatrix, tuple[int, ...]]:
@@ -351,10 +274,16 @@ def apply_motion(h0: ChannelMatrix, m: MotionUpdate, lambda_m: float) -> Channel
 
 
 def reconstructed_v(h: ChannelMatrix, b_phi: int = 0, b_psi: int = 0) -> BeamformingMatrix:
-    """Full UE-side + AP-side chain: SVD, normalize, compress, decompress."""
+    """Full UE-side + AP-side chain: SVD, normalize, compress, decompress.
+
+    Only the min(N_rx, N_tx) steering columns are fed back, as in 802.11
+    compressed beamforming; the SVD may pick any basis of the null space,
+    so the AP fills in the remaining columns from the reported angles.
+    """
     _, _, v = svd_decompose(h)
     v_hat, _ = phase_normalize(v)
-    return decompress(compress(v_hat, b_phi=b_phi, b_psi=b_psi))
+    return decompress(compress(v_hat, b_phi=b_phi, b_psi=b_psi,
+                               n_cols=min(h.n_rx, h.n_tx)))
 
 
 def predicted_v_change(n_tx: int, m: MotionUpdate, lambda_m: float) -> np.ndarray:

@@ -18,10 +18,6 @@ import numpy as np
 
 from .geometry import RadioConfig
 
-# Power-law fit coefficients of the interference series for alpha = 4
-# (mirror-case values are for K = 2).
-DEFAULT_FIT = None  # assigned below, after FitParams is defined
-
 _N_SEARCH_CAP = 1_000_000
 
 
@@ -49,6 +45,8 @@ class FitParams:
             raise ValueError(f"q2 must be < 0, got {self.q2}")
 
 
+# Power-law fit coefficients of the interference series for alpha = 4
+# (mirror-case values are for K = 2).
 DEFAULT_FIT = FitParams()
 
 

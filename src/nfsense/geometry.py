@@ -90,17 +90,6 @@ class Mover:
             raise ValueError(f"intensity must be >= 0, got {self.intensity}")
 
 
-@dataclass(frozen=True)
-class PathGain:
-    """Complex channel gain of a single propagation path."""
-
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
 def _check_distances(*distances: float) -> None:
     for d in distances:
         if not (d > 0):
@@ -117,14 +106,14 @@ def reflection_gain_array(cfg: RadioConfig, d_as, d_se) -> np.ndarray:
     return amp * np.exp(1j * phase)
 
 
-def reflection_gain(cfg: RadioConfig, d_as: float, d_se: float) -> PathGain:
+def reflection_gain(cfg: RadioConfig, d_as: float, d_se: float) -> complex:
     """Channel gain of the AP -> subject -> UE single-bounce path.
 
     amplitude = lambda^2 sqrt(G) / ((4 pi)^2 (d_as d_se)^(alpha/2)),
     phase = -2 pi (d_as + d_se) / lambda.
     """
     _check_distances(d_as, d_se)
-    return PathGain(complex(reflection_gain_array(cfg, d_as, d_se)))
+    return complex(reflection_gain_array(cfg, d_as, d_se))
 
 
 def variation_power(cfg: RadioConfig, d_as: float, d_se: float, v: float) -> float:

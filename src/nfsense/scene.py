@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Point2D, RadioConfig, reflection_gain_array
 
-MOTION_KINDS = ("respiration", "hold_segments", "gesture_like", "activity_like", "still")
+MOTION_KINDS = ("respiration", "gesture_like", "activity_like", "still")
 
 NEAR_FIELD_MAX_M = 0.3
 RESPIRATION_RATE_BOUNDS_BPM = (6.0, 40.0)
@@ -52,7 +52,7 @@ class MotionProfile:
             raise ValueError(f"kind must be one of {MOTION_KINDS}, got {self.kind!r}")
         if self.amplitude_m < 0 or self.rms_speed < 0:
             raise ValueError("amplitudes and speeds must be >= 0")
-        if self.kind in ("respiration", "hold_segments"):
+        if self.kind == "respiration":
             lo, hi = RESPIRATION_RATE_BOUNDS_BPM
             if not (lo <= self.rate_bpm <= hi):
                 raise ValueError(f"rate_bpm must be in [{lo}, {hi}], got {self.rate_bpm}")
@@ -105,7 +105,7 @@ def displacement(profile: MotionProfile, t) -> np.ndarray:
         raise ValueError("time must be >= 0")
     if profile.kind == "still":
         return np.zeros_like(t)
-    if profile.kind in ("respiration", "hold_segments"):
+    if profile.kind == "respiration":
         f = profile.rate_bpm / 60.0
         t_eff = t.copy()
         for start, stop in profile.holds:

@@ -37,8 +37,8 @@ class SraConfig:
 
     Defaults are the respiration setting: 64 Hz resampling, 1 Hz cut-off,
     4 s analysis window (fft_len 256) hopped every 0.25 s, keeping the
-    lowest 32 bins.  Use :meth:`gesture` / :meth:`activity` for the
-    wide-band settings (20 Hz cut-off, shorter window).
+    lowest 32 bins.  Use :meth:`gesture` for the wide-band setting of
+    gestures and activity (20 Hz cut-off, shorter window).
     """
 
     dt: float = 0.1
@@ -76,10 +76,6 @@ class SraConfig:
 
     @classmethod
     def gesture(cls) -> "SraConfig":
-        return cls(f_cut=20.0, fft_len=64, hop=4)
-
-    @classmethod
-    def activity(cls) -> "SraConfig":
         return cls(f_cut=20.0, fft_len=64, hop=4)
 
 

@@ -1,4 +1,4 @@
-"""Beamforming-feedback tests: Jacobi SVD, angle codec round-trips,
+"""Beamforming-feedback tests: SVD contract, angle codec round-trips,
 quantization bounds, and the direction-only sensitivity theorem."""
 
 import math
@@ -75,17 +75,23 @@ class TestSvd:
             assert np.allclose(np.diag(s), np.linalg.svd(h, compute_uv=False), atol=1e-10)
 
     def test_gauge_freedom_removed_by_normalization(self):
-        # two valid SVDs of the same channel agree column-wise after
-        # phase normalization (non-degenerate spectra only)
+        # V with its columns turned by arbitrary unit phases is an equally
+        # valid SVD (non-degenerate spectra), and so, when N_tx > N_rx, is
+        # any unitary mix of its null-space columns; phase normalization
+        # removes the first, steering-column feedback the second
         rng = np.random.default_rng(14)
-        for _ in range(20):
-            h = random_channel(3, 3, rng)
-            _, _, v_jacobi = svd_decompose(h)
-            _, _, vh_np = np.linalg.svd(h.h)
-            v_np = BeamformingMatrix(vh_np.conj().T)
-            a, _ = phase_normalize(v_jacobi)
-            b, _ = phase_normalize(v_np)
-            assert np.max(np.abs(a.v - b.v)) < 1e-9
+        for n_rx, n_tx in ((3, 3), (2, 4)) * 10:
+            h = random_channel(n_rx, n_tx, rng)
+            _, _, v = svd_decompose(h)
+            other = v.v * np.exp(2j * np.pi * rng.uniform(size=n_tx))
+            a, _ = phase_normalize(v)
+            b, _ = phase_normalize(BeamformingMatrix(other))
+            assert np.max(np.abs(a.v - b.v)) < 1e-12
+            if n_tx > n_rx:
+                other[:, n_rx:] = other[:, n_rx:] @ random_unitary(n_tx - n_rx, rng)
+            b, _ = phase_normalize(BeamformingMatrix(other))
+            rec = decompress(compress(b, b_phi=0, b_psi=0, n_cols=n_rx))
+            assert np.max(np.abs(rec.v - reconstructed_v(h).v)) < 1e-12
 
 
 class TestPhaseNormalize:
@@ -244,6 +250,30 @@ class TestDirectionOnlyTheorem:
             v1 = reconstructed_v(apply_motion(h0, m, self.LAM))
             predicted = predicted_v_change(3, m, self.LAM)[:, None] * v0.v
             assert np.max(np.abs(v1.v - predicted)) < 1e-6
+
+    def test_wide_channels_hold_on_all_columns(self):
+        # with more Tx antennas than Rx, the columns beyond the steering
+        # ones are rebuilt from the reported angles, so the theorem holds
+        # on the whole matrix
+        rng = np.random.default_rng(55)
+        for n_rx, n_tx in ((2, 8), (4, 8)):
+            for _ in range(10):
+                h0 = random_channel(n_rx, n_tx, rng)
+                angular = MotionUpdate(delta_theta=0.02, delta_d_r=(0.0,) * n_rx,
+                                       rho=(1.0,) * n_rx, ell=self.LAM / 2,
+                                       theta=math.pi / 3)
+                sweep = [MotionUpdate(delta_d_t=float(s), delta_d_r=(float(s),) * n_rx,
+                                      rho=(1.0,) * n_rx)
+                         for s in np.linspace(0, 2 * self.LAM, 16)]
+                v0 = reconstructed_v(h0)
+                v1 = reconstructed_v(apply_motion(h0, angular, self.LAM))
+                predicted = predicted_v_change(n_tx, angular, self.LAM)[:, None] * v0.v
+                assert np.max(np.abs(v1.v - predicted)) < 1e-12
+                for m in sweep:
+                    v1 = reconstructed_v(apply_motion(h0, m, self.LAM))
+                    assert np.max(np.abs(v1.v - v0.v)) < 1e-12
+                rows = bfi_sensitivity_demo(h0, sweep, self.LAM)
+                assert max(r[1] for r in rows) < 1e-6
 
     def test_csi_column_matches_channel_phase(self):
         # the closed-form excursion -k (delta_d_r[0] + delta_d_t) is the
