@@ -47,6 +47,15 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def _parse_point(text: str) -> geo.Point2D:
     x, y = (float(v) for v in text.split(","))
     return geo.Point2D(x, y)
@@ -273,17 +282,16 @@ def cmd_bfi_demo(args) -> int:
     h0 = bfi_mod.ChannelMatrix(rng.standard_normal((args.n_rx, args.n_tx))
                                + 1j * rng.standard_normal((args.n_rx, args.n_tx)))
     lam = args.lambda_m
-    steps = args.steps
     motions = []
     if args.sweep == "radial":
         # Subject-UE radial motion: both path legs stretch, direction fixed.
-        for s in np.linspace(0.0, 2.0 * lam, steps):
+        for s in np.linspace(0.0, 2.0 * lam, args.steps):
             motions.append(bfi_mod.MotionUpdate(
                 delta_theta=0.0, delta_d_t=float(s),
                 delta_d_r=tuple(float(s) for _ in range(args.n_rx)),
                 rho=tuple(1.0 for _ in range(args.n_rx)), ell=lam / 2, theta=math.pi / 4))
     else:
-        for dth in np.linspace(0.0, args.max_dtheta, steps):
+        for dth in np.linspace(0.0, args.max_dtheta, args.steps):
             motions.append(bfi_mod.MotionUpdate(
                 delta_theta=float(dth), delta_d_t=0.0,
                 delta_d_r=tuple(0.0 for _ in range(args.n_rx)),
@@ -429,11 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tx", type=int, default=3)
     p.add_argument("--n-rx", type=int, default=2)
     p.add_argument("--sweep", choices=("radial", "angular"), default="radial")
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--steps", type=_int_at_least(1), default=64)
     p.add_argument("--max-dtheta", type=float, default=0.02)
     p.add_argument("--lambda-m", type=float, default=0.06)
-    p.add_argument("--bits-phi", type=int, default=0, help="0 = exact angles")
-    p.add_argument("--bits-psi", type=int, default=0)
+    p.add_argument("--bits-phi", type=_int_at_least(0), default=0, help="0 = exact angles")
+    p.add_argument("--bits-psi", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_bfi_demo)
 
     p = sub.add_parser("register-sim", help="replay a scripted registration sequence")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sra import Spectrogram
+from .sra import Spectrogram, _hann_frames
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,10 @@ def welch_psd(track: np.ndarray, rate_hz: float, segment_len: int = 256) -> tupl
     seg = min(segment_len, track.size)
     if seg < 2:
         raise ValueError("track too short for a power spectrum")
-    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(seg) / seg))
-    norm = rate_hz * float(np.sum(window ** 2))
-    hop = max(seg // 2, 1)
-    psds = []
-    for s in range(0, track.size - seg + 1, hop):
-        chunk = track[s:s + seg]
-        chunk = chunk - chunk.mean()
-        spec = np.abs(np.fft.rfft(chunk * window)) ** 2 / norm
-        spec[1:-1] *= 2.0
-        psds.append(spec)
-    freqs = np.fft.rfftfreq(seg, d=1.0 / rate_hz)
-    return freqs, np.mean(psds, axis=0)
+    frames, window = _hann_frames(track, seg, seg // 2)
+    psd = np.abs(np.fft.rfft(frames, axis=1)) ** 2 / (rate_hz * float(np.sum(window ** 2)))
+    psd[:, 1:-1] *= 2.0
+    return np.fft.rfftfreq(seg, d=1.0 / rate_hz), psd.mean(axis=0)
 
 
 def compare_csi_bfi(csi_track: np.ndarray, bfi_track: np.ndarray, rate_hz: float,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .scene import CsiSeries
 
@@ -85,10 +86,6 @@ class Slice:
     t1: float
     non_sparse: bool
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 @dataclass(frozen=True)
 class ResampledSeries:
@@ -150,33 +147,31 @@ def segment(series: CsiSeries, cfg: SraConfig, duration: float | None = None) ->
     n_win = int(math.ceil(duration / cfg.dt - 1e-9))
     idx = np.minimum((t / cfg.dt).astype(int), n_win - 1)
     counts = np.bincount(idx[(t >= 0) & (t <= duration)], minlength=n_win)
-    labels = counts > cfg.n_nsp
+    return [Slice(a * cfg.dt, duration if b == n_win else b * cfg.dt, v)
+            for a, b, v in _runs(counts > cfg.n_nsp)]
 
-    slices: list[Slice] = []
-    start = 0
-    for k in range(1, n_win + 1):
-        if k == n_win or labels[k] != labels[start]:
-            t1 = duration if k == n_win else k * cfg.dt
-            slices.append(Slice(start * cfg.dt, t1, bool(labels[start])))
-            start = k
-    return slices
+
+def _runs(flags: np.ndarray) -> list[tuple[int, int, bool]]:
+    """(start, stop, value) of each maximal run of equal entries."""
+    cuts = [0, *(np.flatnonzero(np.diff(flags)) + 1).tolist(), len(flags)]
+    return [(a, b, bool(flags[a])) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
 def _hampel(values: np.ndarray) -> np.ndarray:
     """Replace outliers by the rolling median (window 7, 3 scaled MADs)."""
-    n = values.size
-    if n == 0:
-        return values
-    out = values.copy()
-    k = _HAMPEL_HALF_WINDOW
-    for i in range(n):
-        lo, hi = max(0, i - k), min(n, i + k + 1)
-        window = values[lo:hi]
-        med = np.median(window)
-        mad = np.median(np.abs(window - med))
-        if np.abs(values[i] - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300:
-            out[i] = med
-    return out
+    n, k = values.size, _HAMPEL_HALF_WINDOW
+    med, mad = np.empty(n), np.empty(n)
+    if n > 2 * k:
+        full = sliding_window_view(values, 2 * k + 1)
+        med[k:n - k] = np.median(full, axis=1)
+        dev = full - med[k:n - k, None]
+        mad[k:n - k] = np.median(np.abs(dev, out=dev), axis=1, overwrite_input=True)
+    for i in (*range(min(k, n)), *range(max(n - k, k), n)):  # truncated end windows
+        window = values[max(0, i - k):i + k + 1]
+        med[i] = np.median(window)
+        mad[i] = np.median(np.abs(window - med[i]))
+    return np.where(np.abs(values - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300,
+                    med, values)
 
 
 def lowpass_taps(f_cut: float, f_rs: float, n_taps: int | None = None) -> np.ndarray:
@@ -233,17 +228,15 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
             g_hi -= 1  # grid instant on the boundary belongs to the next slice
         if g_hi < g_lo:
             continue
-        mask = (t >= sl.t0) & (t < sl.t1)
-        if sl.non_sparse and mask.sum() >= 2:
-            clean = _hampel(phase[mask])
-            values[g_lo:g_hi + 1] = np.interp(grid[g_lo:g_hi + 1], t[mask], clean)
+        inside = slice(*np.searchsorted(t, (sl.t0, sl.t1)))
+        if sl.non_sparse and inside.stop - inside.start >= 2:
+            clean = _hampel(phase[inside])
+            values[g_lo:g_hi + 1] = np.interp(grid[g_lo:g_hi + 1], t[inside], clean)
             no_data[g_lo:g_hi + 1] = False
         else:
-            for ti, xi in zip(t[mask], phase[mask]):
-                k = int(round(ti * cfg.f_rs))
-                k = min(max(k, g_lo), g_hi)
-                values[k] = xi
-                no_data[k] = False
+            k = np.clip(np.round(t[inside] * cfg.f_rs).astype(int), g_lo, g_hi)
+            values[k] = phase[inside]
+            no_data[k] = False
 
     have = ~np.isnan(values)
     if not have.any():
@@ -284,6 +277,14 @@ def normalize(raw: np.ndarray, flags: np.ndarray, frame_times=None,
                        frame_times=frame_times, df_hz=df_hz)
 
 
+def _hann_frames(values: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-removed, Hann-windowed frames every ``hop`` samples (rows), and the window."""
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(frame_len) / frame_len))
+    frames = sliding_window_view(values, frame_len)[::hop]
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    return np.multiply(frames, window, out=frames), window
+
+
 def stft_magnitudes(rs: ResampledSeries, cfg: SraConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hann-window STFT magnitudes (pre-normalization) plus frame flags/times.
 
@@ -293,16 +294,11 @@ def stft_magnitudes(rs: ResampledSeries, cfg: SraConfig) -> tuple[np.ndarray, np
     n = len(rs)
     if n < cfg.fft_len:
         raise ValueError(f"series of {n} samples is shorter than one window ({cfg.fft_len})")
-    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(cfg.fft_len) / cfg.fft_len))
-    starts = np.arange(0, n - cfg.fft_len + 1, cfg.hop)
-    mags = np.empty((cfg.n_f, starts.size))
-    flags = np.empty(starts.size, dtype=bool)
-    for j, s in enumerate(starts):
-        chunk = rs.values[s:s + cfg.fft_len]
-        spec = np.fft.rfft((chunk - chunk.mean()) * window)
-        mags[:, j] = np.abs(spec[:cfg.n_f])
-        flags[j] = rs.no_data[s:s + cfg.fft_len].mean() > _FRAME_NO_DATA_FRACTION
-    times = (starts + cfg.fft_len / 2.0) / cfg.f_rs
+    frames, _ = _hann_frames(rs.values, cfg.fft_len, cfg.hop)
+    mags = np.ascontiguousarray(np.abs(np.fft.rfft(frames, axis=1)[:, :cfg.n_f]).T)
+    no_data = sliding_window_view(rs.no_data, cfg.fft_len)[::cfg.hop]
+    flags = no_data.mean(axis=1) > _FRAME_NO_DATA_FRACTION
+    times = (np.arange(0, n - cfg.fft_len + 1, cfg.hop) + cfg.fft_len / 2.0) / cfg.f_rs
     return mags, flags, times
 
 
@@ -354,18 +350,8 @@ def make_mask(n_frames: int, target_missing_fraction: float,
 def extract_label_slices(spec: Spectrogram, cfg: SraConfig) -> list[np.ndarray]:
     """Dense (no-sentinel) column runs long enough to serve as labels."""
     min_frames = int(math.ceil(cfg.min_label_slice_s / cfg.frame_dt_s))
-    runs: list[np.ndarray] = []
-    good = ~spec.no_data_cols
-    start = None
-    for k in range(len(good) + 1):
-        if k < len(good) and good[k]:
-            if start is None:
-                start = k
-        elif start is not None:
-            if k - start >= min_frames:
-                runs.append(spec.data[:, start:k].copy())
-            start = None
-    return runs
+    return [spec.data[:, a:b].copy() for a, b, good in _runs(~spec.no_data_cols)
+            if good and b - a >= min_frames]
 
 
 def chop_labels(labels: Sequence[np.ndarray], max_frames: int,
@@ -440,16 +426,29 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
     ``df_hz`` when a real frequency mapping is needed.
     """
     with open(path) as fh:
-        n_f, n_t, t0, frame_dt = fh.readline().split()
-        n_f, n_t = int(n_f), int(n_t)
-        data = np.empty((n_f, n_t))
-        for i in range(n_f):
-            row = np.array(fh.readline().split(), dtype=float)
-            if row.size != n_t:
-                raise ValueError(f"{path}: row {i} has {row.size} values, expected {n_t}")
-            data[i] = row
-        flags = np.array(fh.readline().split(), dtype=float).astype(bool)
-    times = float(t0) + np.arange(n_t) * float(frame_dt)
+        rows = [line.split() for line in fh]
+    try:
+        n_f, n_t, t0, frame_dt = rows[0]
+        n_f, n_t, t0, frame_dt = int(n_f), int(n_t), float(t0), float(frame_dt)
+        if min(n_f, n_t) < 0 or not (math.isfinite(t0) and math.isfinite(frame_dt)):
+            raise ValueError
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: header must read 'N_F N_T t0_s frame_dt_s'") from None
+    if len(rows) < n_f + 2:
+        raise ValueError(f"{path}: expected {n_f} data rows and a flag row")
+    for i, row in enumerate(rows[1:n_f + 2], start=2):
+        if len(row) != n_t:
+            raise ValueError(f"{path}: line {i} has {len(row)} values, expected {n_t}")
+    if not set(rows[n_f + 1]) <= {"0", "1"}:
+        raise ValueError(f"{path}: flag row must hold only 0 and 1")
+    try:
+        data = np.array(rows[1:n_f + 1], dtype=float).reshape(n_f, n_t)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite spectrogram value")
+    flags = np.array(rows[n_f + 1]) == "1"
+    times = t0 + np.arange(n_t) * frame_dt
     return Spectrogram(data=data, no_data_cols=flags, frame_times=times, df_hz=df_hz)
 
 

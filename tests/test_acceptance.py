@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or test group) per criterion, each printing a
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -s`` to see the
-lines as they complete; the heavy recovery-training criterion dominates the
-runtime (several minutes).
+lines as they complete; this file takes about 10 s on a 2-core machine, half
+of it in the entropy-ordering criterion.
 
 Two sub-assertions are expected failures (strict xfail): the paper's own
 formulas place the minimum-spacing curve slightly outside the spec'd band at
@@ -68,7 +68,8 @@ class TestCriterion1CapacityBounds:
     @pytest.mark.xfail(strict=True, reason=(
         "spec-physics conflict: the paper's own Eq. for the minimum spacing "
         "yields 0.402 m at r = 3.30 (band demands <= 0.39); the curve sits "
-        "inside 0.34 +/- 0.05 only for r <= ~3.23.  See the decisions ledger."))
+        "inside 0.34 +/- 0.05 only for r <= ~3.23.  See 'Expected failures' in "
+        "the README."))
     def test_dd_min_flat_band_strict(self):
         rs = np.arange(0.32, 3.30 + 1e-9, 0.01)
         dd = np.array([cap.delta_d_min(paper_query(float(r))) for r in rs])
@@ -113,8 +114,8 @@ class TestCriterion1CapacityBounds:
 class TestCriterion2SeriesFit:
     @pytest.mark.xfail(strict=True, reason=(
         "spec-physics conflict: the paper's radial coefficients give 7.6% "
-        "error at N = 10 (5% required); all N >= 11 are within 5%.  See the "
-        "decisions ledger."))
+        "error at N = 10 (5% required); all N >= 11 are within 5%.  See "
+        "'Expected failures' in the README."))
     def test_radial_fit_strict(self):
         t0 = time.time()
         errs = {}

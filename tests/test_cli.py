@@ -143,6 +143,17 @@ class TestBfiDemoCommand:
         assert float(out.rsplit("max BFI change ", 1)[1]) < 1e-6
 
 
+    @pytest.mark.parametrize("flag, value", [("--steps", 0), ("--steps", -3),
+                                             ("--bits-phi", -1), ("--bits-psi", -1)])
+    def test_bad_flag_rejected_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bfi"
+        with pytest.raises(SystemExit) as exc:
+            run(["bfi-demo", flag, value, "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRegisterSimCommand:
     def test_default_script(self, tmp_path):
         out = tmp_path / "reg"

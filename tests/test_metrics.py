@@ -11,6 +11,23 @@ from nfsense.metrics import (band_energy, compare_csi_bfi, estimate_rate,
 from nfsense.sra import Spectrogram
 
 
+def welch_loop(track, rate_hz, segment_len=256):
+    """Per-segment reference for :func:`welch_psd`."""
+    track = np.asarray(track, dtype=float)
+    seg = min(segment_len, track.size)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(seg) / seg))
+    norm = rate_hz * float(np.sum(window ** 2))
+    hop = max(seg // 2, 1)
+    psds = []
+    for s in range(0, track.size - seg + 1, hop):
+        chunk = track[s:s + seg]
+        chunk = chunk - chunk.mean()
+        spec = np.abs(np.fft.rfft(chunk * window)) ** 2 / norm
+        spec[1:-1] *= 2.0
+        psds.append(spec)
+    return np.fft.rfftfreq(seg, d=1.0 / rate_hz), np.mean(psds, axis=0)
+
+
 def make_spec(data, flags=None, df_hz=0.25):
     data = np.asarray(data, dtype=float)
     if flags is None:
@@ -156,6 +173,14 @@ class TestCompareCsiBfi:
         trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 has only trapz
         total = trapezoid(psd, freqs)
         assert total == pytest.approx(1.0, rel=0.05)
+
+    def test_welch_matches_segment_loop(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 7, 255, 256, 257, 384, 1000, 4097):
+            track = np.cumsum(rng.standard_normal(n))
+            for segment_len in (2, 3, 64, 256):
+                got, want = welch_psd(track, 64.0, segment_len), welch_loop(track, 64.0, segment_len)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestBandEnergy:

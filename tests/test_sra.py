@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfsense.scene import CsiSeries
-from nfsense.sra import (Dataset, SraConfig, build_dataset, chop_labels,
+from nfsense.sra import (Dataset, ResampledSeries, Slice, SraConfig, Spectrogram,
+                         _hampel, build_dataset, chop_labels,
                          extract_label_slices, load_dataset, load_spectrogram,
                          lowpass_taps, make_mask, minmax_normalize, normalize,
                          process_series, resample, save_dataset,
                          save_spectrogram, segment, spectrogram,
                          stft_magnitudes)
+
+CONFIGS = [SraConfig(), SraConfig(fft_len=1024, hop=64), SraConfig.gesture()]
 
 
 def series_from_times(times, values=None, link="t"):
@@ -28,6 +31,142 @@ def phase_series(times, phases, link="t"):
     return CsiSeries(timestamps=np.asarray(times, dtype=float),
                      values=np.exp(1j * np.asarray(phases, dtype=float)),
                      link_id=link)
+
+
+# ---------------------------------------------------------------------------
+# per-sample / per-frame / per-index reference implementations
+
+def hampel_loop(values):
+    n = values.size
+    if n == 0:
+        return values
+    out = values.copy()
+    k = 3
+    for i in range(n):
+        lo, hi = max(0, i - k), min(n, i + k + 1)
+        window = values[lo:hi]
+        med = np.median(window)
+        mad = np.median(np.abs(window - med))
+        if np.abs(values[i] - med) > 3.0 * 1.4826 * mad + 1e-300:
+            out[i] = med
+    return out
+
+
+def stft_loop(rs, cfg):
+    n = len(rs)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(cfg.fft_len) / cfg.fft_len))
+    starts = np.arange(0, n - cfg.fft_len + 1, cfg.hop)
+    mags = np.empty((cfg.n_f, starts.size))
+    flags = np.empty(starts.size, dtype=bool)
+    for j, s in enumerate(starts):
+        chunk = rs.values[s:s + cfg.fft_len]
+        spec = np.fft.rfft((chunk - chunk.mean()) * window)
+        mags[:, j] = np.abs(spec[:cfg.n_f])
+        flags[j] = rs.no_data[s:s + cfg.fft_len].mean() > 0.5
+    times = (starts + cfg.fft_len / 2.0) / cfg.f_rs
+    return mags, flags, times
+
+
+def segment_loop(series, cfg, duration):
+    t = series.timestamps
+    n_win = int(math.ceil(duration / cfg.dt - 1e-9))
+    idx = np.minimum((t / cfg.dt).astype(int), n_win - 1)
+    labels = np.bincount(idx[(t >= 0) & (t <= duration)], minlength=n_win) > cfg.n_nsp
+    slices = []
+    start = 0
+    for k in range(1, n_win + 1):
+        if k == n_win or labels[k] != labels[start]:
+            t1 = duration if k == n_win else k * cfg.dt
+            slices.append(Slice(start * cfg.dt, t1, bool(labels[start])))
+            start = k
+    return slices
+
+
+def label_slices_loop(spec, cfg):
+    min_frames = int(math.ceil(cfg.min_label_slice_s / cfg.frame_dt_s))
+    runs = []
+    good = ~spec.no_data_cols
+    start = None
+    for k in range(len(good) + 1):
+        if k < len(good) and good[k]:
+            if start is None:
+                start = k
+        elif start is not None:
+            if k - start >= min_frames:
+                runs.append(spec.data[:, start:k].copy())
+            start = None
+    return runs
+
+
+def bursty_times(rng, duration, dt):
+    """Dense bursts and sparse gaps at window granularity, ending dense."""
+    n_win = int(math.ceil(duration / dt - 1e-9))
+    dense = rng.random(n_win) < 0.5
+    dense[-3:] = True
+    per_win = np.where(dense, 8, rng.integers(0, 3, n_win))
+    t = np.concatenate([w * dt + np.sort(rng.uniform(0, dt, c)) for w, c in enumerate(per_win)])
+    return np.unique(np.clip(t, 0.0, duration))
+
+
+class TestArrayFormsMatchLoops:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_hampel_short_tracks_all_truncated(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n), rng.integers(-2, 3, n).astype(float),
+                       np.zeros(n)):
+            assert np.array_equal(_hampel(values), hampel_loop(values))
+
+    def test_hampel_seeded_tracks(self):
+        rng = np.random.default_rng(12)
+        for i in range(120):
+            n = int(rng.integers(0, 200))
+            if i % 2:
+                values = np.cumsum(rng.standard_normal(n))
+            else:
+                values = rng.integers(-3, 4, n).astype(float)  # ties, MAD = 0
+            if n and i % 3 == 0:
+                values[rng.integers(0, n, 1 + n // 20)] += 40.0  # spikes
+            assert np.array_equal(_hampel(values), hampel_loop(values))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "long", "gesture"])
+    def test_stft(self, cfg):
+        rng = np.random.default_rng(cfg.fft_len)
+        for extra in (0, 1, cfg.hop - 1, cfg.hop, 5 * cfg.hop + 3):
+            n = cfg.fft_len + extra
+            no_data = np.zeros(n, dtype=bool)
+            no_data[rng.integers(0, n, n // 2)] = True
+            no_data[:cfg.fft_len] = np.arange(cfg.fft_len) < cfg.fft_len // 2  # frame 0: exactly half
+            rs = ResampledSeries(values=np.cumsum(rng.standard_normal(n)),
+                                 no_data=no_data, rate=cfg.f_rs)
+            got, want = stft_magnitudes(rs, cfg), stft_loop(rs, cfg)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got[0].flags.c_contiguous  # downstream row sums depend on the layout
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "long", "gesture"])
+    def test_segment_runs_touching_the_last_window(self, cfg):
+        rng = np.random.default_rng(int(cfg.f_cut))
+        for duration in (3.0, 7.25, 12.3):
+            ser = series_from_times(bursty_times(rng, duration, cfg.dt))
+            got, want = segment(ser, cfg, duration), segment_loop(ser, cfg, duration)
+            assert got == want and got[-1].non_sparse and got[-1].t1 == duration
+            assert all(type(s.t0) is float and type(s.t1) is float for s in got)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "long", "gesture"])
+    def test_label_slices_at_min_frames_and_last_frame(self, cfg):
+        m = int(math.ceil(cfg.min_label_slice_s / cfg.frame_dt_s))
+        # dense runs of m (kept), m - 1, m - 1 (dropped) and m + 7 (kept) frames
+        runs = [(0, m), (m + 1, 2 * m), (2 * m + 2, 3 * m + 1), (3 * m + 3, 4 * m + 10)]
+        for n_t in (4 * m + 10, 4 * m + 11):  # last run ends on / before the last frame
+            flags = np.ones(n_t, dtype=bool)
+            for a, b in runs:
+                flags[a:b] = False
+            data = np.random.default_rng(n_t).uniform(0, 1, (cfg.n_f, n_t))
+            spec = Spectrogram(data=data, no_data_cols=flags,
+                               frame_times=np.arange(n_t) * cfg.frame_dt_s)
+            got, want = extract_label_slices(spec, cfg), label_slices_loop(spec, cfg)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert [g.shape[1] for g in got] == [m, m + 7]
 
 
 class TestConfig:
@@ -120,6 +259,13 @@ class TestResample:
         assert not rs.no_data[k1] and not rs.no_data[k2]
         assert rs.no_data.sum() == len(rs) - 2
         assert np.all(np.isfinite(rs.values))
+
+    def test_sparse_samples_snap_half_to_even(self):
+        cfg = SraConfig()
+        t = (np.array([10, 11, 40, 41]) + 0.5) / cfg.f_rs  # exact ties between grid instants
+        ser = phase_series(t, np.zeros(4))
+        rs = resample(ser, segment(ser, cfg, 3.0), cfg, 3.0)
+        assert np.flatnonzero(~rs.no_data).tolist() == [10, 12, 40, 42]
 
     def test_hampel_removes_spike(self):
         cfg = SraConfig()
@@ -363,6 +509,40 @@ class TestSpectrogramIO:
         assert np.allclose(loaded.frame_times, spec.frame_times, atol=1e-8)
         header = path.read_text().splitlines()[0].split()
         assert header[0] == str(cfg.n_f) and header[1] == str(n_t)
+
+    GOOD = ["2 3 0.0 0.25", "0.1 0.2 0.3", "0.4 0.5 0.6", "0 1 0"]
+
+    @pytest.mark.parametrize("line, text, match", [
+        (0, "2 3 0.0", "header"),                  # three header fields
+        (0, "2 x 0.0 0.25", "header"),
+        (0, "2 3 nan 0.25", "header"),
+        (2, "0.4 0.5", "line 3 has 2 values"),     # short data row
+        (3, None, "expected 2 data rows and a flag row"),  # flag row missing
+        (3, "0 1", "line 4 has 2 values"),         # short flag row
+        (3, "0 2 1", "0 and 1"),
+        (3, "0 0.5 1", "0 and 1"),
+        (1, "0.1 nan 0.3", "non-finite"),
+        (2, "0.4 inf 0.6", "non-finite"),
+        (1, "0.1 abc 0.3", "abc"),
+    ])
+    def test_malformed_file_named(self, tmp_path, line, text, match):
+        lines = list(self.GOOD)
+        if text is None:
+            del lines[line]
+        else:
+            lines[line] = text
+        path = tmp_path / "bad_spec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match) as exc:
+            load_spectrogram(path)
+        assert str(path) in str(exc.value)
+
+    def test_well_formed_file_loads(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("\n".join(self.GOOD) + "\n")
+        spec = load_spectrogram(path)
+        assert spec.data.shape == (2, 3)
+        assert spec.no_data_cols.tolist() == [False, True, False]
 
 
 class TestLowpass:
