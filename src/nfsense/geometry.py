@@ -7,6 +7,7 @@ used to decide whether a candidate interferer position is feasible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,6 +18,9 @@ FOUR_PI = 4.0 * math.pi
 
 # Positions closer than this are treated as coincident (singular geometry).
 _COINCIDENT_TOL = 1e-12
+
+# Cells per row block of vir_map (at least one whole row per block).
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -206,46 +210,57 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
     """Feasibility raster for a single candidate interferer.
 
     ``extent`` is (x_min, y_min, x_max, y_max); ``resolution`` the cell size.
+    Each cell's two :func:`vir` values are array expressions over blocks of
+    whole rows, about ``_BLOCK_CELLS`` cells each, so temporaries do not grow
+    with the grid.  They keep the scalar path's distances, order of operations
+    and libm ``pow``; ``np.hypot`` may differ from ``math.hypot`` in the last bit.
     """
-    if not (resolution > 0):
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    if not all(math.isfinite(v) for v in extent):
+        raise ValueError(f"extent must be finite, got {extent}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if not (beta > 0):
         raise ValueError(f"beta must be > 0, got {beta}")
     x_min, y_min, x_max, y_max = extent
     if not (x_max > x_min and y_max > y_min):
         raise ValueError(f"degenerate extent {extent}")
-    v_i = subject.intensity if interferer_intensity is None else interferer_intensity
+    v_s, s = subject.intensity, subject.position
+    v_i = v_s if interferer_intensity is None else interferer_intensity
+    if not (v_i >= 0):
+        raise ValueError(f"interferer_intensity must be >= 0, got {v_i}")
+    d_as, delta_i = ap.distance(s), s.distance(ue)  # the candidate's UE mirrors delta_i
+    p_subject = variation_power(cfg, d_as, delta_i, v_s)
+    p_dynamic = dynamic_power(cfg, ap.distance(ue))
 
     nx = int(math.floor((x_max - x_min) / resolution)) + 1
     ny = int(math.floor((y_max - y_min) / resolution)) + 1
-    vir_s = np.empty((ny, nx))
-    vir_i = np.empty((ny, nx))
-    ok = np.zeros((ny, nx), dtype=bool)
-
-    # The candidate's UE mirrors the subject's near-field spacing.
-    delta_i = subject.position.distance(ue)
-    singular = (ap, ue, subject.position)
-
-    for row in range(ny):
-        y = y_min + row * resolution
-        for col in range(nx):
-            x = x_min + col * resolution
-            cell = Point2D(x, y)
-            if any(cell.distance(p) < _COINCIDENT_TOL for p in singular):
-                vir_s[row, col] = math.inf
-                vir_i[row, col] = math.inf
-                continue
-            interferer = Mover(cell, v_i)
-            vs = vir(cfg, ap, ue, subject, [interferer])
+    vir_s, vir_i = np.empty((2, ny, nx))
+    ok = np.empty((ny, nx), dtype=bool)
+    pw, alpha = np.float_power, -cfg.alpha
+    x = x_min + np.arange(nx) * resolution
+    rows = max(1, _BLOCK_CELLS // nx)
+    for r0 in range(0, ny, rows):
+        y = (y_min + np.arange(r0, min(r0 + rows, ny)) * resolution)[:, None]
+        vs, vi = vir_s[r0:r0 + rows], vir_i[r0:r0 + rows]
+        d_ai, d_ie = np.hypot(ap.x - x, ap.y - y), np.hypot(x - ue.x, y - ue.y)
+        singular = ((d_ai < _COINCIDENT_TOL) | (d_ie < _COINCIDENT_TOL)
+                    | (np.hypot(x - s.x, y - s.y) < _COINCIDENT_TOL))
+        with (np.errstate(divide="ignore", invalid="ignore") if singular.any()
+              else contextlib.nullcontext()):
+            den_s = p_dynamic + cfg.g_tilde * v_i * v_i * pw(d_ai * d_ie, alpha)
             # UE of the candidate sits past it on the line away from the AP.
-            d_ai = ap.distance(cell)
-            ux = (cell.x - ap.x) / d_ai
-            uy = (cell.y - ap.y) / d_ai
-            cell_ue = Point2D(cell.x + delta_i * ux, cell.y + delta_i * uy)
-            vi = vir(cfg, ap, cell_ue, interferer, [subject])
-            vir_s[row, col] = vs
-            vir_i[row, col] = vi
-            ok[row, col] = (vs >= beta) and (vi >= beta)
+            ue_x, ue_y = x + delta_i * ((x - ap.x) / d_ai), y + delta_i * ((y - ap.y) / d_ai)
+            d_se, d_su = np.hypot(x - ue_x, y - ue_y), np.hypot(s.x - ue_x, s.y - ue_y)
+            # vir() fails when a candidate's UE lands on the candidate or the subject
+            _check_distances(*(np.min(d, initial=math.inf, where=~singular) for d in (d_se, d_su)))
+            den_i = (cfg.eta * cfg.lambda_m ** 2 * pw(np.hypot(ap.x - ue_x, ap.y - ue_y), alpha)
+                     + cfg.b + cfg.g_tilde * v_s * v_s * pw(d_as * d_su, alpha))
+            if not (den_s.all() and den_i.all()):
+                raise ZeroDivisionError("zero interference and zero dynamic power")
+            np.divide(p_subject, den_s, out=vs)
+            np.divide(cfg.g_tilde * v_i * v_i * pw(d_ai * d_se, alpha), den_i, out=vi)
+        vs[singular] = vi[singular] = math.inf
+        ok[r0:r0 + rows] = (vs >= beta) & (vi >= beta) & ~singular
 
     return FeasibilityMap(x0=x_min, y0=y_min, dx=resolution, dy=resolution,
                           nx=nx, ny=ny, vir_subject=vir_s, vir_interferer=vir_i,
@@ -264,15 +279,26 @@ def save_raster(path, values: np.ndarray, x0: float, y0: float,
 
 
 def load_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    """Read a raster written by :func:`save_raster`; returns (values, (x0, y0, dx, dy))."""
+    """Read a raster written by :func:`save_raster`; returns (values, (x0, y0, dx, dy)).
+
+    Malformed headers, cell sizes that are not finite and > 0, shape mismatches
+    and NaN cells raise ``ValueError`` naming the file; ``inf`` cells are kept.
+    """
     with open(path) as fh:
         header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing raster header")
         parts = header[1:].split()
-        x0, y0, dx, dy = (float(p) for p in parts[:4])
-        nx, ny = int(parts[4]), int(parts[5])
-        values = np.loadtxt(fh, ndmin=2)
+        if not header.startswith("#") or len(parts) < 6:
+            raise ValueError(f"{path}: raster header needs '# x0 y0 dx dy nx ny', got {header!r}")
+        try:
+            x0, y0, dx, dy = (float(p) for p in parts[:4])
+            nx, ny = int(parts[4]), int(parts[5])
+            values = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not (nx >= 1 and ny >= 1 and all(math.isfinite(d) and d > 0 for d in (dx, dy))):
+        raise ValueError(f"{path}: need nx, ny >= 1 and finite dx, dy > 0, got {parts[:6]}")
     if values.shape != (ny, nx):
         raise ValueError(f"{path}: expected {ny}x{nx} raster, got {values.shape}")
+    if np.isnan(values).any():
+        raise ValueError(f"{path}: NaN cell in raster")
     return values, (x0, y0, dx, dy)

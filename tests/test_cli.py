@@ -60,6 +60,14 @@ class TestFeasibleMapCommand:
         for name in ("vir_subject.txt", "vir_interferer.txt", "feasible.txt"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--extent=-4:-4:inf:4"], "extent must be finite"),
+        (["--resolution", "inf"], "resolution must be finite and > 0"),
+    ])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, flags, named):
+        assert run(["feasible-map", *flags, "--out", tmp_path / "map"]) == 1
+        assert named in capsys.readouterr().err
+
 
 class TestSimulatePipeline:
     def test_simulate_outputs(self, tmp_path):

@@ -1,10 +1,12 @@
 """Channel-physics tests: reflected-path gain, variation power, VIR, rasters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nfsense import geometry
 from nfsense.geometry import (FeasibilityMap, Mover, Point2D, RadioConfig,
                               load_raster, reflection_gain, save_raster,
                               variation_power, variation_power_exact, vir,
@@ -146,6 +148,26 @@ class TestVir:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def scalar_vir_map(cfg, ap, ue, subject, fmap, beta, v_i):
+    """The per-cell loop vir_map replaces: two scalar vir() calls per cell."""
+    delta_i = subject.position.distance(ue)
+    vs, vi = np.empty((2, fmap.ny, fmap.nx))
+    ok = np.zeros((fmap.ny, fmap.nx), dtype=bool)
+    for row, col in np.ndindex(fmap.ny, fmap.nx):
+        cell = fmap.cell_center(row, col)
+        if any(cell.distance(p) < 1e-12 for p in (ap, ue, subject.position)):
+            vs[row, col] = vi[row, col] = math.inf
+            continue
+        itf = Mover(cell, v_i)
+        d = ap.distance(cell)
+        cell_ue = Point2D(cell.x + delta_i * ((cell.x - ap.x) / d),
+                          cell.y + delta_i * ((cell.y - ap.y) / d))
+        vs[row, col] = vir(cfg, ap, ue, subject, [itf])
+        vi[row, col] = vir(cfg, ap, cell_ue, itf, [subject])
+        ok[row, col] = vs[row, col] >= beta and vi[row, col] >= beta
+    return vs, vi, ok
+
+
 class TestVirMap:
     def setup_method(self):
         self.cfg = RadioConfig()  # normalized constants
@@ -213,6 +235,85 @@ class TestVirMap:
         assert np.array_equal(a.vir_interferer, b.vir_interferer)
         assert np.array_equal(a.feasible, b.feasible)
 
+    def check_oracle(self, cfg, ap, ue, subject, extent, resolution, v_i=None, beta=50.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fmap = vir_map(cfg, ap, ue, subject, extent, resolution, beta, v_i)
+        vs, vi, ok = scalar_vir_map(cfg, ap, ue, subject, fmap, beta,
+                                    subject.intensity if v_i is None else v_i)
+        for got, want in ((fmap.vir_subject, vs), (fmap.vir_interferer, vi)):
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            fin = np.isfinite(want)
+            assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.abs(want[fin]))
+        assert np.array_equal(fmap.feasible, ok)
+        return fmap
+
+    @pytest.mark.parametrize("cfg", [RadioConfig(), RadioConfig(alpha=3.0),
+                                     RadioConfig(eta=0.0, b=0.0)],
+                             ids=["default", "alpha3", "eta_b_zero"])
+    @pytest.mark.parametrize("v_i", [None, 0.4])
+    def test_grid_points_on_ap_ue_and_subject(self, cfg, v_i):
+        ap, ue, subject = Point2D(0.0, 0.0), Point2D(3.0, 0.625), Mover(Point2D(3.0, 0.5), 1.3)
+        fmap = self.check_oracle(cfg, ap, ue, subject, (-1.0, -1.0, 3.5, 1.5), 0.125, v_i, beta=5.0)
+        singular = np.isinf(fmap.vir_subject)
+        # exactly the three cells at (0, 0), (3, 0.5) and (3, 0.625)
+        assert sorted(zip(*np.nonzero(singular))) == [(8, 8), (12, 32), (13, 32)]
+        assert np.all(np.isinf(fmap.vir_interferer[singular]))
+        assert not fmap.feasible[singular].any()
+        assert 0 < fmap.feasible.sum() < fmap.feasible.size - 3
+
+    def test_row_count_not_a_multiple_of_the_block(self):
+        res, nx, ny = 1 / 128, 1000, 11
+        rows = geometry._BLOCK_CELLS // nx
+        assert rows > 1 and ny % rows != 0
+        fmap = self.check_oracle(self.cfg, self.ap, self.ue, self.subject,
+                                 (-4.0, -5 * res, -4.0 + (nx - 1) * res, 5 * res), res)
+        assert (fmap.ny, fmap.nx) == (ny, nx)
+        # the row through y = 0 holds the AP and the subject
+        assert np.isinf(fmap.vir_subject[5, 512]) and np.isinf(fmap.vir_subject[5, 896])
+
+    def test_single_row_wider_than_the_block(self):
+        res, nx = 1 / 512, 5000
+        assert nx > geometry._BLOCK_CELLS
+        fmap = self.check_oracle(self.cfg, self.ap, self.ue, self.subject,
+                                 (-4.0, 0.25, -4.0 + (nx - 1) * res, 0.25 + 1.5 * res), res, 0.8)
+        assert (fmap.ny, fmap.nx) == (2, nx)
+
+    def map(self, extent=(-1.0, -1.0, 1.0, 1.0), resolution=0.5, ap=None, ue=None,
+            subject=None, v_i=None):
+        return vir_map(self.cfg, ap or self.ap, ue or self.ue, subject or self.subject,
+                       extent, resolution, 50.0, v_i)
+
+    @pytest.mark.parametrize("extent", [(-4.0, -4.0, math.inf, 4.0), (-math.inf, 0.0, 1.0, 1.0),
+                                        (0.0, math.nan, 1.0, 1.0)])
+    def test_non_finite_extent(self, extent):
+        with pytest.raises(ValueError, match="extent must be finite"):
+            self.map(extent=extent)
+
+    @pytest.mark.parametrize("resolution", [math.inf, math.nan, 0.0, -0.5])
+    def test_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite and > 0"):
+            self.map(resolution=resolution)
+
+    def test_subject_on_ue(self):
+        with pytest.raises(ValueError, match=r"distances must be > 0, got 0\.0"):
+            self.map(subject=Mover(self.ue, 1.0))
+
+    def test_ap_on_ue(self):
+        with pytest.raises(ValueError, match=r"distances must be > 0, got 0\.0"):
+            self.map(ue=Point2D(0.0, 0.0), subject=Mover(Point2D(0.1, 0.0), 1.0))
+
+    def test_negative_interferer_intensity(self):
+        with pytest.raises(ValueError, match="interferer_intensity"):
+            self.map(v_i=-1.0)
+
+    def test_zero_denominator_like_scalar_vir(self):
+        self.cfg = RadioConfig(eta=0.0, b=0.0)
+        with pytest.raises(ZeroDivisionError):
+            vir(self.cfg, self.ap, self.ue, self.subject, [Mover(Point2D(1.0, 1.0), 0.0)])
+        with pytest.raises(ZeroDivisionError):
+            self.map(v_i=0.0)
+
 
 class TestRasterIO:
     def test_round_trip_with_inf(self, tmp_path):
@@ -222,3 +323,24 @@ class TestRasterIO:
         loaded, (x0, y0, dx, dy) = load_raster(path)
         assert np.array_equal(loaded, values)
         assert (x0, y0, dx, dy) == (0.0, -1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("text", [
+        "# 0 0 1\n1 2\n",                      # fewer than 6 header fields
+        "1 2\n",                                # no header
+        "# 0 0 a 1 2 1\n1 2\n",                # non-numeric header field
+        "# 0 0 1 1 2.5 1\n1 2\n",              # non-integer nx
+        "# 0 0 1 1 0 1\n1 2\n",                # nx below 1
+        "# 0 0 1 1 2 -1\n1 2\n",               # ny below 1
+        "# 0 0 inf 1 2 1\n1 2\n",              # dx not finite
+        "# 0 0 1 nan 2 1\n1 2\n",              # dy not finite
+        "# 0 0 0 1 2 1\n1 2\n",                # dx not above 0
+        "# 0 0 1 -0.5 2 1\n1 2\n",             # dy not above 0
+        "# 0 0 1 1 2 1\n1 nan\n",              # NaN cell
+        "# 0 0 1 1 2 1\n1 x\n",                # non-numeric cell
+        "# 0 0 1 1 2 2\n1 2\n",                # missing row
+    ])
+    def test_malformed_file_named(self, tmp_path, text):
+        path = tmp_path / "bad_raster.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad_raster.txt"):
+            load_raster(path)
