@@ -204,6 +204,14 @@ def cmd_train(args) -> int:
         print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
         return 1
     ds = sra_mod.load_dataset(args.dataset)
+    advice = (f"{args.dataset} holds {len(ds.train)} train and {len(ds.test)} test pairs; "
+              "build it from more label slices: a longer or dense (--uniform-rate 64) "
+              "simulate, or more links passed to build-dataset --csi")
+    if not ds.train:
+        print(f"error: empty train split: {advice}", file=sys.stderr)
+        return 1
+    if not ds.test:
+        print(f"warning: empty test split, so test_mse reads nan: {advice}", file=sys.stderr)
     seed = args.seed or 0
     # float32: the weight file is float32 anyway and training is ~1.85x faster
     model = tcn_mod.TcnModel.initialize(cfg.tcn(seed=seed), dtype=np.float32)

@@ -210,20 +210,27 @@ def _static_gain(cfg: RadioConfig, d_ae: float) -> complex:
 
 def _ou_track(cfg: RadioConfig, d_ae: float, times: np.ndarray,
               rng: np.random.Generator) -> np.ndarray:
-    """Complex Ornstein-Uhlenbeck process with variance eta lambda^2 d^-alpha."""
+    """Complex Ornstein-Uhlenbeck process with variance eta lambda^2 d^-alpha.
+
+    Decay factors and kicks are arrays; only the recurrence x = x*rho + kick
+    runs per sample, on Python scalars.  ``math.exp`` (libm) is used on
+    purpose: ``np.exp`` may take a SIMD path whose last bit differs.
+    """
     var = cfg.eta * cfg.lambda_m ** 2 * d_ae ** (-cfg.alpha)
     n = times.size
-    out = np.empty(n, dtype=complex)
     if n == 0:
-        return out
+        return np.empty(0, dtype=complex)
     sigma = math.sqrt(var / 2.0)
     draw = rng.standard_normal((n, 2))
-    out[0] = sigma * (draw[0, 0] + 1j * draw[0, 1])
-    for k in range(1, n):
-        rho = math.exp(-(times[k] - times[k - 1]) / _OU_TAU_S)
-        s = sigma * math.sqrt(max(1.0 - rho * rho, 0.0))
-        out[k] = out[k - 1] * rho + s * (draw[k, 0] + 1j * draw[k, 1])
-    return out
+    rho = np.fromiter(map(math.exp, (-np.diff(times) / _OU_TAU_S).tolist()), float, n - 1)
+    s = sigma * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    kick = (s[:, None] * draw[1:]).view(complex)[:, 0]
+    x = complex(sigma * (draw[0, 0] + 1j * draw[0, 1]))
+    out = [x]
+    for r, k in zip(rho.tolist(), kick.tolist()):
+        x = x * r + k
+        out.append(x)
+    return np.array(out)
 
 
 def _link_rx(scene: Scene, link: str) -> tuple[Point2D, int]:
@@ -282,10 +289,20 @@ def save_csi_csv(series: CsiSeries, path) -> None:
 
 
 def load_csi_csv(path, link_id: str = "") -> CsiSeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a series written by :func:`save_csi_csv` (header ``t_s,re,im``)."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
     if data.size == 0:
         return CsiSeries(timestamps=np.array([]), values=np.array([], dtype=complex),
                          link_id=link_id)
+    if data.shape[1] != 3:
+        raise ValueError(f"{path}: expected 3 columns t_s,re,im, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ValueError(f"{path}: timestamps must be strictly increasing")
     return CsiSeries(timestamps=data[:, 0], values=data[:, 1] + 1j * data[:, 2],
                      link_id=link_id)
 

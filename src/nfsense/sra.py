@@ -158,18 +158,21 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int, bool]]:
 
 
 def _hampel(values: np.ndarray) -> np.ndarray:
-    """Replace outliers by the rolling median (window 7, 3 scaled MADs)."""
+    """Replace outliers by the rolling median (window 7, 3 scaled MADs).
+
+    End windows are truncated: +inf pads them, and each median is np.median's
+    own formula, the mean of sorted entries (m-1)//2 and m//2 of m real values.
+    """
     n, k = values.size, _HAMPEL_HALF_WINDOW
-    med, mad = np.empty(n), np.empty(n)
-    if n > 2 * k:
-        full = sliding_window_view(values, 2 * k + 1)
-        med[k:n - k] = np.median(full, axis=1)
-        dev = full - med[k:n - k, None]
-        mad[k:n - k] = np.median(np.abs(dev, out=dev), axis=1, overwrite_input=True)
-    for i in (*range(min(k, n)), *range(max(n - k, k), n)):  # truncated end windows
-        window = values[max(0, i - k):i + k + 1]
-        med[i] = np.median(window)
-        mad[i] = np.median(np.abs(window - med[i]))
+    pos = np.arange(n)
+    m = np.minimum(pos + k, n - 1) - np.maximum(pos - k, 0) + 1
+    lo, hi = (pos, (m - 1) // 2), (pos, m // 2)
+    pad = np.full(k, np.inf)
+    windows = np.concatenate([pad, values, pad])[pos[:, None] + np.arange(2 * k + 1)]
+    s = np.sort(windows, axis=1)
+    med = (s[lo] + s[hi]) / 2
+    s = np.sort(np.abs(windows - med[:, None]), axis=1)
+    mad = (s[lo] + s[hi]) / 2
     return np.where(np.abs(values - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300,
                     med, values)
 

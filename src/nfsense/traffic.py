@@ -23,6 +23,9 @@ BFI_THINNING = 0.1
 BFI_RATE_CAP_HZ = 10.0
 BFI_CAP_WINDOW_S = 1.0
 
+# Largest block of in-burst inter-arrival draws made at once.
+_MAX_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -72,26 +75,50 @@ def generate_arrivals(model: TrafficModel, duration: float) -> SampleTimes:
     gap_mean = model.mean_gap_s * model.contention_users
     p_on = model.mean_burst_s / (model.mean_burst_s + gap_mean)
 
-    arrivals: list[float] = []
+    shadow = np.random.Generator(type(rng.bit_generator)())
+    arrivals: list[np.ndarray] = []
     t = 0.0
     on = bool(rng.random() < p_on)
     while t < duration:
         if on:
             dwell = rng.exponential(model.mean_burst_s)
             end = min(t + dwell, duration)
-            u = t + rng.exponential(1.0 / model.rate_in_burst_hz)
-            while u < end:
-                arrivals.append(u)
-                u += rng.exponential(1.0 / model.rate_in_burst_hz)
+            arrivals.append(_burst(rng, shadow, t, end, 1.0 / model.rate_in_burst_hz))
             t += dwell
         else:
             t += rng.exponential(gap_mean)
         on = not on
 
-    times = np.array(arrivals)
+    times = np.concatenate(arrivals) if arrivals else np.array([])
     if model.kind == "ul_bfi":
         times = _thin_and_cap(times, rng)
     return SampleTimes(times=times, duration=duration)
+
+
+def _burst(rng: np.random.Generator, shadow: np.random.Generator, t: float,
+           end: float, h: float) -> np.ndarray:
+    """Arrivals u = t + h*E1, u + h*E2, ... below ``end`` of one burst.
+
+    Byte-identical to one ``rng.exponential(h)`` call per arrival plus one
+    for the overshoot: blocks of standard exponentials are drawn from
+    ``shadow`` (set to rng's state), summed by a sequential cumsum, and rng
+    then advances by exactly the draws consumed.
+    """
+    shadow.bit_generator.state = rng.bit_generator.state
+    block = min(int((end - t) / h * 1.25) + 16, _MAX_BLOCK)
+    parts, used = [], 0
+    while True:
+        u = h * shadow.standard_exponential(block)
+        u[0] += t
+        np.cumsum(u, out=u)
+        k = int(np.searchsorted(u, end, side="left"))
+        parts.append(u[:k])
+        if k < block:
+            break
+        used += block
+        t = float(u[-1])
+    rng.standard_exponential(used + k + 1)  # the arrivals and the overshoot
+    return np.concatenate(parts)
 
 
 def _thin_and_cap(times: np.ndarray, rng: np.random.Generator) -> np.ndarray:

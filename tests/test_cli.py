@@ -8,6 +8,7 @@ import pytest
 
 from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
+from nfsense.sra import Dataset, save_dataset
 
 
 def run(args):
@@ -114,6 +115,25 @@ class TestSimulatePipeline:
 
     def test_train_missing_dataset(self, tmp_path):
         assert run(["train", "--dataset", tmp_path / "none", "--out", tmp_path]) == 1
+
+    def test_train_empty_test_split_warns(self, tmp_path, capsys):
+        # one label slice splits 0.7 / 0.3 into one train pair and no test pair
+        ds = tmp_path / "one_slice"
+        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
+        save_dataset(Dataset(train=(pair,), test=()), ds)
+        assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.n_c=8",
+                    "--set", "tcn.bottleneck_dim=4", "--out", tmp_path / "tr"]) == 0
+        err = capsys.readouterr().err
+        assert "empty test split" in err and str(ds) in err and "--uniform-rate" in err
+
+    def test_train_empty_train_split_named(self, tmp_path, capsys):
+        ds = tmp_path / "no_train"
+        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
+        save_dataset(Dataset(train=(), test=(pair,)), ds)
+        assert run(["train", "--dataset", ds, "--epochs", 1, "--out", tmp_path / "tr"]) == 1
+        err = capsys.readouterr().err
+        assert "empty train split" in err and str(ds) in err and "--uniform-rate" in err
+        assert not (tmp_path / "tr").exists()
 
 
 class TestBfiDemoCommand:

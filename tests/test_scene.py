@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from nfsense.geometry import Point2D, RadioConfig
-from nfsense.scene import (CsiSeries, MotionProfile, Scene, SceneUser,
-                           displacement, load_csi_csv, load_scene,
+from nfsense.scene import (_OU_TAU_S, CsiSeries, MotionProfile, Scene, SceneUser,
+                           _ou_track, displacement, load_csi_csv, load_scene,
                            render_baseline, render_components, render_csi,
                            save_csi_csv, save_scene)
+from nfsense.traffic import KINDS, TrafficModel, generate_arrivals
 
 
 def small_scene(noise_std=0.0, seed=0, motion=None):
@@ -18,6 +19,23 @@ def small_scene(noise_std=0.0, seed=0, motion=None):
     user = SceneUser(ue=Point2D(1.41, 0.15), subject=Point2D(1.41, 0.0), motion=motion)
     return Scene(ap=Point2D(0.0, 0.0), users=(user,), cfg=radio,
                  baseline_observer=Point2D(0.5, 0.0), noise_std=noise_std, seed=seed)
+
+
+def ou_loop(cfg, d_ae, times, rng):
+    """Per-sample OU recurrence: the oracle of scene._ou_track."""
+    var = cfg.eta * cfg.lambda_m ** 2 * d_ae ** (-cfg.alpha)
+    n = times.size
+    out = np.empty(n, dtype=complex)
+    if n == 0:
+        return out
+    sigma = math.sqrt(var / 2.0)
+    draw = rng.standard_normal((n, 2))
+    out[0] = sigma * (draw[0, 0] + 1j * draw[0, 1])
+    for k in range(1, n):
+        rho = math.exp(-(times[k] - times[k - 1]) / _OU_TAU_S)
+        s = sigma * math.sqrt(max(1.0 - rho * rho, 0.0))
+        out[k] = out[k - 1] * rho + s * (draw[k, 0] + 1j * draw[k, 1])
+    return out
 
 
 class TestMotionProfile:
@@ -205,6 +223,38 @@ class TestRenderCsi:
             render_baseline(scn, np.arange(5) / 64)
 
 
+class TestOuTrackMatchesLoop:
+    CFG = small_scene().cfg
+
+    def check(self, times, seed=0, d_ae=1.42):
+        times = np.asarray(times, dtype=float)
+        got = _ou_track(self.CFG, d_ae, times, np.random.default_rng(seed))
+        want = ou_loop(self.CFG, d_ae, times, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_and_single_sample(self):
+        self.check([])
+        self.check([0.0])
+        self.check([3.7], seed=2)
+
+    def test_uniform_64hz(self):
+        self.check(np.arange(64 * 30) / 64.0, seed=1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bursty_arrival_grids(self, kind):
+        for seed in range(3):
+            times = generate_arrivals(TrafficModel(kind=kind, seed=seed, contention_users=4),
+                                      30.0).times
+            self.check(times, seed=seed, d_ae=0.5 + seed)
+
+    def test_seeded_gaps_from_tiny_to_long(self):
+        # rho near 1 (microsecond gaps) and near 0 (gaps of many tau)
+        rng = np.random.default_rng(7)
+        gaps = np.exp(rng.uniform(np.log(1e-7), np.log(20.0), 4000))
+        self.check(np.cumsum(gaps), seed=7)
+
+
 class TestCsiSeries:
     def test_increasing_timestamps_enforced(self):
         with pytest.raises(ValueError):
@@ -219,6 +269,43 @@ class TestCsiSeries:
         loaded = load_csi_csv(path, link_id="ue0")
         assert np.allclose(loaded.timestamps, series.timestamps, atol=1e-9)
         assert np.allclose(loaded.values, series.values, rtol=1e-9)
+
+    GOOD = ["t_s,re,im", "0.000000000,1.0e-05,2.0e-05", "0.015625000,1.1e-05,2.1e-05",
+            "0.031250000,1.2e-05,2.2e-05"]
+
+    @pytest.mark.parametrize("line, text, match", [
+        (2, "0.015625000,1.1e-05", "t_s,re,im"),            # short row
+        (2, "0.015625000,1.1e-05,2.1e-05,0", "t_s,re,im"),  # long row
+        (2, "0.015625000,abc,2.1e-05", "abc"),
+        (2, "0.015625000,,2.1e-05", "t_s,re,im"),           # empty cell
+        (3, "nan,1.2e-05,2.2e-05", "non-finite"),
+        (1, "0.000000000,inf,2.0e-05", "non-finite"),
+        (3, "0.031250000,1.2e-05,-nan", "non-finite"),
+        (3, "0.015625000,1.2e-05,2.2e-05", "strictly increasing"),  # repeated time
+        (3, "0.010000000,1.2e-05,2.2e-05", "strictly increasing"),
+    ])
+    def test_malformed_file_named(self, tmp_path, line, text, match):
+        lines = list(self.GOOD)
+        lines[line] = text
+        path = tmp_path / "bad_csi.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match) as exc:
+            load_csi_csv(path)
+        assert str(path) in str(exc.value)
+
+    def test_every_column_count_named(self, tmp_path):
+        path = tmp_path / "two_cols.csv"
+        path.write_text("t_s,re,im\n0.0,1.0\n0.5,2.0\n")
+        with pytest.raises(ValueError, match="got 2") as exc:
+            load_csi_csv(path)
+        assert str(path) in str(exc.value)
+
+    def test_well_formed_file_loads(self, tmp_path):
+        path = tmp_path / "csi.csv"
+        path.write_text("\n".join(self.GOOD) + "\n")
+        series = load_csi_csv(path, link_id="x")
+        assert series.timestamps.tolist() == [0.0, 0.015625, 0.03125]
+        assert series.values[1] == complex(1.1e-05, 2.1e-05)
 
 
 class TestSceneIO:

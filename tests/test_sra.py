@@ -116,6 +116,17 @@ class TestArrayFormsMatchLoops:
                        np.zeros(n)):
             assert np.array_equal(_hampel(values), hampel_loop(values))
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_hampel_truncated_edge_windows(self, n):
+        # a spike at each end position lands in windows of 4, 5 and 6 real values
+        rng = np.random.default_rng(100 + n)
+        for spot in {0, 1, 2, n - 3, n - 2, n - 1} & set(range(n)):
+            for base in (rng.standard_normal(n), rng.integers(-1, 2, n).astype(float),
+                         np.linspace(-1.0, 1.0, n)):
+                values = base.copy()
+                values[spot] += 25.0
+                assert _hampel(values).tobytes() == hampel_loop(values).tobytes()
+
     def test_hampel_seeded_tracks(self):
         rng = np.random.default_rng(12)
         for i in range(120):

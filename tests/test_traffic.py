@@ -5,9 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfsense.traffic import (TrafficModel, burstiness_index, generate_arrivals,
+from nfsense.traffic import (_MAX_BLOCK, KINDS, TrafficModel, _burst, _thin_and_cap,
+                             burstiness_index, generate_arrivals,
                              load_sample_times, max_rate_in_window,
                              save_sample_times, windowed_counts)
+
+
+def arrivals_loop(model, duration):
+    """One scalar draw per arrival: the oracle of the block-drawn generator."""
+    rng = np.random.default_rng(np.random.SeedSequence((model.seed, KINDS.index(model.kind))))
+    gap_mean = model.mean_gap_s * model.contention_users
+    p_on = model.mean_burst_s / (model.mean_burst_s + gap_mean)
+    arrivals = []
+    t = 0.0
+    on = bool(rng.random() < p_on)
+    while t < duration:
+        if on:
+            dwell = rng.exponential(model.mean_burst_s)
+            end = min(t + dwell, duration)
+            u = t + rng.exponential(1.0 / model.rate_in_burst_hz)
+            while u < end:
+                arrivals.append(u)
+                u += rng.exponential(1.0 / model.rate_in_burst_hz)
+            t += dwell
+        else:
+            t += rng.exponential(gap_mean)
+        on = not on
+    times = np.array(arrivals)
+    if model.kind == "ul_bfi":
+        times = _thin_and_cap(times, rng)
+    return times
 
 
 class TestGenerateArrivals:
@@ -81,6 +108,44 @@ class TestGenerateArrivals:
         if t.size:
             assert t[0] >= 0.0 and t[-1] <= duration
             assert np.all(np.diff(t) > 0)
+
+
+class TestBlockDrawsMatchLoop:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("contention", [1, 4])
+    def test_bytes_equal(self, kind, contention):
+        for seed in range(3):
+            model = TrafficModel(kind=kind, contention_users=contention, seed=seed)
+            for duration in (1e-4, 5.0, 120.0):
+                got = generate_arrivals(model, duration).times
+                want = arrivals_loop(model, duration)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bursts_spanning_several_blocks(self, kind):
+        model = TrafficModel(kind=kind, rate_in_burst_hz=20000.0, mean_burst_s=2.0, seed=5)
+        got = generate_arrivals(model, 10.0).times
+        assert got.tobytes() == arrivals_loop(model, 10.0).tobytes()
+        if kind != "ul_bfi":
+            # in-burst gaps above 5 ms have odds e^-100: longer gaps split bursts
+            cuts = np.flatnonzero(np.diff(got) > 5e-3)
+            assert np.diff(np.concatenate([[0], cuts, [got.size]])).max() > 2 * _MAX_BLOCK
+
+
+    def test_burst_ending_exactly_on_an_arrival(self):
+        # an arrival equal to the burst end is the overshoot, not an arrival
+        h, t = 1e-3, 0.25
+        probe = np.random.default_rng(3)
+        u = [t + probe.exponential(h)]
+        for _ in range(60):
+            u.append(u[-1] + probe.exponential(h))
+        for j in (0, 1, 17, 60):
+            rng = np.random.default_rng(3)
+            got = _burst(rng, np.random.default_rng(), t, u[j], h)
+            assert got.tobytes() == np.array(u[:j]).tobytes()
+            after = np.random.default_rng(3)
+            after.standard_exponential(j + 1)  # j arrivals and the overshoot
+            assert rng.random() == after.random()
 
 
 class TestModelValidation:
