@@ -251,10 +251,16 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             # UE of the candidate sits past it on the line away from the AP.
             ue_x, ue_y = x + delta_i * ((x - ap.x) / d_ai), y + delta_i * ((y - ap.y) / d_ai)
             d_se, d_su = np.hypot(x - ue_x, y - ue_y), np.hypot(s.x - ue_x, s.y - ue_y)
-            # vir() fails when a candidate's UE lands on the candidate or the subject
-            _check_distances(*(np.min(d, initial=math.inf, where=~singular) for d in (d_se, d_su)))
+            # vir() fails when a candidate's UE lands on the candidate
+            _check_distances(np.min(d_se, initial=math.inf, where=~singular))
+            # A candidate's UE landing on the subject (d_su = 0) takes the
+            # d_su -> 0 limit of the subject term: inf, so vir_interferer is 0
+            # there; a still subject (v_s = 0) adds no term at any distance.
+            g_s = cfg.g_tilde * v_s * v_s
+            with np.errstate(divide="ignore"):   # only d_su = 0 divides by zero here
+                subject_term = g_s * pw(d_as * d_su, alpha) if g_s > 0 else 0.0
             den_i = (cfg.eta * cfg.lambda_m ** 2 * pw(np.hypot(ap.x - ue_x, ap.y - ue_y), alpha)
-                     + cfg.b + cfg.g_tilde * v_s * v_s * pw(d_as * d_su, alpha))
+                     + cfg.b + subject_term)
             if not (den_s.all() and den_i.all()):
                 raise ZeroDivisionError("zero interference and zero dynamic power")
             np.divide(p_subject, den_s, out=vs)

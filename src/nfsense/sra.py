@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -465,7 +466,28 @@ def save_dataset(ds: Dataset, out_dir) -> None:
             np.savetxt(os.path.join(sub, f"{i:04d}.y"), y, fmt="%.9e")
 
 
+def _load_pair_file(path) -> np.ndarray:
+    """One array of a dataset pair; a ValueError names the file if it is unusable."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # an empty file only warns
+            data = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise ValueError(f"{path}: holds no values")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value")
+    return data
+
+
 def load_dataset(out_dir) -> Dataset:
+    """Read a dataset written by :func:`save_dataset`.
+
+    Every ``.x`` input needs a ``.y`` target of the same shape; a missing
+    partner, a shape mismatch, a ragged or non-numeric file or a non-finite
+    value raises a ValueError that names the file.
+    """
     sets = {}
     for name in ("train", "test"):
         sub = os.path.join(out_dir, name)
@@ -473,9 +495,12 @@ def load_dataset(out_dir) -> Dataset:
         if os.path.isdir(sub):
             xs = sorted(f for f in os.listdir(sub) if f.endswith(".x"))
             for xf in xs:
-                yf = xf[:-2] + ".y"
-                x = np.loadtxt(os.path.join(sub, xf), ndmin=2)
-                y = np.loadtxt(os.path.join(sub, yf), ndmin=2)
+                xp, yp = os.path.join(sub, xf), os.path.join(sub, xf[:-2] + ".y")
+                if not os.path.isfile(yp):
+                    raise ValueError(f"{yp}: missing, but its input {xf} exists")
+                x, y = _load_pair_file(xp), _load_pair_file(yp)
+                if x.shape != y.shape:
+                    raise ValueError(f"{yp}: shape {y.shape} differs from its input's {x.shape}")
                 pairs.append((x, y))
         sets[name] = tuple(pairs)
     return Dataset(train=sets["train"], test=sets["test"])

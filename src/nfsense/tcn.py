@@ -3,8 +3,12 @@
 Causal dilated 1-D convolutions arranged in residual blocks, a stride-2
 convolutional bottleneck with a nearest-neighbor-upsampling decoder, and a
 1x1 output projection.  Forward, reverse-mode gradients, Adam training, and
-a binary weight format are all implemented here on plain numpy arrays
-(float64 in memory, float32 on disk).
+a binary weight format are all implemented here on plain numpy arrays.
+
+Weights are float32 on disk.  In memory the model's dtype is the compute
+precision: float64 by default (gradient checks), float32 for ``nfsense
+train``.  Activations are channel-major (C, B, N), so each layer over a
+batch is one im2col GEMM, and ``train`` keeps its scratch in one workspace.
 """
 
 from __future__ import annotations
@@ -170,123 +174,149 @@ class TcnModel:
 
 
 # ---------------------------------------------------------------------------
-# layer primitives (forward + explicit backward); arrays are batch-first
-# (B, C, N) so one BLAS call covers the whole batch
+# layer primitives (forward + explicit backward).  Activations are
+# channel-major (C, B, N): a convolution or projection over the whole batch
+# is one 2-D GEMM with K = l * C_in, and its weight gradient is one GEMM over
+# all B * N columns.  Callers pass the output buffers (see _Workspace).
 
-def _dconv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int):
-    """Causal dilated conv: z[., k, n] = sum_i w[k, i, :] . x[., :, n - chi*i] + b[k]."""
-    bsz, c_in, n = x.shape
-    c_out, l, _ = w.shape
-    pad = (l - 1) * chi
-    xp = np.zeros((bsz, c_in, n + pad), dtype=x.dtype)
-    xp[:, :, pad:] = x
-    cols = np.empty((bsz, l, c_in, n), dtype=x.dtype)
+class _Workspace:
+    """Named flat scratch buffers, reused by every step of one ``train`` call.
+
+    ``get`` returns the leading part of a buffer in the requested shape, so a
+    smaller batch (15, or 1) reuses the buffers sized for the largest one and
+    a training step allocates no large arrays once the first step has run.
+    """
+
+    def __init__(self, dtype) -> None:
+        self.dtype = np.dtype(dtype)
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...], dtype=None) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._flat.get(key)
+        if buf is None or buf.size < size:
+            buf = self._flat[key] = np.empty(size, dtype or self.dtype)
+        return buf[:size].reshape(shape)
+
+
+def _taps(l: int, chi: int, stride: int, m: int):
+    """Per tap i: first output column m0 whose input index stride*m0 - chi*i
+    is >= 0 (earlier columns read the causal zero padding), and that index."""
     for i in range(l):
-        cols[:, i] = xp[:, :, pad - i * chi: pad - i * chi + n]
-    cols2 = cols.reshape(bsz, l * c_in, n)
-    z = np.matmul(w.reshape(c_out, l * c_in), cols2) + b[:, None]
-    return z, (cols2, x.shape, chi)
+        m0 = min(-(-chi * i // stride), m)
+        yield i, m0, stride * m0 - chi * i
 
 
-def _dconv_b(dz: np.ndarray, cache, w: np.ndarray):
-    cols2, x_shape, chi = cache
-    bsz, c_in, n = x_shape
+def _conv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int, stride: int,
+            cols: np.ndarray, out: np.ndarray):
+    """Causal dilated, strided conv of x (C_in, B, N) into out (C_out, B, M),
+    M = ceil(N / stride): out[k, ., m] = sum_i w[k, i, :] . x[:, ., stride*m - chi*i] + b[k].
+
+    ``cols`` (l, C_in, B, M) receives the im2col copy of x.  Returns out and
+    cols as the (l*C_in, B*M) matrix the backward needs.
+    """
+    c_in, bsz, _ = x.shape
     c_out, l, _ = w.shape
-    dw = np.tensordot(dz, cols2, axes=([0, 2], [0, 2])).reshape(c_out, l, c_in)
-    db = dz.sum(axis=(0, 2))
-    dcols = np.matmul(w.reshape(c_out, l * c_in).T, dz).reshape(bsz, l, c_in, n)
-    pad = (l - 1) * chi
-    dxp = np.zeros((bsz, c_in, n + pad), dtype=dz.dtype)
-    for i in range(l):
-        dxp[:, :, pad - i * chi: pad - i * chi + n] += dcols[:, i]
-    return dxp[:, :, pad:], dw, db
+    m = out.shape[2]
+    for i, m0, s in _taps(l, chi, stride, m):
+        cols[i, :, :, :m0] = 0.0
+        cols[i, :, :, m0:] = x[:, :, s::stride][:, :, :m - m0]
+    cols2 = cols.reshape(l * c_in, bsz * m)
+    z2 = out.reshape(c_out, bsz * m)
+    np.matmul(w.reshape(c_out, l * c_in), cols2, out=z2)
+    z2 += b[:, None]
+    return out, cols2
 
 
-def _sconv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Causal stride-2 conv: z[., k, m] = sum_i w[k, i, :] . x[., :, 2m - i] + b[k]."""
-    bsz, c_in, n = x.shape
+def _bias_grad(dz: np.ndarray) -> np.ndarray:
+    """Sum of dz (C, B, N) over B and N: pairwise over N, then sequential over
+    B, the order (and so the bits) of ``sum(axis=(0, 2))`` on a (B, C, N) array."""
+    return np.cumsum(dz.sum(axis=2), axis=1)[:, -1]
+
+
+def _conv_b(dz: np.ndarray, cols2: np.ndarray, w: np.ndarray, chi: int, stride: int,
+            dcols: np.ndarray, dx: np.ndarray):
+    """Gradients (dx, dw, db) of _conv_f from dz (C_out, B, M); dx and dcols
+    (l*C_in, B*M) are output buffers.
+
+    ``dx`` may share memory with ``dz``: dz is fully read before dx is written.
+    """
+    c_in, bsz, _ = dx.shape
     c_out, l, _ = w.shape
-    pad = l - 1
-    m = (n + 1) // 2
-    xp = np.zeros((bsz, c_in, n + pad), dtype=x.dtype)
-    xp[:, :, pad:] = x
-    cols = np.empty((bsz, l, c_in, m), dtype=x.dtype)
-    for i in range(l):
-        cols[:, i] = xp[:, :, pad - i: pad - i + 2 * m - 1: 2]
-    cols2 = cols.reshape(bsz, l * c_in, m)
-    z = np.matmul(w.reshape(c_out, l * c_in), cols2) + b[:, None]
-    return z, (cols2, x.shape)
+    m = dz.shape[2]
+    dz2 = dz.reshape(c_out, bsz * m)
+    dw = (dz2 @ cols2.T).reshape(w.shape)
+    db = _bias_grad(dz)
+    dcols = np.matmul(w.reshape(c_out, l * c_in).T, dz2, out=dcols).reshape(l, c_in, bsz, m)
+    dx.fill(0.0)
+    for i, m0, s in _taps(l, chi, stride, m):
+        dx[:, :, s::stride][:, :, :m - m0] += dcols[i, :, :, m0:]
+    return dx, dw, db
 
 
-def _sconv_b(dz: np.ndarray, cache, w: np.ndarray):
-    cols2, x_shape = cache
-    bsz, c_in, n = x_shape
-    c_out, l, _ = w.shape
-    m = (n + 1) // 2
-    dw = np.tensordot(dz, cols2, axes=([0, 2], [0, 2])).reshape(c_out, l, c_in)
-    db = dz.sum(axis=(0, 2))
-    dcols = np.matmul(w.reshape(c_out, l * c_in).T, dz).reshape(bsz, l, c_in, m)
-    pad = l - 1
-    dxp = np.zeros((bsz, c_in, n + pad), dtype=dz.dtype)
-    for i in range(l):
-        dxp[:, :, pad - i: pad - i + 2 * m - 1: 2] += dcols[:, i]
-    return dxp[:, :, pad:], dw, db
+def _proj_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1x1 conv of x (C_in, B, N) into out (C_out, B, N)."""
+    z2 = np.matmul(w, x.reshape(x.shape[0], -1), out=out.reshape(w.shape[0], -1))
+    z2 += b[:, None]
+    return out
 
 
-def _upsample_f(z: np.ndarray, n_out: int) -> np.ndarray:
-    """Nearest-neighbor x2 upsampling trimmed to n_out columns."""
-    return np.repeat(z, 2, axis=2)[:, :, :n_out]
-
-
-def _upsample_b(du: np.ndarray, m: int) -> np.ndarray:
-    bsz, c, n_out = du.shape
-    dz = np.zeros((bsz, c, m), dtype=du.dtype)
-    dz[:, :, : (n_out + 1) // 2] += du[:, :, 0::2]
-    dz[:, :, : n_out // 2] += du[:, :, 1::2]
-    return dz
-
-
-def _proj_f(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(w, x) + b[:, None]
-
-
-def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray):
-    dw = np.tensordot(dz, x, axes=([0, 2], [0, 2]))
-    return np.matmul(w.T, dz), dw, dz.sum(axis=(0, 2))
+def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, dx: np.ndarray):
+    dz2 = dz.reshape(dz.shape[0], -1)
+    dw = dz2 @ x.reshape(x.shape[0], -1).T
+    np.matmul(w.T, dz2, out=dx.reshape(x.shape[0], -1))
+    return dx, dw, _bias_grad(dz)
 
 
 # ---------------------------------------------------------------------------
 # network forward/backward
 
-def _forward(model: TcnModel, x: np.ndarray, need_cache: bool):
-    """Batched network forward on (B, N_F, N_T) input."""
+def _forward(model: TcnModel, x: np.ndarray, need_cache: bool,
+             ws: _Workspace | None = None):
+    """Batched network forward on channel-major (N_F, B, N_T) input.
+
+    The output and every cached array live in ``ws``.  With ``need_cache``
+    each layer keeps its own im2col and activation buffers for the backward;
+    without it the layers share one of each.
+    """
     cfg = model.config
     p = model.params
-    cache: dict[str, object] = {}
+    ws = ws or _Workspace(x.dtype)
+    cache: dict[str, object] = {"x": x}
+    _, bsz, n = x.shape
+
+    def conv(layer: str, inp: np.ndarray, chi: int = 1, stride: int = 1) -> np.ndarray:
+        w = p[f"{layer}.w"]
+        c_out, l, c_in = w.shape
+        m = -(-inp.shape[2] // stride)
+        tag = layer if need_cache else "shared"
+        z, cols = _conv_f(inp, w, p[f"{layer}.b"], chi, stride,
+                          ws.get(f"{tag}.cols", (l, c_in, bsz, m)),
+                          ws.get(f"{tag}.act", (c_out, bsz, m)))
+        a = np.maximum(z, 0.0, out=z)
+        cache[layer] = (cols, a)
+        return a
+
+    # one residual-stream buffer: only block 0 can have a projection, and it
+    # reads x, so no block needs its input once its output is written
     h = x
+    out = ws.get("h", (cfg.n_c, bsz, n))
     for bi in range(cfg.n_blocks):
         chi = cfg.dilations[bi]
-        z1, c1 = _dconv_f(h, p[f"block{bi}.conv1.w"], p[f"block{bi}.conv1.b"], chi)
-        a1 = np.maximum(z1, 0.0)
-        z2, c2 = _dconv_f(a1, p[f"block{bi}.conv2.w"], p[f"block{bi}.conv2.b"], chi)
-        a2 = np.maximum(z2, 0.0)
+        a1 = conv(f"block{bi}.conv1", h, chi)
+        a2 = conv(f"block{bi}.conv2", a1, chi)
         if f"block{bi}.proj.w" in p:
-            res = _proj_f(h, p[f"block{bi}.proj.w"], p[f"block{bi}.proj.b"])
+            res = _proj_f(h, p[f"block{bi}.proj.w"], p[f"block{bi}.proj.b"], out)
         else:
             res = h
-        out = a2 + res
-        if need_cache:
-            cache[f"b{bi}"] = (h, c1, z1, a1, c2, z2)
-        h = out
-    n = h.shape[2]
-    ze, ce = _sconv_f(h, p["enc.w"], p["enc.b"])
-    ae = np.maximum(ze, 0.0)
-    up = _upsample_f(ae, n)
-    zd, cd = _dconv_f(up, p["dec.w"], p["dec.b"], 1)
-    ad = np.maximum(zd, 0.0)
-    y = _proj_f(ad, p["out.w"], p["out.b"])
-    if need_cache:
-        cache["tail"] = (h, ce, ze, ae, up, cd, zd, ad)
+        h = np.add(a2, res, out=out)
+    ae = conv("enc", h, stride=2)
+    up = ws.get("up", (ae.shape[0], bsz, n))
+    up[:, :, 0::2] = ae                      # nearest-neighbour x2, trimmed to n
+    up[:, :, 1::2] = ae[:, :, :n // 2]
+    ad = conv("dec", up)
+    y = _proj_f(ad, p["out.w"], p["out.b"], ws.get("y", (cfg.n_f, bsz, n)))
+    cache["h"] = h
     return y, cache
 
 
@@ -295,52 +325,67 @@ def forward(model: TcnModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=model.dtype)
     if x.ndim != 2 or x.shape[0] != model.config.n_f:
         raise ValueError(f"input must be {model.config.n_f} x N_T, got {x.shape}")
-    y, _ = _forward(model, x[None], need_cache=False)
-    return y[0]
+    y, _ = _forward(model, x[:, None], need_cache=False)
+    return y[:, 0].copy()
 
 
-def _backward(model: TcnModel, dy: np.ndarray, cache,
-              grads: dict[str, np.ndarray]) -> None:
+def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarray],
+              ws: _Workspace) -> None:
+    """Accumulate into ``grads`` the gradients for output gradient dy (N_F, B, N).
+
+    The input-gradient chain ping-pongs between two workspace buffers, and
+    every layer's im2col gradient shares one ``dcols`` buffer.
+    """
     cfg = model.config
     p = model.params
-    h_blocks, ce, ze, ae, up, cd, zd, ad = cache["tail"]
-    dx_out, dw, db = _proj_b(dy, ad, p["out.w"])
+    _, bsz, n = dy.shape
+    bufs = ["grad0", "grad1"]
+
+    def relu_b(da: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # a = max(z, 0), so a > 0 exactly where z > 0 (NaN included)
+        mask = np.greater(a, 0.0, out=ws.get("mask", a.shape, bool))
+        return np.multiply(da, mask, out=da if out is None else out)
+
+    def conv_b(layer: str, dz: np.ndarray, dx_key: str, chi: int = 1,
+               stride: int = 1) -> np.ndarray:
+        cols, _ = cache[layer]
+        w = p[f"{layer}.w"]                  # every conv reads n frames
+        dx, dw, db = _conv_b(dz, cols, w, chi, stride, ws.get("dcols", cols.shape),
+                             ws.get(dx_key, (w.shape[2], bsz, n)))
+        grads[f"{layer}.w"] += dw
+        grads[f"{layer}.b"] += db
+        return dx
+
+    _, ad = cache["dec"]
+    dad, dw, db = _proj_b(dy, ad, p["out.w"], ws.get(bufs[0], ad.shape))
     grads["out.w"] += dw
     grads["out.b"] += db
-    dzd = dx_out * (zd > 0.0)
-    dup, dw, db = _dconv_b(dzd, cd, p["dec.w"])
-    grads["dec.w"] += dw
-    grads["dec.b"] += db
-    dae = _upsample_b(dup, ae.shape[2])
-    dze = dae * (ze > 0.0)
-    dh, dw, db = _sconv_b(dze, ce, p["enc.w"])
-    grads["enc.w"] += dw
-    grads["enc.b"] += db
+    _, ae = cache["enc"]
+    dup = conv_b("dec", relu_b(dad, ad), bufs[1])
+    dae = ws.get(bufs[0], ae.shape)          # transpose of nearest-neighbour x2
+    dae.fill(0.0)
+    dae[:, :, : (n + 1) // 2] += dup[:, :, 0::2]
+    dae[:, :, : n // 2] += dup[:, :, 1::2]
+    dh = conv_b("enc", relu_b(dae, ae), bufs[1], stride=2)
 
     for bi in reversed(range(cfg.n_blocks)):
-        h_in, c1, z1, a1, c2, z2 = cache[f"b{bi}"]
-        da2 = dh
-        dres = dh
-        dz2 = da2 * (z2 > 0.0)
-        da1, dw, db = _dconv_b(dz2, c2, p[f"block{bi}.conv2.w"])
-        grads[f"block{bi}.conv2.w"] += dw
-        grads[f"block{bi}.conv2.b"] += db
-        dz1 = da1 * (z1 > 0.0)
-        dh_conv, dw, db = _dconv_b(dz1, c1, p[f"block{bi}.conv1.w"])
-        grads[f"block{bi}.conv1.w"] += dw
-        grads[f"block{bi}.conv1.b"] += db
+        chi = cfg.dilations[bi]
+        _, a1 = cache[f"block{bi}.conv1"]
+        _, a2 = cache[f"block{bi}.conv2"]
+        # dh, also the residual branch's gradient, is in bufs[1]; bufs[0] is free
+        dz2 = relu_b(dh, a2, ws.get(bufs[0], dh.shape))
+        da1 = conv_b(f"block{bi}.conv2", dz2, bufs[0], chi)
+        dh_conv = conv_b(f"block{bi}.conv1", relu_b(da1, a1), bufs[0], chi)
         if f"block{bi}.proj.w" in p:
-            dh_res, dw, db = _proj_b(dres, h_in, p[f"block{bi}.proj.w"])
+            # dcols is free again: hold the projection's input gradient there
+            dh_res, dw, db = _proj_b(dh, cache["x"], p[f"block{bi}.proj.w"],
+                                     ws.get("dcols", dh_conv.shape))
             grads[f"block{bi}.proj.w"] += dw
             grads[f"block{bi}.proj.b"] += db
         else:
-            dh_res = dres
-        dh = dh_conv + dh_res
-
-
-def _masked_columns(x: np.ndarray) -> np.ndarray:
-    from .sra import NO_DATA_SENTINEL
-    return np.all(x == NO_DATA_SENTINEL, axis=-2)
+            dh_res = dh
+        dh = np.add(dh_conv, dh_res, out=dh_conv)
+        bufs.reverse()
 
 
 def _shape_groups(batch: Sequence[tuple[np.ndarray, np.ndarray]]):
@@ -351,51 +396,64 @@ def _shape_groups(batch: Sequence[tuple[np.ndarray, np.ndarray]]):
     return groups
 
 
+def _stack_group(pairs, indices: list[int], shape: tuple[int, int], ws: _Workspace):
+    """Inputs of one shape group channel-major (N_F, B, N), targets batch-first."""
+    xs = ws.get("xs", (shape[0], len(indices), shape[1]))
+    ys = ws.get("ys", (len(indices),) + shape)
+    for k, i in enumerate(indices):
+        xs[:, k] = pairs[i][0]
+        ys[k] = pairs[i][1]
+    return xs, ys
+
+
 def loss_and_gradients(model: TcnModel, batch: Sequence[tuple[np.ndarray, np.ndarray]],
-                       masked_loss_only: bool = False) -> tuple[float, dict[str, np.ndarray]]:
+                       masked_loss_only: bool = False, *,
+                       workspace: _Workspace | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-pair MSE over the batch and its gradients.
 
     The loss covers the entire spectrogram (masked and unmasked columns
     alike); ``masked_loss_only`` restricts it to sentinel columns of the
     input, for ablations.  Equal-shape pairs are processed as one stacked
-    forward/backward pass.
+    forward/backward pass.  ``workspace`` lends the scratch buffers
+    (``train`` passes one for all its steps); by default a fresh one is used.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
+    from .sra import NO_DATA_SENTINEL
+    ws = workspace or _Workspace(model.dtype)
     grads = model.zeros_like_params()
     total = 0.0
     inv_b = 1.0 / len(batch)
     dtype = model.dtype
     for shape, indices in _shape_groups(batch).items():
-        xs = np.stack([np.asarray(batch[i][0], dtype=dtype) for i in indices])
-        ys = np.stack([np.asarray(batch[i][1], dtype=dtype) for i in indices])
-        y, cache = _forward(model, xs, need_cache=True)
-        diff = y - ys
+        xs, ys = _stack_group(batch, indices, shape, ws)
+        y, cache = _forward(model, xs, True, ws)
+        diff = np.subtract(y.transpose(1, 0, 2), ys, out=ws.get("diff", ys.shape))
         if masked_loss_only:
-            cols = _masked_columns(xs)                       # (B, N)
-            diff = diff * cols[:, None, :]
+            cols = np.all(xs == NO_DATA_SENTINEL, axis=0)        # (B, N)
+            diff *= cols[:, None, :]
             denom = np.maximum(cols.sum(axis=1) * shape[0], 1.0)
         else:
             denom = np.full(len(indices), float(shape[0] * shape[1]))
         per_pair = (diff * diff).sum(axis=(1, 2)) / denom
         total += float(per_pair.sum()) * inv_b
         scale = (2.0 * inv_b / denom).astype(dtype)
-        dy = scale[:, None, None] * diff
-        _backward(model, dy, cache, grads)
+        dy = np.multiply(scale[:, None], diff.transpose(1, 0, 2), out=ws.get("dy", y.shape))
+        _backward(model, dy, cache, grads, ws)
     return total, grads
 
 
-def evaluate_mse(model: TcnModel, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
+def evaluate_mse(model: TcnModel, pairs: Sequence[tuple[np.ndarray, np.ndarray]], *,
+                 workspace: _Workspace | None = None) -> float:
     """Mean per-pair full-spectrogram MSE with frozen weights."""
     if not pairs:
         return math.nan
+    ws = workspace or _Workspace(model.dtype)
     total = 0.0
-    dtype = model.dtype
     for shape, indices in _shape_groups(pairs).items():
-        xs = np.stack([np.asarray(pairs[i][0], dtype=dtype) for i in indices])
-        ys = np.stack([np.asarray(pairs[i][1], dtype=dtype) for i in indices])
-        y, _ = _forward(model, xs, need_cache=False)
-        d = y - ys
+        xs, ys = _stack_group(pairs, indices, shape, ws)
+        y, _ = _forward(model, xs, False, ws)
+        d = np.subtract(y.transpose(1, 0, 2), ys, out=ws.get("diff", ys.shape))
         total += float((d * d).mean(axis=(1, 2)).sum())
     return total / len(pairs)
 
@@ -417,6 +475,7 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
     """
     if not train_set and tcfg.epochs > 0:
         raise ValueError("training set must be non-empty")
+    ws = _Workspace(model.dtype)
     m_state = model.zeros_like_params()
     v_state = model.zeros_like_params()
     step = 0
@@ -428,7 +487,8 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
         n_batches = 0
         for lo in range(0, len(order), tcfg.batch_size):
             batch = [train_set[int(i)] for i in order[lo:lo + tcfg.batch_size]]
-            mse, grads = loss_and_gradients(model, batch, tcfg.masked_loss_only)
+            mse, grads = loss_and_gradients(model, batch, tcfg.masked_loss_only,
+                                             workspace=ws)
             if not math.isfinite(mse):
                 raise TrainingDiverged(epoch)
             epoch_loss += mse
@@ -448,7 +508,7 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
                 v_hat = v_state[name] / bc2
                 model.params[name] -= tcfg.lr * m_hat / (np.sqrt(v_hat) + tcfg.eps)
         train_mse = epoch_loss / max(n_batches, 1)
-        test_mse = evaluate_mse(model, test_set)
+        test_mse = evaluate_mse(model, test_set, workspace=ws)
         history.append(EpochStats(epoch=epoch, train_mse=train_mse, test_mse=test_mse))
     return model, history
 
@@ -482,7 +542,11 @@ def save_model(model: TcnModel, path) -> None:
 
 
 def load_model(path) -> TcnModel:
-    """Rebuild a model from disk; weights come back as float32-exact float64."""
+    """Rebuild a model from disk; weights come back as float32-exact float64.
+
+    A bad header (non-integer field, a geometry TcnConfig rejects), a wrong
+    weight count or a NaN/inf weight raises a ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().strip().decode("ascii", errors="replace")
         if magic != MAGIC:
@@ -507,6 +571,8 @@ def load_model(path) -> TcnModel:
                 seed=int(fields.get("seed", 0)))
         except KeyError as exc:
             raise ValueError(f"{path}: missing config field {exc}") from exc
+        except ValueError as exc:            # non-integer field or a rejected geometry
+            raise ValueError(f"{path}: bad config: {exc}") from None
         blob = fh.read()
     spec = _param_spec(cfg)
     expected = sum(int(np.prod(shape)) for _, shape in spec)
@@ -514,6 +580,8 @@ def load_model(path) -> TcnModel:
         raise ValueError(f"{path}: expected {4 * expected} weight bytes "
                          f"({expected} float32), found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4").astype(float)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: non-finite weight")
     params: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in spec:

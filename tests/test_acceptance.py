@@ -393,8 +393,11 @@ class TestCriterion9Determinism:
         # chained commands, also run twice each
         sim_out = outputs["simulate"]
         chains = {
+            # two links, so the dataset has a test pair and the test-set
+            # evaluation is part of what must repeat byte for byte
             "build-dataset": ["build-dataset", "--csi",
-                              str(sim_out / "csi_ue0.csv"), "--duration", "3.0",
+                              str(sim_out / "csi_ue0.csv"), str(sim_out / "csi_ue1.csv"),
+                              "--duration", "3.0",
                               "--set", "sra.fft_len=64", "--set", "sra.hop=8",
                               "--set", "sra.min_label_slice_s=1.0",
                               "--set", "dataset.max_label_frames=16",
@@ -415,6 +418,9 @@ class TestCriterion9Determinism:
             for tag in ("a", "b"):
                 out = tmp_path / f"{name}-{tag}"
                 assert main([str(a) for a in args] + ["--out", str(out)]) == 0
+        history = (tmp_path / "train-a" / "loss_history.csv").read_text().split()[1:]
+        assert len(history) == 2
+        assert all(math.isfinite(float(row.split(",")[2])) for row in history)
         spec_file = tmp_path / "build-dataset-a" / "spectrogram_csi_ue0.txt"
         finals = {
             "recover": ["recover", "--model",

@@ -8,6 +8,7 @@ import pytest
 
 from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
+from nfsense.geometry import load_raster
 from nfsense.sra import Dataset, save_dataset
 
 
@@ -68,6 +69,33 @@ class TestFeasibleMapCommand:
     def test_non_finite_grid_rejected(self, tmp_path, capsys, flags, named):
         assert run(["feasible-map", *flags, "--out", tmp_path / "map"]) == 1
         assert named in capsys.readouterr().err
+
+    def test_candidate_ue_on_subject_is_infeasible(self, tmp_path):
+        # The candidate cell (2.75, 0) places its own UE 0.25 m farther from
+        # the AP, exactly on the subject (3, 0).  Its vir_interferer takes the
+        # d_su -> 0 limit, 0, and the cell is infeasible.
+        place = ["--ue", "3.25,0", "--subject", "3,0", "--resolution", 0.25]
+
+        def rasters(extent, name):
+            assert run(["feasible-map", *place, f"--extent={extent}",
+                        "--out", tmp_path / name]) == 0
+            return {f: load_raster(tmp_path / name / f"{f}.txt")[0]
+                    for f in ("vir_subject", "vir_interferer", "feasible")}
+
+        full = rasters("-4:-4:4.5:4", "full")
+        row, col = 16, 27                               # y = 0, x = 2.75
+        assert full["vir_interferer"][row, col] == 0.0
+        assert full["feasible"][row, col] == 0.0
+        assert np.isfinite(full["vir_subject"][row, col])
+        # every other cell matches grids that leave the candidate out
+        parts = {"below": ("-4:-4:4.5:-0.25", np.s_[:16, :]),
+                 "above": ("-4:0.25:4.5:4", np.s_[17:, :]),
+                 "left": ("-4:0:2.5:0.25", np.s_[16:18, :27]),
+                 "right": ("3:0:4.5:0.25", np.s_[16:18, 28:])}
+        for name, (extent, cells) in parts.items():
+            part = rasters(extent, name)
+            for f, values in part.items():
+                assert np.array_equal(full[f][cells], values), (name, f)
 
 
 class TestSimulatePipeline:

@@ -299,6 +299,25 @@ class TestVirMap:
         with pytest.raises(ValueError, match=r"distances must be > 0, got 0\.0"):
             self.map(subject=Mover(self.ue, 1.0))
 
+    @pytest.mark.parametrize("v_s", [1.0, 0.0])
+    def test_candidate_ue_on_subject_takes_the_limit(self, v_s):
+        # cell (2.75, 0) puts its own UE 0.25 m past it, on the subject (3, 0)
+        ue, subject = Point2D(3.25, 0.0), Mover(Point2D(3.0, 0.0), v_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fmap = vir_map(self.cfg, self.ap, ue, subject, (2.0, -0.5, 3.5, 0.5), 0.25, 1e-9, 0.4)
+        assert fmap.cell_center(2, 3) == Point2D(2.75, 0.0)
+        if v_s > 0:
+            # the subject term (d_as * d_su)^-alpha grows without bound
+            assert fmap.vir_interferer[2, 3] == 0.0 and not fmap.feasible[2, 3]
+        else:
+            # a still subject adds nothing wherever it is
+            still_elsewhere = Mover(Point2D(0.5, 2.0), 0.0)
+            want = vir(self.cfg, self.ap, subject.position, Mover(Point2D(2.75, 0.0), 0.4),
+                       [still_elsewhere])
+            assert fmap.vir_interferer[2, 3] == pytest.approx(want, rel=1e-12)
+        assert np.isfinite(fmap.vir_subject[2, 3])
+
     def test_ap_on_ue(self):
         with pytest.raises(ValueError, match=r"distances must be > 0, got 0\.0"):
             self.map(ue=Point2D(0.0, 0.0), subject=Mover(Point2D(0.1, 0.0), 1.0))

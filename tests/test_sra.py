@@ -475,6 +475,53 @@ class TestBuildDataset:
             assert np.allclose(x1, x2, atol=1e-8)
             assert np.allclose(y1, y2, atol=1e-8)
 
+    def _saved(self, tmp_path):
+        save_dataset(build_dataset(self._labels(3), 1, 0.4, 4.0, seed=2), tmp_path / "ds")
+        return tmp_path / "ds", tmp_path / "ds" / "train" / "0000.x", \
+            tmp_path / "ds" / "train" / "0000.y"
+
+    def _rejects(self, ds, named, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            load_dataset(ds)
+        assert str(named) in str(exc.value)
+
+    def test_missing_target_named(self, tmp_path):
+        ds, _, yf = self._saved(tmp_path)
+        yf.unlink()
+        self._rejects(ds, yf, "missing")
+
+    def test_shape_mismatch_named(self, tmp_path):
+        ds, _, yf = self._saved(tmp_path)
+        yf.write_text("\n".join(yf.read_text().splitlines()[:-1]) + "\n")   # one row short
+        self._rejects(ds, yf, "shape")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_named(self, tmp_path, value):
+        ds, xf, _ = self._saved(tmp_path)
+        rows = xf.read_text().splitlines()
+        rows[1] = " ".join([value] + rows[1].split()[1:])
+        xf.write_text("\n".join(rows) + "\n")
+        self._rejects(ds, xf, "non-finite")
+
+    def test_non_numeric_value_named(self, tmp_path):
+        ds, _, yf = self._saved(tmp_path)
+        rows = yf.read_text().splitlines()
+        rows[0] = " ".join(["abc"] + rows[0].split()[1:])
+        yf.write_text("\n".join(rows) + "\n")
+        self._rejects(ds, yf, "convert")
+
+    def test_ragged_file_named(self, tmp_path):
+        ds, xf, _ = self._saved(tmp_path)
+        rows = xf.read_text().splitlines()
+        rows[2] = " ".join(rows[2].split()[:-1])
+        xf.write_text("\n".join(rows) + "\n")
+        self._rejects(ds, xf, "columns")
+
+    def test_empty_file_named(self, tmp_path):
+        ds, xf, _ = self._saved(tmp_path)
+        xf.write_text("")
+        self._rejects(ds, xf, "no values")
+
 
 class TestLabelSlices:
     def test_extraction_and_chopping(self):

@@ -11,10 +11,19 @@ from nfsense.tcn import (EpochStats, TcnConfig, TcnModel, TrainConfig,
                          evaluate_mse, forward, load_model,
                          loss_and_gradients, param_count, save_model,
                          snap_to_file_precision, train, write_history_csv)
-from nfsense.tcn import _dconv_f
+from nfsense.tcn import _conv_f
+
+import tcn_reference as ref
 
 TINY = TcnConfig(n_f=5, n_c=7, kernel_len=3, n_blocks=2, dilations=(1, 2),
                  bottleneck_dim=3, seed=4)
+
+
+def dconv(x, w, b, chi):
+    """Dilated stride-1 conv of a channel-major (C_in, B, N) array into fresh buffers."""
+    (c_in, bsz, n), (c_out, l, _) = x.shape, w.shape
+    z, _ = _conv_f(x, w, b, chi, 1, np.empty((l, c_in, bsz, n)), np.empty((c_out, bsz, n)))
+    return z
 
 
 def tiny_model(seed=4):
@@ -71,7 +80,7 @@ class TestDilatedConv:
         x = rng.standard_normal((c_in, n))
         w = rng.standard_normal((c_out, l, c_in))
         b = rng.standard_normal(c_out)
-        z, _ = _dconv_f(x[None], w, b, chi)
+        z = dconv(x[:, None], w, b, chi)
         # direct evaluation of the defining sum with zero padding
         for k in range(c_out):
             for t in range(n):
@@ -80,19 +89,19 @@ class TestDilatedConv:
                     src = t - chi * i
                     if src >= 0:
                         acc += w[k, i] @ x[:, src]
-                assert z[0, k, t] == pytest.approx(acc, rel=1e-12)
+                assert z[k, 0, t] == pytest.approx(acc, rel=1e-12)
 
     def test_kernel_one_is_projection(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 6))
         w = np.zeros((3, 1, 3))
         w[:, 0, :] = np.eye(3)
-        z, _ = _dconv_f(x[None], w, np.zeros(3), 4)
-        assert np.allclose(z[0], x)
+        z = dconv(x[:, None], w, np.zeros(3), 4)
+        assert np.allclose(z[:, 0], x)
 
     def test_zero_input_zero_bias(self):
         w = np.random.default_rng(9).standard_normal((4, 3, 2))
-        z, _ = _dconv_f(np.zeros((1, 2, 8)), w, np.zeros(4), 1)
+        z = dconv(np.zeros((2, 1, 8)), w, np.zeros(4), 1)
         assert np.all(z == 0.0)
 
 
@@ -141,13 +150,13 @@ class TestForward:
         n = 200
         x = rng.standard_normal((cfg.n_f, n))
         # run only the block stack: zero the tail by inspecting the cache
-        y_base, cache = _forward(model, x[None], need_cache=True)
-        h_base = cache["tail"][0][0]
+        y_base, cache = _forward(model, x[:, None], need_cache=True)
+        h_base = cache["h"][:, 0]
         probe = 30
         xp = x.copy()
         xp[:, probe] += 1.0
-        _, cache_p = _forward(model, xp[None], need_cache=True)
-        h_pert = cache_p["tail"][0][0]
+        _, cache_p = _forward(model, xp[:, None], need_cache=True)
+        h_pert = cache_p["h"][:, 0]
         changed = np.where(np.max(np.abs(h_pert - h_base), axis=0) > 1e-12)[0]
         assert changed[0] == probe
         assert changed[-1] - probe + 1 <= block_stack_receptive_field(cfg)
@@ -202,6 +211,85 @@ class TestGradients:
         y_pred = forward(model, x)
         expected = float(np.mean((y_pred[:, 3:6] - y_true[:, 3:6]) ** 2))
         assert mse_masked == pytest.approx(expected, rel=1e-9)
+
+
+def _bits_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _dataset_like_pairs(rng, n_f, widths):
+    """Spectrogram-like pairs: targets in [0, 1], about 30 % sentinel columns."""
+    pairs = []
+    for n in widths:
+        y = rng.uniform(0.0, 1.0, (n_f, n))
+        x = y.copy()
+        x[:, rng.random(n) < 0.3] = -1.0
+        pairs.append((x, y))
+    return pairs
+
+
+class TestMatchesBatchFirstReference:
+    """The channel-major layers against the batch-first ones they replaced
+    (``tests/tcn_reference.py``, kept verbatim), bit for bit.
+
+    The default geometry with the dataset's 128-frame pairs (64 in the mixed
+    batch) is what ``nfsense train`` runs.  Bit equality rests on BLAS giving
+    the same bits for one GEMM over B*N columns as for B GEMMs over N, and for
+    a transposed operand as for its copy; with OpenBLAS that holds at these
+    sizes but not at every size (tiny channel counts, or frame counts that
+    leave partial kernel tiles, can differ in the last bit).
+    """
+
+    @staticmethod
+    def _models(dtype):
+        ref_model = TcnModel.initialize(TcnConfig(seed=3), dtype=dtype)
+        return ref_model, ref_model.copy()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("widths", [[128] * 16, [128] * 15, [128],
+                                        [128, 64, 128, 128, 64, 128, 64, 128]],
+                             ids=["b16", "b15", "b1", "mixed"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_loss_gradients_forward(self, dtype, widths, masked):
+        ref_model, model = self._models(dtype)
+        batch = _dataset_like_pairs(np.random.default_rng(len(widths)), 32, widths)
+        ref_loss, ref_grads = ref.loss_and_gradients(ref_model, batch, masked)
+        loss, grads = loss_and_gradients(model, batch, masked)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert _bits_equal(grads[name], ref_grads[name]), name
+        assert _bits_equal(forward(model, batch[0][0]), ref.forward(ref_model, batch[0][0]))
+        assert evaluate_mse(model, batch) == ref.evaluate_mse(ref_model, batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_epoch_train(self, dtype):
+        ref_model, model = self._models(dtype)
+        rng = np.random.default_rng(21)
+        train_set = _dataset_like_pairs(rng, 32, [128] * 17)    # batches of 16 and 1
+        test_set = _dataset_like_pairs(rng, 32, [128] * 15)
+        tcfg = TrainConfig(epochs=2, seed=4)
+        _, ref_hist = ref.train(ref_model, train_set, test_set, tcfg)
+        _, hist = train(model, train_set, test_set, tcfg)
+        assert hist == ref_hist
+        for name in model.params:
+            assert _bits_equal(model.params[name], ref_model.params[name]), name
+
+    def test_workspace_reuse_across_batch_sizes(self):
+        # one workspace serving a large batch, then smaller and other-shaped
+        # ones, gives the bits of fresh buffers every time
+        from nfsense.tcn import _Workspace
+        model = TcnModel.initialize(TcnConfig(seed=3), dtype=np.float32)
+        ws = _Workspace(model.dtype)
+        rng = np.random.default_rng(22)
+        for widths in ([128] * 16, [128], [64] * 3, [128] * 15):
+            batch = _dataset_like_pairs(rng, 32, widths)
+            shared = loss_and_gradients(model, batch, workspace=ws)
+            fresh = loss_and_gradients(model, batch)
+            assert shared[0] == fresh[0]
+            assert all(_bits_equal(shared[1][k], fresh[1][k]) for k in fresh[1])
+            assert evaluate_mse(model, batch, workspace=ws) == evaluate_mse(model, batch)
 
 
 class TestTrain:
@@ -300,6 +388,36 @@ class TestSerialization:
         path.write_bytes(text)
         with pytest.raises(ValueError, match="expected"):
             load_model(path)
+
+    @pytest.mark.parametrize("old,new,match", [
+        (b"n_c=7", b"n_c=7.5", "bad config"),
+        (b"kernel_len=3", b"kernel_len=three", "bad config"),
+        (b"seed=4", b"seed=", "bad config"),
+        (b"dilations=1,2", b"dilations=1,x", "bad config"),
+        (b"dilations=1,2", b"dilations=1,3", "powers of two"),
+        (b"dilations=1,2", b"dilations=2,1", "increasing"),
+        (b"dilations=1,2", b"dilations=1,2,4", "need 2 dilations"),
+        (b"n_f=5", b"n_f=0", "channel counts"),
+    ])
+    def test_bad_config_named(self, tmp_path, old, new, match):
+        path = tmp_path / "model.tcn"
+        save_model(tiny_model(), path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(ValueError, match=match) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_named(self, tmp_path, value):
+        model = tiny_model()
+        model.params["block1.conv2.w"][2, 1, 3] = value
+        path = tmp_path / "model.tcn"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
 
     def test_evaluate_mse_empty_is_nan(self):
         assert math.isnan(evaluate_mse(tiny_model(), ()))
