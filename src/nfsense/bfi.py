@@ -318,34 +318,3 @@ def bfi_sensitivity_demo(h0: ChannelMatrix, motions: Sequence[MotionUpdate],
         ddr0 = m.delta_d_r[0] if m.delta_d_r else 0.0
         rows.append((abs(k * (ddr0 + m.delta_d_t)), float(np.linalg.norm(v1.v - v0.v))))
     return rows
-
-
-def save_report(report: BfiReport, path) -> None:
-    """Text serialization: header ``N_tx N_cols b_phi b_psi`` then integer codes."""
-    if not (report.b_phi and report.b_psi):
-        raise ValueError("only quantized reports (b_phi, b_psi >= 1) can be saved")
-    with open(path, "w") as fh:
-        fh.write(f"{report.n_tx} {report.n_cols} {report.b_phi} {report.b_psi}\n")
-        for code in report.phi_codes:
-            fh.write(f"{code}\n")
-        for code in report.psi_codes:
-            fh.write(f"{code}\n")
-
-
-def load_report(path) -> BfiReport:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: malformed BFI report header")
-        n_tx, n_cols, b_phi, b_psi = (int(x) for x in header)
-        codes = [int(line) for line in fh if line.strip()]
-    n_phi, n_psi = angle_counts(n_tx, n_cols)
-    if len(codes) != n_phi + n_psi:
-        raise ValueError(f"{path}: expected {n_phi + n_psi} codes, found {len(codes)}")
-    phi_codes = np.array(codes[:n_phi], dtype=int)
-    psi_codes = np.array(codes[n_phi:], dtype=int)
-    phi_angles = (phi_codes + 0.5) * (2.0 * math.pi / 2 ** b_phi)
-    psi_angles = (psi_codes + 0.5) * (math.pi / 2.0 / 2 ** b_psi)
-    return BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=b_phi, b_psi=b_psi,
-                     phi_angles=phi_angles, psi_angles=psi_angles,
-                     phi_codes=phi_codes, psi_codes=psi_codes)

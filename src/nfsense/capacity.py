@@ -246,13 +246,19 @@ def write_capacity_csv(rows: Iterable[CapacityRow], path) -> None:
                              int(row.feasible)])
 
 
-def _power_law_lsq(x: np.ndarray, y: np.ndarray, exponents: np.ndarray) -> tuple[float, float, float, float]:
-    """Best (c1, e, c3) for y ~= c1 x^e + c3 over a grid of exponents."""
+def _power_law_lsq(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
+                   w: np.ndarray | None = None) -> tuple[float, float, float, float]:
+    """Best (c1, e, c3) for y ~= c1 x^e + c3 over a grid of exponents.
+
+    Residuals are weighted by ``w`` (default 1: weights of 1.0 are exact).
+    """
+    w = np.ones_like(x) if w is None else w
+    yw = y * w
     best = None
     for e in exponents:
-        basis = np.column_stack([x ** e, np.ones_like(x)])
-        coef, residual, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        sse = float(np.sum((basis @ coef - y) ** 2))
+        basis = np.column_stack([x ** e, np.ones_like(x)]) * w[:, None]
+        coef, *_ = np.linalg.lstsq(basis, yw, rcond=None)
+        sse = float(np.sum((basis @ coef - yw) ** 2))
         if coef[0] > 0 and (best is None or sse < best[3]):
             best = (float(coef[0]), float(e), float(coef[1]), sse)
     if best is None:
@@ -281,15 +287,5 @@ def refit_mirror(alpha: float, k: int,
     s = np.sin(phi / 2.0)
     y = np.array([mirror_series(k, p, alpha) for p in phi])
     # series values span many decades; fit in a log-flattened weighting
-    w = 1.0 / y
-    exps = np.linspace(-6.0, -2.0, 401)
-    best = None
-    for e in exps:
-        basis = np.column_stack([s ** e, np.ones_like(s)]) * w[:, None]
-        coef, *_ = np.linalg.lstsq(basis, y * w, rcond=None)
-        sse = float(np.sum((basis @ coef - y * w) ** 2))
-        if coef[0] > 0 and (best is None or sse < best[3]):
-            best = (float(coef[0]), float(e), float(coef[1]), sse)
-    if best is None:
-        raise RuntimeError("mirror fit failed: no positive leading coefficient")
-    return best[0], best[1], best[2]
+    c1, e, c3, _ = _power_law_lsq(s, y, np.linspace(-6.0, -2.0, 401), w=1.0 / y)
+    return c1, e, c3

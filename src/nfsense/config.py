@@ -1,61 +1,50 @@
 """Run configuration: a flat key=value file mirroring the module configs.
 
-Unknown keys are rejected by name.  CLI flags override file values; the
-merged dictionary feeds the per-module config constructors.
+The keys are ``<section>.<field>`` for the fields of the module configs
+(``radio`` RadioConfig, ``traffic`` TrafficModel, ``sra`` SraConfig, ``tcn``
+TcnConfig, ``train`` TrainConfig), with the fields' types and defaults,
+plus nine keys only the CLI reads.  Unknown keys are rejected by name.  CLI
+flags override file values; the merged values feed the per-module config
+builders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
+from . import kvtext
 from .geometry import RadioConfig
 from .sra import SraConfig
 from .tcn import TcnConfig, TrainConfig
 from .traffic import TrafficModel
 
-# Every accepted key with its type and default.
-_SCHEMA: dict[str, tuple[type, Any]] = {
-    "radio.lambda_m": (float, 0.06),
-    "radio.alpha": (float, 4.0),
-    "radio.eta": (float, 1.0),
-    "radio.b": (float, 1.0),
-    "radio.g_tilde": (float, 1.0),
-    "capacity.beta": (float, 50.0),
-    "capacity.delta_r": (float, 0.1),
-    "capacity.k": (int, 2),
-    "traffic.kind": (str, "dl_csi"),
-    "traffic.mean_burst_s": (float, 0.3),
-    "traffic.mean_gap_s": (float, 0.3),
-    "traffic.rate_in_burst_hz": (float, 1000.0),
-    "traffic.contention_users": (int, 1),
-    "sra.dt": (float, 0.1),
-    "sra.n_nsp": (int, 2),
-    "sra.f_rs": (float, 64.0),
-    "sra.f_cut": (float, 1.0),
-    "sra.n_f": (int, 32),
-    "sra.fft_len": (int, 256),
-    "sra.hop": (int, 16),
-    "sra.min_label_slice_s": (float, 4.0),
-    "mask.fraction": (float, 0.3),
-    "mask.mean_run_frames": (float, 8.0),
-    "dataset.masks_per_label": (int, 3),
-    "dataset.split_fraction": (float, 0.7),
-    "dataset.max_label_frames": (int, 128),
-    "dataset.label_stride": (int, 96),
-    "tcn.n_c": (int, 64),
-    "tcn.kernel_len": (int, 5),
-    "tcn.n_blocks": (int, 4),
-    "tcn.dilations": (str, "1,2,4,8"),
-    "tcn.bottleneck_dim": (int, 16),
-    "train.lr": (float, 1e-3),
-    "train.beta1": (float, 0.9),
-    "train.beta2": (float, 0.999),
-    "train.eps": (float, 1e-8),
-    "train.batch_size": (int, 16),
-    "train.epochs": (int, 30),
-    "train.grad_clip": (float, 5.0),
-    "train.masked_loss_only": (int, 0),
+_SECTIONS = {"radio": RadioConfig, "traffic": TrafficModel, "sra": SraConfig,
+             "tcn": TcnConfig, "train": TrainConfig}
+
+# Module-config fields that are not keys: the builders supply every seed and
+# tcn.n_f (it is sra.n_f), and relu is the only legal tcn.activation.
+_SUPPLIED = {"tcn.n_f", "tcn.activation"}
+
+# Keys only the CLI reads, with their defaults.
+_CLI_DEFAULTS = {
+    "capacity.beta": 50.0,
+    "capacity.delta_r": 0.1,
+    "capacity.k": 2,
+    "mask.fraction": 0.3,
+    "mask.mean_run_frames": 8.0,
+    "dataset.masks_per_label": 3,
+    "dataset.split_fraction": 0.7,
+    "dataset.max_label_frames": 128,
+    "dataset.label_stride": 96,
+}
+
+# Every accepted key with its annotation and default.
+_SCHEMA: dict[str, tuple[str, Any]] = {
+    **{f"{section}.{f.name}": (f.type, f.default)
+       for section, cls in _SECTIONS.items() for f in fields(cls)
+       if f.name != "seed" and f"{section}.{f.name}" not in _SUPPLIED},
+    **{key: (type(default).__name__, default) for key, default in _CLI_DEFAULTS.items()},
 }
 
 
@@ -64,64 +53,42 @@ class RunConfig:
     values: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        merged = {k: default for k, (_, default) in _SCHEMA.items()}
-        for key, value in self.values.items():
-            if key not in _SCHEMA:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _SCHEMA[key][0](value)
-        self.values = merged
+        given, self.values = self.values, {k: default for k, (_, default) in _SCHEMA.items()}
+        for key, value in given.items():
+            self.set(key, value, source="RunConfig")
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
 
-    def set(self, key: str, value: Any) -> None:
+    def set(self, key: str, value: Any, source="--set") -> None:
+        """Set ``key`` from its text; errors name ``source`` (a flag or a file)."""
         if key not in _SCHEMA:
-            raise ValueError(f"unknown config key {key!r}")
-        self.values[key] = _SCHEMA[key][0](value)
+            raise ValueError(f"{source}: unknown config key {key!r}")
+        self.values[key] = kvtext.parse(_SCHEMA[key][0], str(value), key, source)
+
+    def _build(self, section: str, **supplied: Any):
+        cls = _SECTIONS[section]
+        return cls(**{f.name: self[f"{section}.{f.name}"] for f in fields(cls)
+                      if f"{section}.{f.name}" in _SCHEMA}, **supplied)
 
     def radio(self) -> RadioConfig:
-        return RadioConfig(lambda_m=self["radio.lambda_m"], alpha=self["radio.alpha"],
-                           eta=self["radio.eta"], b=self["radio.b"],
-                           g_tilde=self["radio.g_tilde"])
+        return self._build("radio")
 
     def sra(self) -> SraConfig:
-        return SraConfig(dt=self["sra.dt"], n_nsp=self["sra.n_nsp"], f_rs=self["sra.f_rs"],
-                         f_cut=self["sra.f_cut"], n_f=self["sra.n_f"],
-                         fft_len=self["sra.fft_len"], hop=self["sra.hop"],
-                         min_label_slice_s=self["sra.min_label_slice_s"])
+        return self._build("sra")
 
     def tcn(self, seed: int = 0) -> TcnConfig:
-        dil = tuple(int(d) for d in str(self["tcn.dilations"]).split(","))
-        return TcnConfig(n_f=self["sra.n_f"], n_c=self["tcn.n_c"],
-                         kernel_len=self["tcn.kernel_len"], n_blocks=self["tcn.n_blocks"],
-                         dilations=dil, bottleneck_dim=self["tcn.bottleneck_dim"],
-                         seed=seed)
+        return self._build("tcn", n_f=self["sra.n_f"], seed=seed)
 
     def train(self, seed: int = 0) -> TrainConfig:
-        return TrainConfig(lr=self["train.lr"], beta1=self["train.beta1"],
-                           beta2=self["train.beta2"], eps=self["train.eps"],
-                           batch_size=self["train.batch_size"], epochs=self["train.epochs"],
-                           grad_clip=self["train.grad_clip"], seed=seed,
-                           masked_loss_only=bool(self["train.masked_loss_only"]))
+        return self._build("train", seed=seed)
 
     def traffic(self, seed: int = 0) -> TrafficModel:
-        return TrafficModel(kind=self["traffic.kind"],
-                            mean_burst_s=self["traffic.mean_burst_s"],
-                            mean_gap_s=self["traffic.mean_gap_s"],
-                            rate_in_burst_hz=self["traffic.rate_in_burst_hz"],
-                            contention_users=self["traffic.contention_users"],
-                            seed=seed)
+        return self._build("traffic", seed=seed)
 
 
 def load_config(path) -> RunConfig:
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed line {line!r} (expected key=value)")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return RunConfig(values)
+    cfg = RunConfig()
+    for key, text in kvtext.read(path).items():
+        cfg.set(key, text, source=path)
+    return cfg

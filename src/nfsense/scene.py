@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kvtext
 from .geometry import Point2D, RadioConfig, reflection_gain_array
 
 MOTION_KINDS = ("respiration", "gesture_like", "activity_like", "still")
@@ -307,94 +308,50 @@ def load_csi_csv(path, link_id: str = "") -> CsiSeries:
                      link_id=link_id)
 
 
-def _format_holds(holds: tuple[tuple[float, float], ...]) -> str:
-    return ";".join(f"{a:.6g}:{b:.6g}" for a, b in holds)
-
-
-def _parse_holds(text: str) -> tuple[tuple[float, float], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for token in text.split(";"):
-        a, b = token.split(":")
-        out.append((float(a), float(b)))
-    return tuple(out)
+def _scene_lines(scene: Scene) -> list[str]:
+    lines = [*kvtext.lines("ap.", scene.ap), *kvtext.lines("radio.", scene.cfg),
+             *kvtext.lines("", scene, ("noise_std", "seed"))]
+    if scene.baseline_observer is not None:
+        lines += kvtext.lines("baseline.", scene.baseline_observer)
+    for i, u in enumerate(scene.users):
+        p = f"user.{i}."
+        lines += [f"{p}id={u.user_id}", *kvtext.lines(p + "ue.", u.ue),
+                  *kvtext.lines(p + "subject.", u.subject),
+                  *kvtext.lines(p + "motion.", u.motion)]
+    return lines
 
 
 def save_scene(scene: Scene, path) -> None:
     """Write a scene as a key=value text file with repeated ``user.N.*`` groups."""
-    lines = [
-        f"ap.x={scene.ap.x:.9g}", f"ap.y={scene.ap.y:.9g}",
-        f"radio.lambda_m={scene.cfg.lambda_m:.9g}",
-        f"radio.alpha={scene.cfg.alpha:.9g}",
-        f"radio.eta={scene.cfg.eta:.9g}",
-        f"radio.b={scene.cfg.b:.9g}",
-        f"radio.g_tilde={scene.cfg.g_tilde:.9g}",
-        f"noise_std={scene.noise_std:.9g}",
-        f"seed={scene.seed}",
-    ]
-    if scene.baseline_observer is not None:
-        lines += [f"baseline.x={scene.baseline_observer.x:.9g}",
-                  f"baseline.y={scene.baseline_observer.y:.9g}"]
-    for i, u in enumerate(scene.users):
-        m = u.motion
-        lines += [
-            f"user.{i}.id={u.user_id}",
-            f"user.{i}.ue.x={u.ue.x:.9g}", f"user.{i}.ue.y={u.ue.y:.9g}",
-            f"user.{i}.subject.x={u.subject.x:.9g}", f"user.{i}.subject.y={u.subject.y:.9g}",
-            f"user.{i}.motion.kind={m.kind}",
-            f"user.{i}.motion.rate_bpm={m.rate_bpm:.9g}",
-            f"user.{i}.motion.amplitude_m={m.amplitude_m:.9g}",
-            f"user.{i}.motion.holds={_format_holds(m.holds)}",
-            f"user.{i}.motion.rms_speed={m.rms_speed:.9g}",
-            f"user.{i}.motion.bandwidth_hz={m.bandwidth_hz:.9g}",
-            f"user.{i}.motion.seed={m.seed}",
-        ]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_scene_lines(scene)) + "\n")
 
 
 def load_scene(path) -> Scene:
-    kv: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed line {line!r}")
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+    """Read a scene written by :func:`save_scene`.
 
-    cfg = RadioConfig(lambda_m=float(kv.get("radio.lambda_m", 0.06)),
-                      alpha=float(kv.get("radio.alpha", 4.0)),
-                      eta=float(kv.get("radio.eta", 1.0)),
-                      b=float(kv.get("radio.b", 1.0)),
-                      g_tilde=float(kv.get("radio.g_tilde", 1.0)))
-    users = []
-    i = 0
-    while f"user.{i}.ue.x" in kv:
-        motion = MotionProfile(
-            kind=kv.get(f"user.{i}.motion.kind", "still"),
-            rate_bpm=float(kv.get(f"user.{i}.motion.rate_bpm", 15.0)),
-            amplitude_m=float(kv.get(f"user.{i}.motion.amplitude_m", 0.005)),
-            holds=_parse_holds(kv.get(f"user.{i}.motion.holds", "")),
-            rms_speed=float(kv.get(f"user.{i}.motion.rms_speed", 0.3)),
-            bandwidth_hz=float(kv.get(f"user.{i}.motion.bandwidth_hz", 5.0)),
-            seed=int(kv.get(f"user.{i}.motion.seed", 0)),
-        )
-        users.append(SceneUser(
-            ue=Point2D(float(kv[f"user.{i}.ue.x"]), float(kv[f"user.{i}.ue.y"])),
-            subject=Point2D(float(kv[f"user.{i}.subject.x"]), float(kv[f"user.{i}.subject.y"])),
-            motion=motion,
-            user_id=kv.get(f"user.{i}.id", f"ue{i}"),
-        ))
-        i += 1
-    baseline = None
-    if "baseline.x" in kv:
-        baseline = Point2D(float(kv["baseline.x"]), float(kv["baseline.y"]))
-    return Scene(ap=Point2D(float(kv["ap.x"]), float(kv["ap.y"])),
-                 users=tuple(users), cfg=cfg, baseline_observer=baseline,
-                 noise_std=float(kv.get("noise_std", 0.0)),
-                 seed=int(kv.get("seed", 0)))
+    ``ap.*``, ``baseline.*`` (when present) and each user's ``ue.*`` and
+    ``subject.*`` are required; a missing ``radio.*``, ``motion.*``,
+    ``noise_std`` or ``seed`` key takes its dataclass default.  A malformed
+    line, a missing or unknown key, a non-finite value or a scene the
+    dataclasses reject raises a ValueError naming the file.
+    """
+    kv = kvtext.read(path)
+
+    def point(prefix: str) -> Point2D:
+        return kvtext.build(Point2D, kv, prefix, path)
+
+    users: list[SceneUser] = []
+    while any(key.startswith(f"user.{len(users)}.") for key in kv):
+        p = f"user.{len(users)}."
+        users.append(SceneUser(ue=point(p + "ue."), subject=point(p + "subject."),
+                               motion=kvtext.build(MotionProfile, kv, p + "motion.", path),
+                               user_id=kv.get(p + "id", "")))
+    baseline = point("baseline.") if any(k.startswith("baseline.") for k in kv) else None
+    scene = kvtext.build(Scene, kv, "", path, ap=point("ap."), users=tuple(users),
+                         cfg=kvtext.build(RadioConfig, kv, "radio.", path),
+                         baseline_observer=baseline)
+    unknown = kv.keys() - {line.partition("=")[0] for line in _scene_lines(scene)}
+    if unknown:
+        raise ValueError(f"{path}: unknown scene key {min(unknown)!r}")
+    return scene

@@ -73,10 +73,6 @@ class SraConfig:
         return self.hop / self.f_rs
 
     @classmethod
-    def respiration(cls) -> "SraConfig":
-        return cls()
-
-    @classmethod
     def gesture(cls) -> "SraConfig":
         return cls(f_cut=20.0, fft_len=64, hop=4)
 

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kvtext
+
 MAGIC = "TCNAE1"
 
 # Extra init gain on convolution kernels; see TcnModel.initialize.
@@ -67,7 +69,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = 16
-    epochs: int = 50
+    epochs: int = 30
     grad_clip: float = 5.0
     seed: int = 0
     masked_loss_only: bool = False
@@ -525,16 +527,7 @@ def write_history_csv(history: Sequence[EpochStats], path) -> None:
 
 def save_model(model: TcnModel, path) -> None:
     cfg = model.config
-    header_lines = [MAGIC]
-    header_lines.append(f"n_f={cfg.n_f}")
-    header_lines.append(f"n_c={cfg.n_c}")
-    header_lines.append(f"kernel_len={cfg.kernel_len}")
-    header_lines.append(f"n_blocks={cfg.n_blocks}")
-    header_lines.append("dilations=" + ",".join(str(d) for d in cfg.dilations))
-    header_lines.append(f"bottleneck_dim={cfg.bottleneck_dim}")
-    header_lines.append(f"activation={cfg.activation}")
-    header_lines.append(f"seed={cfg.seed}")
-    header_lines.append("end_header")
+    header_lines = [MAGIC, *kvtext.lines("", cfg), "end_header"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
         for name, _ in _param_spec(cfg):
@@ -544,35 +537,24 @@ def save_model(model: TcnModel, path) -> None:
 def load_model(path) -> TcnModel:
     """Rebuild a model from disk; weights come back as float32-exact float64.
 
-    A bad header (non-integer field, a geometry TcnConfig rejects), a wrong
-    weight count or a NaN/inf weight raises a ValueError naming the file.
+    A bad header (a missing or non-integer field, a geometry TcnConfig
+    rejects), a wrong weight count or a NaN/inf weight raises a ValueError
+    naming the file.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip().decode("ascii", errors="replace")
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        fields: dict[str, str] = {}
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated header")
+        header: list[str] = []
+        for line in iter(fh.readline, b""):
             text = line.strip().decode("ascii", errors="replace")
             if text == "end_header":
                 break
-            key, _, value = text.partition("=")
-            fields[key] = value
-        try:
-            cfg = TcnConfig(
-                n_f=int(fields["n_f"]), n_c=int(fields["n_c"]),
-                kernel_len=int(fields["kernel_len"]), n_blocks=int(fields["n_blocks"]),
-                dilations=tuple(int(d) for d in fields["dilations"].split(",")),
-                bottleneck_dim=int(fields["bottleneck_dim"]),
-                activation=fields.get("activation", "relu"),
-                seed=int(fields.get("seed", 0)))
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing config field {exc}") from exc
-        except ValueError as exc:            # non-integer field or a rejected geometry
-            raise ValueError(f"{path}: bad config: {exc}") from None
+            header.append(text)
+        else:
+            raise ValueError(f"{path}: truncated header")
+        cfg = kvtext.build(TcnConfig, kvtext.parse_lines(header, path), "", path,
+                           required=True)
         blob = fh.read()
     spec = _param_spec(cfg)
     expected = sum(int(np.prod(shape)) for _, shape in spec)

@@ -10,7 +10,7 @@ rate-capped, which makes ul_bfi the sparsest stream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +45,6 @@ class TrafficModel:
             raise ValueError(f"rate_in_burst_hz must be > 0, got {self.rate_in_burst_hz}")
         if self.contention_users < 1:
             raise ValueError(f"contention_users must be >= 1, got {self.contention_users}")
-
-    def with_seed(self, seed: int) -> "TrafficModel":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -173,24 +170,3 @@ def save_sample_times(st: SampleTimes, path) -> None:
         fh.write(f"# duration_s {st.duration:.6f}\n")
         for t in st.times:
             fh.write(f"{t:.6f}\n")
-
-
-def load_sample_times(path) -> SampleTimes:
-    """Read timestamps (one per line); also accepts externally captured traces."""
-    duration = None
-    times: list[float] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "duration_s":
-                    duration = float(parts[1])
-                continue
-            times.append(float(line))
-    arr = np.array(times)
-    if duration is None:
-        duration = float(arr[-1]) if arr.size else 0.0
-    return SampleTimes(times=arr, duration=duration)

@@ -9,9 +9,8 @@ import pytest
 from nfsense.bfi import (BeamformingMatrix, BfiReport, ChannelMatrix,
                          MotionUpdate, angle_counts, apply_motion,
                          bfi_sensitivity_demo, compress, decompress,
-                         extract_angles, load_report, phase_normalize,
-                         predicted_v_change, reconstructed_v, save_report,
-                         svd_decompose)
+                         extract_angles, phase_normalize, predicted_v_change,
+                         reconstructed_v, svd_decompose)
 
 
 def random_unitary(n, rng):
@@ -304,30 +303,3 @@ class TestDirectionOnlyTheorem:
         rows = bfi_sensitivity_demo(
             h0, [MotionUpdate(delta_d_r=(0.0, 0.0), rho=(1.0, 1.0))] * 3, self.LAM)
         assert all(r == (0.0, 0.0) for r in rows)
-
-
-class TestReportIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(61)
-        v, _ = phase_normalize(BeamformingMatrix(random_unitary(3, rng)))
-        rep = compress(v, b_phi=6, b_psi=4)
-        path = tmp_path / "report.bfi"
-        save_report(rep, path)
-        loaded = load_report(path)
-        assert loaded.n_tx == rep.n_tx and loaded.n_cols == rep.n_cols
-        assert np.array_equal(loaded.phi_codes, rep.phi_codes)
-        assert np.array_equal(loaded.psi_codes, rep.psi_codes)
-        assert np.allclose(loaded.phi_angles, rep.phi_angles)
-        assert np.allclose(decompress(loaded).v, decompress(rep).v, atol=1e-12)
-
-    def test_exact_report_not_saveable(self, tmp_path):
-        rng = np.random.default_rng(62)
-        v, _ = phase_normalize(BeamformingMatrix(random_unitary(2, rng)))
-        with pytest.raises(ValueError):
-            save_report(compress(v, b_phi=0, b_psi=0), tmp_path / "x.bfi")
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bfi"
-        path.write_text("3 3 6 4\n1\n2\n")
-        with pytest.raises(ValueError):
-            load_report(path)

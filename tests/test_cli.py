@@ -2,14 +2,17 @@
 
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
 
 from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
-from nfsense.geometry import load_raster
-from nfsense.sra import Dataset, save_dataset
+from nfsense.geometry import RadioConfig, load_raster
+from nfsense.sra import Dataset, SraConfig, save_dataset
+from nfsense.tcn import TcnConfig, TrainConfig
+from nfsense.traffic import TrafficModel
 
 
 def run(args):
@@ -17,11 +20,85 @@ def run(args):
 
 
 class TestConfig:
+    # Every key with its default: the module-config fields a run sets, then
+    # the nine keys only the CLI reads.
+    DEFAULTS = {
+        "radio.lambda_m": 0.06, "radio.alpha": 4.0, "radio.eta": 1.0, "radio.b": 1.0,
+        "radio.g_tilde": 1.0,
+        "traffic.kind": "dl_csi", "traffic.mean_burst_s": 0.3, "traffic.mean_gap_s": 0.3,
+        "traffic.rate_in_burst_hz": 1000.0, "traffic.contention_users": 1,
+        "sra.dt": 0.1, "sra.n_nsp": 2, "sra.f_rs": 64.0, "sra.f_cut": 1.0, "sra.n_f": 32,
+        "sra.fft_len": 256, "sra.hop": 16, "sra.min_label_slice_s": 4.0,
+        "tcn.n_c": 64, "tcn.kernel_len": 5, "tcn.n_blocks": 4, "tcn.dilations": (1, 2, 4, 8),
+        "tcn.bottleneck_dim": 16,
+        "train.lr": 1e-3, "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
+        "train.batch_size": 16, "train.epochs": 30, "train.grad_clip": 5.0,
+        "train.masked_loss_only": False,
+        "capacity.beta": 50.0, "capacity.delta_r": 0.1, "capacity.k": 2,
+        "mask.fraction": 0.3, "mask.mean_run_frames": 8.0,
+        "dataset.masks_per_label": 3, "dataset.split_fraction": 0.7,
+        "dataset.max_label_frames": 128, "dataset.label_stride": 96,
+    }
+
+    def test_key_set_and_defaults_pinned(self):
+        values = RunConfig().values
+        assert len(values) == 40
+        assert values == self.DEFAULTS
+        assert {k: type(v) for k, v in values.items()} == \
+            {k: type(v) for k, v in self.DEFAULTS.items()}
+
+    def test_builders_share_the_dataclass_defaults(self):
+        cfg = RunConfig()
+        assert cfg.radio() == RadioConfig()
+        assert cfg.sra() == SraConfig()
+        assert cfg.tcn(seed=3) == TcnConfig(seed=3)
+        assert cfg.train(seed=4) == TrainConfig(seed=4)
+        assert cfg.traffic(seed=5) == TrafficModel(seed=5)
+
+    def test_file_values_reach_the_builders(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("sra.n_f=16\ntcn.dilations=1,2\ntcn.n_blocks=2\n"
+                        "train.masked_loss_only=1\ntrain.epochs=7\ntraffic.kind=ul_bfi\n")
+        cfg = load_config(path)
+        assert cfg.tcn(seed=1) == TcnConfig(n_f=16, n_blocks=2, dilations=(1, 2), seed=1)
+        assert cfg.train() == TrainConfig(masked_loss_only=True, epochs=7)
+        assert cfg.traffic().kind == "ul_bfi"
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sra.f_rs=64\nwibble.wobble=3\n")
-        with pytest.raises(ValueError, match="wibble.wobble"):
+        with pytest.raises(ValueError, match="wibble.wobble") as exc:
             load_config(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("line, named", [
+        ("tcn.seed=3", "tcn.seed"),             # builders supply seeds
+        ("tcn.n_f=16", "tcn.n_f"),              # tcn.n_f is sra.n_f
+        ("radio.eta=nan", "radio.eta"),
+        ("sra.f_cut=inf", "sra.f_cut"),
+        ("train.lr=-inf", "train.lr"),
+        ("train.epochs=2.5", "train.epochs"),
+        ("train.masked_loss_only=2", "train.masked_loss_only"),
+        ("tcn.dilations=1,x", "tcn.dilations"),
+        ("sra.f_rs 64", "malformed line"),
+    ])
+    def test_bad_file_names_file_and_key(self, tmp_path, line, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"sra.f_rs=64\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(named)) as exc:
+            load_config(path)
+        assert str(path) in str(exc.value)
+
+    def test_cli_names_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("radio.alpha=nan\n")
+        assert run(["capacity", "--config", path, "--out", tmp_path / "cap"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "radio.alpha" in err
+
+    def test_cli_names_bad_set(self, tmp_path, capsys):
+        assert run(["capacity", "--set", "radio.alpha=inf", "--out", tmp_path / "cap"]) == 1
+        assert "--set: bad config value radio.alpha" in capsys.readouterr().err
 
     def test_defaults_and_overrides(self, tmp_path):
         path = tmp_path / "ok.cfg"

@@ -1,12 +1,15 @@
 """Scene tests: motion profiles, rendering physics, determinism, file IO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfsense.geometry import Point2D, RadioConfig
-from nfsense.scene import (_OU_TAU_S, CsiSeries, MotionProfile, Scene, SceneUser,
+from nfsense.scene import (_OU_TAU_S, MOTION_KINDS, CsiSeries, MotionProfile, Scene, SceneUser,
                            _ou_track, displacement, load_csi_csv, load_scene,
                            render_baseline, render_components, render_csi,
                            save_csi_csv, save_scene)
@@ -324,3 +327,87 @@ class TestSceneIO:
         a = render_csi(scn, "ue0", times)
         b = render_csi(loaded, "ue0", times)
         assert np.allclose(a.values, b.values, rtol=1e-9)
+
+    def test_holds_keep_full_precision(self, tmp_path):
+        # Holds are written at .9g like every other float, not .6g.
+        motion = MotionProfile.respiration(12.0, 0.004, [(5.12345678, 8.0)])
+        path = tmp_path / "scene.txt"
+        save_scene(small_scene(motion=motion), path)
+        assert load_scene(path).users[0].motion.holds == ((5.12345678, 8.0),)
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_std", "nan"),
+        ("user.0.motion.amplitude_m", "inf"),
+        ("radio.eta", "-inf"),
+        ("user.0.motion.holds", "5:nan"),
+        ("user.0.motion.seed", "1.5"),
+        ("ap.x", None),                     # None: the line is deleted
+        ("user.0.ue.y", None),
+        ("baseline.y", None),
+        ("radio.alpah", "3"),               # unknown key
+    ])
+    def test_bad_scene_names_file_and_key(self, tmp_path, key, value):
+        path = tmp_path / "scene.txt"
+        save_scene(small_scene(), path)
+        kv = dict(line.split("=", 1) for line in path.read_text().splitlines())
+        if value is None:
+            del kv[key]
+        else:
+            kv[key] = value
+        path.write_text("".join(f"{k}={v}\n" for k, v in kv.items()))
+        with pytest.raises(ValueError, match=re.escape(key)) as exc:
+            load_scene(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["user.0.ue.x 1.41", "=0.5"])
+    def test_malformed_line_named(self, tmp_path, line):
+        path = tmp_path / "scene.txt"
+        save_scene(small_scene(), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="malformed line") as exc:
+            load_scene(path)
+        assert str(path) in str(exc.value)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_random_scene_bytes_round_trip(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("scene") / "scene.txt"
+        save_scene(data.draw(scenes()), path)
+        first = path.read_text()
+        save_scene(load_scene(path), path)
+        assert path.read_text() == first
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenes(draw):
+    """Valid random scenes whose margins survive rounding to 9 digits."""
+    users = []
+    for i in range(draw(st.integers(0, 3))):
+        # Each user keeps to its own cell, so no two positions coincide.
+        ue = Point2D(2.0 * (i + 1) + draw(_finite(-0.5, 0.5)), draw(_finite(-0.5, 0.5)))
+        r, theta = draw(_finite(0.01, 0.29)), draw(_finite(0.0, 2.0 * math.pi))
+        subject = Point2D(ue.x + r * math.cos(theta), ue.y + r * math.sin(theta))
+        holds, t = [], draw(_finite(0.0, 100.0))
+        for _ in range(draw(st.integers(0, 3))):
+            start = t + draw(_finite(0.0, 10.0))
+            t = start + draw(_finite(0.5, 10.0))
+            holds.append((start, t))
+        motion = MotionProfile(kind=draw(st.sampled_from(MOTION_KINDS)),
+                               rate_bpm=draw(_finite(6.0, 40.0)),
+                               amplitude_m=draw(_finite(0.0, 0.01)), holds=tuple(holds),
+                               rms_speed=draw(_finite(0.0, 2.0)),
+                               bandwidth_hz=draw(_finite(0.1, 20.0)),
+                               seed=draw(st.integers(0, 2 ** 32)))
+        user_id = draw(st.sampled_from(["", f"u{i}", f"u{i}ab"]))
+        users.append(SceneUser(ue=ue, subject=subject, motion=motion, user_id=user_id))
+    radio = RadioConfig(lambda_m=draw(_finite(0.01, 0.2)), alpha=draw(_finite(2.0, 4.0)),
+                        eta=draw(_finite(0.0, 1.0)), b=draw(_finite(0.0, 1.0)),
+                        g_tilde=draw(_finite(1e-9, 1.0)))
+    baseline = draw(st.none() | st.builds(Point2D, _finite(-0.5, 0.5), _finite(4.5, 5.5)))
+    return Scene(ap=Point2D(draw(_finite(-1.5, -0.5)), draw(_finite(-0.5, 0.5))),
+                 users=tuple(users), cfg=radio, baseline_observer=baseline,
+                 noise_std=draw(_finite(0.0, 1.0)), seed=draw(st.integers(0, 2 ** 32)))

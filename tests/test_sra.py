@@ -194,8 +194,6 @@ class TestConfig:
     def test_presets(self):
         g = SraConfig.gesture()
         assert g.f_cut == 20.0 and g.fft_len == 64
-        r = SraConfig.respiration()
-        assert r.f_cut == 1.0 and r.fft_len == 256 and r.n_f == 32
 
 
 class TestSegment:

@@ -398,6 +398,10 @@ class TestSerialization:
         (b"dilations=1,2", b"dilations=2,1", "increasing"),
         (b"dilations=1,2", b"dilations=1,2,4", "need 2 dilations"),
         (b"n_f=5", b"n_f=0", "channel counts"),
+        (b"activation=relu", b"activation=tanh", "only relu"),
+        (b"seed=4\n", b"", "bad config: missing key 'seed'"),
+        (b"activation=relu\n", b"", "bad config: missing key 'activation'"),
+        (b"n_c=7", b"n_c 7", "malformed line"),
     ])
     def test_bad_config_named(self, tmp_path, old, new, match):
         path = tmp_path / "model.tcn"

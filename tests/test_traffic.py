@@ -1,4 +1,6 @@
-"""Arrival-process tests: burst/gap statistics, the BFI rate cap, file IO."""
+"""Arrival-process tests: burst/gap statistics, the BFI rate cap."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,8 +9,7 @@ from hypothesis import strategies as st
 
 from nfsense.traffic import (_MAX_BLOCK, KINDS, TrafficModel, _burst, _thin_and_cap,
                              burstiness_index, generate_arrivals,
-                             load_sample_times, max_rate_in_window,
-                             save_sample_times, windowed_counts)
+                             max_rate_in_window, windowed_counts)
 
 
 def arrivals_loop(model, duration):
@@ -43,7 +44,7 @@ class TestGenerateArrivals:
         a = generate_arrivals(model, 20.0)
         b = generate_arrivals(model, 20.0)
         assert np.array_equal(a.times, b.times)
-        c = generate_arrivals(model.with_seed(43), 20.0)
+        c = generate_arrivals(dataclasses.replace(model, seed=43), 20.0)
         assert not np.array_equal(a.times, c.times)
 
     def test_rate_approaches_burst_rate_without_gaps(self):
@@ -160,21 +161,3 @@ class TestModelValidation:
             TrafficModel(rate_in_burst_hz=-5.0)
         with pytest.raises(ValueError):
             TrafficModel(contention_users=0)
-
-
-class TestSampleTimesIO:
-    def test_round_trip(self, tmp_path):
-        model = TrafficModel(kind="ul_csi", seed=9)
-        st_ = generate_arrivals(model, 5.0)
-        path = tmp_path / "times.txt"
-        save_sample_times(st_, path)
-        loaded = load_sample_times(path)
-        assert loaded.duration == pytest.approx(st_.duration, abs=1e-6)
-        assert np.allclose(loaded.times, st_.times, atol=1e-6)
-
-    def test_plain_trace_without_header(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("0.100000\n0.250000\n1.000000\n")
-        loaded = load_sample_times(path)
-        assert len(loaded) == 3
-        assert loaded.duration == pytest.approx(1.0)
