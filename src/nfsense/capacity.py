@@ -4,7 +4,8 @@ Two symmetric layouts are analyzed: N subjects uniformly spaced on a circle
 of radius r around the AP (how many fit?), and 2K+1 subjects bunched together
 on that circle (how close can neighbors sit?).  Each bound has a fitted
 closed form (power-law fit of the interference series) and an exact variant
-that evaluates the series directly.
+that evaluates the series directly.  The exact searches run over every r of
+a sweep at once; a single query is the one-element sweep.
 """
 
 from __future__ import annotations
@@ -88,19 +89,29 @@ def radial_fit(n: int, params: FitParams = DEFAULT_FIT) -> float:
     return params.p1 * float(n) ** params.p2 + params.p3
 
 
+def _mirror_sums(k: int, phi: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`mirror_series` at every entry of ``phi``, one (len(phi), K) grid.
+
+    Row i is summed alone, so it has the bits of the length-K sum at phi[i].
+    """
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
+    phi_max = 2.0 * np.pi / (2 * k + 1)
+    outside = ~((0.0 < phi) & (phi <= phi_max * (1 + 1e-12)))
+    if outside.any():
+        raise ValueError(f"phi must be in (0, 2pi/(2K+1)] = (0, {phi_max:.6g}], "
+                         f"got {phi[outside][0]}")
+    j = np.arange(1, k + 1)
+    return np.sum(np.sin(j * phi[:, None] / 2.0) ** (-alpha), axis=1)
+
+
 def mirror_series(k: int, phi: float, alpha: float) -> float:
     """Interference series of the mirror layout: sum_{j=1}^{K} sin(j phi / 2)^-alpha.
 
     ``phi`` is the angular spacing of neighbors; the middle subject is the
     worst-interfered one only while (2K+1) phi < 2 pi, so that is the domain.
     """
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
-    phi_max = 2.0 * np.pi / (2 * k + 1)
-    if not (0.0 < phi <= phi_max * (1 + 1e-12)):
-        raise ValueError(f"phi must be in (0, 2pi/(2K+1)] = (0, {phi_max:.6g}], got {phi}")
-    j = np.arange(1, k + 1)
-    return float(np.sum(np.sin(j * phi / 2.0) ** (-alpha)))
+    return float(_mirror_sums(k, np.array([phi], dtype=float), alpha)[0])
 
 
 def mirror_fit(phi: float, params: FitParams = DEFAULT_FIT) -> float:
@@ -133,29 +144,61 @@ def n_max(q: CapacityQuery, params: FitParams = DEFAULT_FIT) -> int:
     return int(math.floor(n)) if n >= 3.0 else 0
 
 
-def n_max_exact(q: CapacityQuery) -> int:
-    """Exact-search companion of :func:`n_max` using the direct series."""
-    cfg = q.cfg
-    a = _headroom(q)
-    if a <= 0.0:
-        return 0
-    rhs = (2.0 * q.r) ** cfg.alpha * a / (cfg.g_tilde * q.beta)
-    if radial_series(3, cfg.alpha) > rhs:
-        return 0
-    lo, hi = 3, 6
-    while radial_series(hi, cfg.alpha) <= rhs:
-        lo = hi
-        hi *= 2
-        if hi > _N_SEARCH_CAP:
+def _search_rhs(qs: Sequence[CapacityQuery], share: float) -> tuple[np.ndarray, np.ndarray]:
+    """(live, rhs) per query, where VIR >= beta <=> series <= rhs.
+
+    live is False where headroom <= 0, an infeasible query.
+    rhs = (2r)^alpha * headroom / (share * g_tilde * beta); ``share`` is 2
+    in the mirror layout, whose subject has interferers on both sides.  Each
+    query is evaluated in Python floats, so every power is libm ``pow``.
+    """
+    a = [_headroom(q) for q in qs]
+    rhs = [(2.0 * q.r) ** q.cfg.alpha * h / (share * q.cfg.g_tilde * q.beta)
+           for q, h in zip(qs, a)]
+    return ~(np.array(a) <= 0.0), np.array(rhs)
+
+
+def _radial_at(n: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`radial_series` at every entry of ``n``, once per distinct N."""
+    distinct, where = np.unique(n, return_inverse=True)
+    return np.array([radial_series(int(v), alpha) for v in distinct])[where]
+
+
+def _n_max_search(qs: Sequence[CapacityQuery]) -> list[int]:
+    """Exact N_max of every query (all share ``cfg``): one search over them all.
+
+    Per query: 0 when infeasible, else double hi from 6 while series(hi) <=
+    rhs, then bisect the integers keeping series(lo) <= rhs < series(hi).
+    """
+    alpha = qs[0].cfg.alpha
+    live, rhs = _search_rhs(qs, 1.0)
+    live &= ~(radial_series(3, alpha) > rhs)
+    lo = np.full(len(qs), 3)
+    hi = np.full(len(qs), 6)
+    idx = np.flatnonzero(live)
+    while idx.size:
+        idx = idx[_radial_at(hi[idx], alpha) <= rhs[idx]]
+        lo[idx] = hi[idx]
+        hi[idx] *= 2
+        if idx.size and hi[idx].max() > _N_SEARCH_CAP:
             raise OverflowError(f"exact N search exceeded {_N_SEARCH_CAP}")
     # invariant: series(lo) <= rhs < series(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if radial_series(mid, cfg.alpha) <= rhs:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    idx = np.flatnonzero(live & (hi - lo > 1))
+    while idx.size:
+        mid = (lo[idx] + hi[idx]) // 2
+        below = _radial_at(mid, alpha) <= rhs[idx]
+        lo[idx[below]] = mid[below]
+        hi[idx[~below]] = mid[~below]
+        idx = idx[hi[idx] - lo[idx] > 1]
+    return np.where(live, lo, 0).tolist()
+
+
+def n_max_exact(q: CapacityQuery) -> int:
+    """Exact-search companion of :func:`n_max` using the direct series.
+
+    The one-query case of the sweep search :func:`capacity_curve` runs.
+    """
+    return _n_max_search([q])[0]
 
 
 def delta_d_min(q: CapacityQuery, params: FitParams = DEFAULT_FIT) -> float:
@@ -177,27 +220,38 @@ def delta_d_min(q: CapacityQuery, params: FitParams = DEFAULT_FIT) -> float:
     return dd
 
 
+def _dd_min_search(qs: Sequence[CapacityQuery], rel_tol: float = 1e-12) -> list[float]:
+    """Exact delta-d_min of every query (all share ``cfg`` and K): one bisection.
+
+    VIR >= beta <=> mirror series(phi) <= rhs, and the series decreases in
+    phi.  Per query: NaN when infeasible even at the largest phi, the floor
+    phi = 1e-12 when that already clears rhs, else bisect until
+    (hi - lo) <= rel_tol * hi; a query that stops is left alone after.
+    """
+    k, alpha = qs[0].K, qs[0].cfg.alpha
+    live, rhs = _search_rhs(qs, 2.0)
+    phi_lo, phi_hi = 1e-12, 2.0 * math.pi / (2 * k + 1)
+    live &= ~(mirror_series(k, phi_hi, alpha) > rhs)
+    floor = live & (mirror_series(k, phi_lo, alpha) <= rhs)
+    lo = np.full(len(qs), phi_lo)
+    hi = np.where(floor, phi_lo, phi_hi)
+    idx = np.flatnonzero(live & ~floor)
+    while idx.size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        below = _mirror_sums(k, mid, alpha) <= rhs[idx]
+        hi[idx[below]] = mid[below]
+        lo[idx[~below]] = mid[~below]
+        idx = idx[(hi[idx] - lo[idx]) > rel_tol * hi[idx]]
+    return [2.0 * q.r * math.sin(phi / 2.0) if ok else math.nan
+            for q, phi, ok in zip(qs, hi.tolist(), live.tolist())]
+
+
 def delta_d_min_exact(q: CapacityQuery, rel_tol: float = 1e-12) -> float:
-    """Bisection companion of :func:`delta_d_min` using the direct series."""
-    cfg = q.cfg
-    a = _headroom(q)
-    if a <= 0.0:
-        return math.nan
-    # VIR >= beta  <=>  mirror_series(K, phi) <= rhs; the series decreases in phi.
-    rhs = (2.0 * q.r) ** cfg.alpha * a / (2.0 * cfg.g_tilde * q.beta)
-    phi_hi = 2.0 * math.pi / (2 * q.K + 1)
-    if mirror_series(q.K, phi_hi, cfg.alpha) > rhs:
-        return math.nan
-    phi_lo = 1e-12
-    if mirror_series(q.K, phi_lo, cfg.alpha) <= rhs:
-        return 2.0 * q.r * math.sin(phi_lo / 2.0)
-    while (phi_hi - phi_lo) > rel_tol * phi_hi:
-        mid = 0.5 * (phi_lo + phi_hi)
-        if mirror_series(q.K, mid, cfg.alpha) <= rhs:
-            phi_hi = mid
-        else:
-            phi_lo = mid
-    return 2.0 * q.r * math.sin(phi_hi / 2.0)
+    """Bisection companion of :func:`delta_d_min` using the direct series.
+
+    The one-query case of the sweep search :func:`capacity_curve` runs.
+    """
+    return _dd_min_search([q], rel_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -216,20 +270,21 @@ def capacity_curve(cfg: RadioConfig, beta: float, delta_r: float,
     """Sweep r and evaluate both bounds; infeasible points are kept as NaN/0."""
     if not (r_step > 0):
         raise ValueError(f"r_step must be > 0, got {r_step}")
-    rows: list[CapacityRow] = []
     n_points = int(math.floor((r_stop - r_start) / r_step + 1e-9)) + 1
-    for i in range(max(n_points, 0)):
-        r = r_start + i * r_step
-        if r <= delta_r:
-            continue
-        q = CapacityQuery(r=r, delta_r=delta_r, beta=beta, cfg=cfg, K=k)
+    rs = (r_start + i * r_step for i in range(max(n_points, 0)))
+    qs = [CapacityQuery(r=r, delta_r=delta_r, beta=beta, cfg=cfg, K=k)
+          for r in rs if r > delta_r]
+    if not qs:
+        return []
+    rows: list[CapacityRow] = []
+    for q, n_exact, dd_exact in zip(qs, _n_max_search(qs), _dd_min_search(qs)):
         dd_fit = delta_d_min(q, params)
         rows.append(CapacityRow(
-            r=r,
+            r=q.r,
             n_max_fit=n_max(q, params),
-            n_max_exact=n_max_exact(q),
+            n_max_exact=n_exact,
             dd_min_fit=dd_fit,
-            dd_min_exact=delta_d_min_exact(q),
+            dd_min_exact=dd_exact,
             feasible=not math.isnan(dd_fit),
         ))
     return rows
@@ -285,7 +340,7 @@ def refit_mirror(alpha: float, k: int,
         phi_hi = math.pi / (2 * k + 1)
     phi = np.linspace(phi_lo, phi_hi, n_points)
     s = np.sin(phi / 2.0)
-    y = np.array([mirror_series(k, p, alpha) for p in phi])
+    y = _mirror_sums(k, phi, alpha)
     # series values span many decades; fit in a log-flattened weighting
     c1, e, c3, _ = _power_law_lsq(s, y, np.linspace(-6.0, -2.0, 401), w=1.0 / y)
     return c1, e, c3

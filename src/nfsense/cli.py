@@ -47,6 +47,14 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
+def _key_value(text: str) -> tuple[str, str]:
+    """argparse type of ``--set``: KEY=VALUE split at the first ``=``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
 def _int_at_least(lo: int):
     """argparse type: an integer no smaller than ``lo``."""
     def integer(text: str) -> int:
@@ -100,6 +108,8 @@ def cmd_capacity(args) -> int:
     r_start, r_stop, r_step = _parse_range(args.r)
     rows = cap_mod.capacity_curve(radio, beta, delta_r, r_start, r_stop, r_step,
                                   k=k, params=params)
+    if not rows:
+        raise ValueError(f"--r {args.r} holds no r above capacity.delta_r = {delta_r:g}")
     cap_mod.write_capacity_csv(rows, _out_path(args, "capacity.csv"))
     best = max(rows, key=lambda row: row.n_max_fit)
     print(f"max n_max_fit: {best.n_max_fit} at r={best.r:.2f} m")
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       type=lambda s: tuple(s.split("=", 1)),
+                       type=_key_value,
                        help="override one config key")
 
     p = sub.add_parser("feasible-map", help="VIR feasibility raster around one subject")

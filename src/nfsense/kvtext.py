@@ -1,9 +1,10 @@
 """The key=value text format of run configs, scene files and the model header.
 
-One ``key=value`` per line; blank lines and ``#`` comments are skipped.  A
-value is read and written by the annotation of the dataclass field it
-fills: a float is finite and written ``.9g``, an int or str as is, a bool as
-0/1, ``tuple[int, ...]`` as ``1,2,4`` and hold intervals as ``a:b;c:d``.
+One ``key=value`` per line, each key at most once; blank lines and ``#``
+comments are skipped.  A value is read and written by the annotation of the
+dataclass field it fills: a float is finite and written ``.9g``, an int or
+str as is, a bool as 0/1, ``tuple[int, ...]`` as ``1,2,4`` and hold
+intervals as ``a:b;c:d``.
 Annotations are compared as text, since every module postpones them.
 Errors name the file (or other source) and the key.
 """
@@ -46,17 +47,25 @@ _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
 }
 
 
-def parse_lines(lines: Iterable[str], path) -> dict[str, str]:
-    """key -> value text of ``lines``; a later key overrides an earlier one."""
+def parse_lines(lines: Iterable[str], path, first_line: int = 1) -> dict[str, str]:
+    """key -> value text of ``lines``, the first of which is line ``first_line``.
+
+    A key given twice is an error naming both line numbers.
+    """
     kv: dict[str, str] = {}
-    for raw in lines:
+    seen: dict[str, int] = {}
+    for number, raw in enumerate(lines, first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, eq, value = line.partition("=")
-        if not eq or not key.strip():
+        key = key.strip()
+        if not eq or not key:
             raise ValueError(f"{path}: malformed line {line!r} (expected key=value)")
-        kv[key.strip()] = value.strip()
+        if key in seen:
+            raise ValueError(f"{path}: key {key!r} repeated on lines {seen[key]} and {number}")
+        seen[key] = number
+        kv[key] = value.strip()
     return kv
 
 

@@ -333,7 +333,7 @@ def load_scene(path) -> Scene:
     ``ap.*``, ``baseline.*`` (when present) and each user's ``ue.*`` and
     ``subject.*`` are required; a missing ``radio.*``, ``motion.*``,
     ``noise_std`` or ``seed`` key takes its dataclass default.  A malformed
-    line, a missing or unknown key, a non-finite value or a scene the
+    line, a repeated, missing or unknown key, a non-finite value or a scene the
     dataclasses reject raises a ValueError naming the file.
     """
     kv = kvtext.read(path)

@@ -537,7 +537,7 @@ def save_model(model: TcnModel, path) -> None:
 def load_model(path) -> TcnModel:
     """Rebuild a model from disk; weights come back as float32-exact float64.
 
-    A bad header (a missing or non-integer field, a geometry TcnConfig
+    A bad header (a missing, repeated or non-integer field, a geometry TcnConfig
     rejects), a wrong weight count or a NaN/inf weight raises a ValueError
     naming the file.
     """
@@ -553,8 +553,8 @@ def load_model(path) -> TcnModel:
             header.append(text)
         else:
             raise ValueError(f"{path}: truncated header")
-        cfg = kvtext.build(TcnConfig, kvtext.parse_lines(header, path), "", path,
-                           required=True)
+        kv = kvtext.parse_lines(header, path, first_line=2)   # line 1 is the magic
+        cfg = kvtext.build(TcnConfig, kv, "", path, required=True)
         blob = fh.read()
     spec = _param_spec(cfg)
     expected = sum(int(np.prod(shape)) for _, shape in spec)

@@ -6,17 +6,22 @@ summation is checked against these identities, and the fitted bounds are
 checked against exact search / bisection companions.
 """
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from nfsense.capacity import (CapacityQuery, DEFAULT_FIT, FitParams,
+                              _dd_min_search, _mirror_sums,
                               capacity_curve, delta_d_min, delta_d_min_exact,
                               mirror_fit, mirror_series, n_max, n_max_exact,
                               radial_fit, radial_series, refit_mirror,
                               refit_radial, write_capacity_csv)
 from nfsense.geometry import RadioConfig
+
+import capacity_reference as ref
 
 
 def csc4_identity(n):
@@ -202,3 +207,67 @@ class TestQueryValidation:
             CapacityQuery(r=1.0, delta_r=0.1, beta=50.0, cfg=RadioConfig(), K=0)
         with pytest.raises(ValueError):
             FitParams(q2=1.0)
+
+
+def row_bits(rows):
+    """Every field of every row, floats as their 8 bytes and types kept."""
+    return [tuple((type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+                  for v in dataclasses.astuple(row)) for row in rows]
+
+
+class TestMatchesScalarReference:
+    """The sweep searches against the scalar ones they replaced
+    (``tests/capacity_reference.py``, kept verbatim), bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.0, 2.5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    def test_curve_bits(self, alpha, k):
+        cfg = dataclasses.replace(RadioConfig(), alpha=alpha)
+        for beta, delta_r in ((50.0, 0.1), (10.0, 0.05), (300.0, 0.2)):
+            rows = capacity_curve(cfg, beta, delta_r, 0.3, 4.0, 0.05, k)
+            assert row_bits(rows) == row_bits(ref.capacity_rows(cfg, beta, delta_r,
+                                                                0.3, 4.0, 0.05, k))
+
+    def test_paper_sweep_bits_and_headroom_exit(self):
+        rows = capacity_curve(RadioConfig(), 50.0, 0.1, 0.3, 4.0, 0.01)
+        assert row_bits(rows) == row_bits(ref.capacity_rows(RadioConfig(), 50.0, 0.1,
+                                                            0.3, 4.0, 0.01))
+        # the sweep's far end has no headroom left: both searches exit early there
+        dead = [row for row in rows
+                if ref._headroom(paper_query(row.r)) <= 0.0]
+        assert dead and all(row.n_max_exact == 0 and math.isnan(row.dd_min_exact)
+                            for row in dead)
+
+    def test_floor_exit_among_bisected_queries(self):
+        # tiny beta leaves so much headroom that phi = 1e-12 already clears rhs
+        qs = [paper_query(r, beta=beta, k=3)
+              for r in (0.5, 1.5, 3.0, 3.9) for beta in (1e-60, 1e-40, 50.0)]
+        expected = [ref.delta_d_min_exact(q) for q in qs]
+        assert any(v == 2.0 * q.r * math.sin(0.5e-12) for q, v in zip(qs, expected))
+        assert any(math.isnan(v) for v in expected)
+        assert (struct.pack(f"<{len(qs)}d", *_dd_min_search(qs))
+                == struct.pack(f"<{len(qs)}d", *expected))
+        for q, v in zip(qs, expected):
+            assert struct.pack("<d", delta_d_min_exact(q)) == struct.pack("<d", v)
+
+    def test_search_cap_overflow(self):
+        # without the dynamic-channel term the headroom never runs out, so at
+        # r = 1e5 the radial layout would hold more than a million subjects
+        cfg = dataclasses.replace(RadioConfig(), b=0.0)
+        for args in ((1e5, 1e5, 1.0), (1.0, 1e5 + 1.0, 5e4)):
+            with pytest.raises(OverflowError, match="exceeded 1000000"):
+                ref.capacity_rows(cfg, 50.0, 0.1, *args)
+            with pytest.raises(OverflowError, match="exceeded 1000000"):
+                capacity_curve(cfg, 50.0, 0.1, *args)
+        with pytest.raises(OverflowError):
+            n_max_exact(CapacityQuery(r=1e5, delta_r=0.1, beta=50.0, cfg=cfg))
+
+    @pytest.mark.parametrize("alpha", [4.0, 2.5])
+    def test_series_bits(self, alpha):
+        # refit_mirror's y column is one _mirror_sums grid over its phi range
+        for k in (1, 2, 5, 9):
+            phi = np.linspace(math.pi / 180, 2.0 * math.pi / (2 * k + 1), 200)
+            expected = np.array([ref.mirror_series(k, float(p), alpha) for p in phi])
+            assert _mirror_sums(k, phi, alpha).tobytes() == expected.tobytes()
+            assert (np.array([mirror_series(k, float(p), alpha) for p in phi]).tobytes()
+                    == expected.tobytes())

@@ -1,5 +1,6 @@
 """CLI tests: subcommand wiring, file outputs, error paths, determinism."""
 
+import dataclasses
 import filecmp
 import os
 import re
@@ -7,6 +8,9 @@ import re
 import numpy as np
 import pytest
 
+import capacity_reference
+from nfsense.capacity import (DEFAULT_FIT, FitParams, refit_mirror, refit_radial,
+                              write_capacity_csv)
 from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
 from nfsense.geometry import RadioConfig, load_raster
@@ -100,6 +104,25 @@ class TestConfig:
         assert run(["capacity", "--set", "radio.alpha=inf", "--out", tmp_path / "cap"]) == 1
         assert "--set: bad config value radio.alpha" in capsys.readouterr().err
 
+    def test_cli_names_set_without_equals(self, tmp_path, capsys):
+        out = tmp_path / "cap"
+        with pytest.raises(SystemExit) as exc:
+            run(["capacity", "--set", "radio.alpha", "--out", out])
+        assert exc.value.code == 2
+        assert "argument --set: expected KEY=VALUE, got 'radio.alpha'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, lines", [
+        ("radio.alpha=3\nsra.f_cut=2\nradio.alpha=4\n", "1 and 3"),
+        ("radio.alpha=3\n\n# note\nradio.alpha = 3\n", "1 and 4"),   # same value
+    ])
+    def test_repeated_key_named(self, tmp_path, text, lines):
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"'radio.alpha' repeated on lines {lines}$") as exc:
+            load_config(path)
+        assert str(path) in str(exc.value)
+
     def test_defaults_and_overrides(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\nsra.f_cut=20\ntrain.epochs=3\n")
@@ -128,6 +151,30 @@ class TestCapacityCommand:
     def test_bad_range_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["capacity", "--r", "1.0:2.0", "--out", tmp_path / "x"])
+
+    @pytest.mark.parametrize("r", ["0.05:0.09:0.01", "2.0:1.0:0.1"])
+    def test_empty_sweep_rejected_before_writing(self, tmp_path, capsys, r):
+        out = tmp_path / "cap"
+        assert run(["capacity", "--r", r, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"--r {r} holds no r above capacity.delta_r = 0.1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.0])
+    def test_readme_sweep_bytes_match_scalar_reference(self, tmp_path, alpha):
+        out = tmp_path / "cap"
+        assert run(["capacity", "--alpha", alpha, "--beta", 50, "--r", "0.3:4.0:0.01",
+                    "--out", out]) == 0
+        radio = dataclasses.replace(RadioConfig(), alpha=alpha)
+        params = DEFAULT_FIT
+        if alpha != 4.0:
+            p1, p2, p3 = refit_radial(alpha)
+            q1, q2, q3 = refit_mirror(alpha, 2)
+            params = FitParams(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=q3)
+        write_capacity_csv(capacity_reference.capacity_rows(radio, 50.0, 0.1, 0.3, 4.0, 0.01,
+                                                            2, params),
+                           tmp_path / "reference.csv")
+        assert (out / "capacity.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestFeasibleMapCommand:

@@ -359,6 +359,17 @@ class TestSceneIO:
             load_scene(path)
         assert str(path) in str(exc.value)
 
+    def test_repeated_key_named(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        save_scene(small_scene(), path)
+        lines = path.read_text().splitlines()
+        first = lines.index(next(line for line in lines if line.startswith("user.0.ue.x=")))
+        path.write_text(path.read_text() + "user.0.ue.x=0.5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"'user.0.ue.x' repeated on lines {first + 1} and {len(lines) + 1}")) as exc:
+            load_scene(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("line", ["user.0.ue.x 1.41", "=0.5"])
     def test_malformed_line_named(self, tmp_path, line):
         path = tmp_path / "scene.txt"

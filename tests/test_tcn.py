@@ -413,6 +413,17 @@ class TestSerialization:
             load_model(path)
         assert str(path) in str(exc.value)
 
+    def test_repeated_header_key_named(self, tmp_path):
+        path = tmp_path / "model.tcn"
+        save_model(tiny_model(), path)
+        blob = path.read_bytes()
+        line = blob.split(b"\n").index(b"n_c=7") + 1       # the magic is line 1
+        path.write_bytes(blob.replace(b"n_c=7\n", b"n_c=7\nn_c=7\n"))
+        with pytest.raises(ValueError, match=f"'n_c' repeated on lines {line} and {line + 1}") \
+                as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_named(self, tmp_path, value):
         model = tiny_model()
