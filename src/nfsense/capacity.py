@@ -181,7 +181,9 @@ def _n_max_search(qs: Sequence[CapacityQuery]) -> list[int]:
         lo[idx] = hi[idx]
         hi[idx] *= 2
         if idx.size and hi[idx].max() > _N_SEARCH_CAP:
-            raise OverflowError(f"exact N search exceeded {_N_SEARCH_CAP}")
+            q = qs[idx[np.argmax(hi[idx])]]
+            raise OverflowError(f"exact N search exceeded {_N_SEARCH_CAP} at r={q.r:g} m "
+                                f"with b={q.cfg.b:g} (radio.b)")
     # invariant: series(lo) <= rhs < series(hi)
     idx = np.flatnonzero(live & (hi - lo > 1))
     while idx.size:
@@ -321,9 +323,9 @@ def _power_law_lsq(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
     return best
 
 
-def refit_radial(alpha: float, n_lo: int = 3, n_hi: int = 60) -> tuple[float, float, float]:
-    """Recompute (p1, p2, p3) by least squares over the stated N range."""
-    n = np.arange(n_lo, n_hi + 1, dtype=float)
+def refit_radial(alpha: float) -> tuple[float, float, float]:
+    """Recompute (p1, p2, p3) by least squares over N = 3..60."""
+    n = np.arange(3, 61, dtype=float)
     y = np.array([radial_series(int(v), alpha) for v in n])
     exps = np.linspace(1.0, 6.0, 501)
     c1, e, c3, _ = _power_law_lsq(n, y, exps)
@@ -332,13 +334,9 @@ def refit_radial(alpha: float, n_lo: int = 3, n_hi: int = 60) -> tuple[float, fl
     return c1, e, c3
 
 
-def refit_mirror(alpha: float, k: int,
-                 phi_lo: float = math.pi / 180, phi_hi: float | None = None,
-                 n_points: int = 200) -> tuple[float, float, float]:
-    """Recompute (q1, q2, q3) by least squares over the stated phi range."""
-    if phi_hi is None:
-        phi_hi = math.pi / (2 * k + 1)
-    phi = np.linspace(phi_lo, phi_hi, n_points)
+def refit_mirror(alpha: float, k: int) -> tuple[float, float, float]:
+    """Recompute (q1, q2, q3) by least squares over 200 phi from 1 degree to pi/(2k+1)."""
+    phi = np.linspace(math.pi / 180, math.pi / (2 * k + 1), 200)
     s = np.sin(phi / 2.0)
     y = _mirror_sums(k, phi, alpha)
     # series values span many decades; fit in a log-flattened weighting

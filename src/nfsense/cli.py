@@ -29,9 +29,10 @@ TRAFFIC_FLAG_TO_KIND = {"ul-csi": "ul_csi", "dl-csi": "dl_csi", "ul-bfi": "ul_bf
 
 
 def _load_run_config(args) -> RunConfig:
+    """The config file, then every ``--set`` and alias flag in command-line order."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key, value in (args.set or []):
-        cfg.set(key, value)
+    for key, value, flag in (args.set or []):
+        cfg.set(key, value, source=flag)
     return cfg
 
 
@@ -47,12 +48,18 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _key_value(text: str) -> tuple[str, str]:
+def _key_value(text: str) -> tuple[str, str, str]:
     """argparse type of ``--set``: KEY=VALUE split at the first ``=``."""
     key, eq, value = text.partition("=")
     if not eq:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    return key, value
+    return key, value, "--set"
+
+
+def _set_alias(p: argparse.ArgumentParser, flag: str, key: str) -> None:
+    """Add ``flag VALUE`` as shorthand for ``--set key=VALUE``."""
+    p.add_argument(flag, action="append", dest="set", metavar="VALUE",
+                   type=lambda text: (key, text, flag), help=f"shorthand for --set {key}=VALUE")
 
 
 def _int_at_least(lo: int):
@@ -93,11 +100,7 @@ def cmd_feasible_map(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = _load_run_config(args)
     radio = cfg.radio()
-    if args.alpha is not None and args.alpha != radio.alpha:
-        radio = dataclasses.replace(radio, alpha=args.alpha)
-    beta = args.beta if args.beta is not None else cfg["capacity.beta"]
-    delta_r = args.delta_r if args.delta_r is not None else cfg["capacity.delta_r"]
-    k = args.k if args.k is not None else cfg["capacity.k"]
+    beta, delta_r, k = cfg["capacity.beta"], cfg["capacity.delta_r"], cfg["capacity.k"]
     if radio.alpha == 4.0 and k == 2:
         params = cap_mod.DEFAULT_FIT
     else:
@@ -145,9 +148,6 @@ def demo_scene(seed: int = 0, noise_std: float = 2e-5) -> scene_mod.Scene:
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     if args.scene:
-        if not os.path.exists(args.scene):
-            print(f"error: scene file not found: {args.scene}", file=sys.stderr)
-            return 1
         scn = scene_mod.load_scene(args.scene)
         if args.seed is not None:
             scn = dataclasses.replace(scn, seed=args.seed)
@@ -184,16 +184,13 @@ def cmd_build_dataset(args) -> int:
     sra_cfg = cfg.sra()
     labels: list[np.ndarray] = []
     for path in args.csi:
-        if not os.path.exists(path):
-            print(f"error: CSI file not found: {path}", file=sys.stderr)
-            return 1
         series = scene_mod.load_csi_csv(path)
         spec = sra_mod.process_series(series, sra_cfg, duration=args.duration)
         name = os.path.splitext(os.path.basename(path))[0]
         sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
         labels.extend(sra_mod.extract_label_slices(spec, sra_cfg))
-    if args.max_label_frames or cfg["dataset.max_label_frames"]:
-        width = args.max_label_frames or cfg["dataset.max_label_frames"]
+    width = cfg["dataset.max_label_frames"]
+    if width:
         stride = cfg["dataset.label_stride"] or width
         labels = sra_mod.chop_labels(labels, width, stride)
     ds = sra_mod.build_dataset(labels,
@@ -210,9 +207,6 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    if not os.path.isdir(args.dataset):
-        print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
-        return 1
     ds = sra_mod.load_dataset(args.dataset)
     advice = (f"{args.dataset} holds {len(ds.train)} train and {len(ds.test)} test pairs; "
               "build it from more label slices: a longer or dense (--uniform-rate 64) "
@@ -226,8 +220,6 @@ def cmd_train(args) -> int:
     # float32: the weight file is float32 anyway and training is ~1.85x faster
     model = tcn_mod.TcnModel.initialize(cfg.tcn(seed=seed), dtype=np.float32)
     tcfg = cfg.train(seed=seed)
-    if args.epochs is not None:
-        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     model, history = tcn_mod.train(model, ds.train, ds.test, tcfg)
     tcn_mod.save_model(model, _out_path(args, "model.tcn"))
     tcn_mod.write_history_csv(history, _out_path(args, "loss_history.csv"))
@@ -240,10 +232,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    for path in (args.model, args.spectrogram):
-        if not os.path.exists(path):
-            print(f"error: input not found: {path}", file=sys.stderr)
-            return 1
     cfg = _load_run_config(args)
     model = tcn_mod.load_model(args.model)
     spec = sra_mod.load_spectrogram(args.spectrogram, df_hz=cfg.sra().df_hz)
@@ -261,20 +249,16 @@ def cmd_eval(args) -> int:
     rows: list[tuple[str, str]] = []
     df = cfg.sra().df_hz
     band = (args.band_lo, args.band_hi)
-    if args.recovered and args.truth:
-        for path in (args.recovered, args.truth):
-            if not os.path.exists(path):
-                print(f"error: input not found: {path}", file=sys.stderr)
-                return 1
+    if bool(args.recovered) != bool(args.truth):
+        missing = "--truth" if args.recovered else "--recovered"
+        raise ValueError(f"{missing} is missing: --recovered and --truth go together")
+    if args.recovered:
         rec = sra_mod.load_spectrogram(args.recovered, df_hz=df)
         tru = sra_mod.load_spectrogram(args.truth, df_hz=df)
         rows.append(("recovery_mse", f"{met.recovery_mse(rec, tru):.9e}"))
     for label, path in (("near", args.spectrogram), ("baseline", args.baseline_spectrogram)):
         if not path:
             continue
-        if not os.path.exists(path):
-            print(f"error: input not found: {path}", file=sys.stderr)
-            return 1
         spec = sra_mod.load_spectrogram(path, df_hz=df)
         est = met.estimate_rate(spec, band)
         rows.append((f"{label}_rate_bpm", f"{est.bpm:.4f}"))
@@ -339,9 +323,6 @@ u5,0.0,1.41,respiration,ul_csi,register
 def cmd_register_sim(args) -> int:
     cfg = _load_run_config(args)
     if args.arrivals:
-        if not os.path.exists(args.arrivals):
-            print(f"error: arrivals file not found: {args.arrivals}", file=sys.stderr)
-            return 1
         with open(args.arrivals) as fh:
             lines = fh.read().strip().splitlines()
     else:
@@ -404,10 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="N_max / delta-d_min capacity sweep")
     common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta-r", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    for flag, key in (("--alpha", "radio.alpha"), ("--beta", "capacity.beta"),
+                      ("--delta-r", "capacity.delta_r"), ("--k", "capacity.k")):
+        _set_alias(p, flag, key)
     p.add_argument("--r", default="0.3:4.0:0.01", metavar="START:STOP:STEP")
     p.set_defaults(func=cmd_capacity)
 
@@ -424,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--csi", nargs="+", required=True, help="CSI CSV files")
     p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--max-label-frames", type=int, default=None)
+    _set_alias(p, "--max-label-frames", "dataset.max_label_frames")
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train the recovery autoencoder")
     common(p)
     p.add_argument("--dataset", required=True, help="dataset directory (train/, test/)")
-    p.add_argument("--epochs", type=int, default=None)
+    _set_alias(p, "--epochs", "train.epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recover", help="run a frozen model over a sparse spectrogram")
@@ -477,7 +457,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except OSError as exc:   # an input that is missing or unreadable, or an unwritable output
+        where = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {where}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

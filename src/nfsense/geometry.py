@@ -206,8 +206,8 @@ class FeasibilityMap:
 
 def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             extent: tuple[float, float, float, float], resolution: float,
-            beta: float, interferer_intensity: float | None = None) -> FeasibilityMap:
-    """Feasibility raster for a single candidate interferer.
+            beta: float) -> FeasibilityMap:
+    """Feasibility raster for a single candidate interferer moving as the subject does.
 
     ``extent`` is (x_min, y_min, x_max, y_max); ``resolution`` the cell size.
     Each cell's two :func:`vir` values are array expressions over blocks of
@@ -225,12 +225,10 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
     if not (x_max > x_min and y_max > y_min):
         raise ValueError(f"degenerate extent {extent}")
     v_s, s = subject.intensity, subject.position
-    v_i = v_s if interferer_intensity is None else interferer_intensity
-    if not (v_i >= 0):
-        raise ValueError(f"interferer_intensity must be >= 0, got {v_i}")
     d_as, delta_i = ap.distance(s), s.distance(ue)  # the candidate's UE mirrors delta_i
     p_subject = variation_power(cfg, d_as, delta_i, v_s)
     p_dynamic = dynamic_power(cfg, ap.distance(ue))
+    g_s = cfg.g_tilde * v_s * v_s   # g v^2 of the subject and of every candidate
 
     nx = int(math.floor((x_max - x_min) / resolution)) + 1
     ny = int(math.floor((y_max - y_min) / resolution)) + 1
@@ -247,7 +245,7 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
                     | (np.hypot(x - s.x, y - s.y) < _COINCIDENT_TOL))
         with (np.errstate(divide="ignore", invalid="ignore") if singular.any()
               else contextlib.nullcontext()):
-            den_s = p_dynamic + cfg.g_tilde * v_i * v_i * pw(d_ai * d_ie, alpha)
+            den_s = p_dynamic + g_s * pw(d_ai * d_ie, alpha)
             # UE of the candidate sits past it on the line away from the AP.
             ue_x, ue_y = x + delta_i * ((x - ap.x) / d_ai), y + delta_i * ((y - ap.y) / d_ai)
             d_se, d_su = np.hypot(x - ue_x, y - ue_y), np.hypot(s.x - ue_x, s.y - ue_y)
@@ -256,7 +254,6 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             # A candidate's UE landing on the subject (d_su = 0) takes the
             # d_su -> 0 limit of the subject term: inf, so vir_interferer is 0
             # there; a still subject (v_s = 0) adds no term at any distance.
-            g_s = cfg.g_tilde * v_s * v_s
             with np.errstate(divide="ignore"):   # only d_su = 0 divides by zero here
                 subject_term = g_s * pw(d_as * d_su, alpha) if g_s > 0 else 0.0
             den_i = (cfg.eta * cfg.lambda_m ** 2 * pw(np.hypot(ap.x - ue_x, ap.y - ue_y), alpha)
@@ -264,7 +261,7 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             if not (den_s.all() and den_i.all()):
                 raise ZeroDivisionError("zero interference and zero dynamic power")
             np.divide(p_subject, den_s, out=vs)
-            np.divide(cfg.g_tilde * v_i * v_i * pw(d_ai * d_se, alpha), den_i, out=vi)
+            np.divide(g_s * pw(d_ai * d_se, alpha), den_i, out=vi)
         vs[singular] = vi[singular] = math.inf
         ok[r0:r0 + rows] = (vs >= beta) & (vi >= beta) & ~singular
 

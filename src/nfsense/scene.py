@@ -292,7 +292,8 @@ def save_csi_csv(series: CsiSeries, path) -> None:
 def load_csi_csv(path, link_id: str = "") -> CsiSeries:
     """Read a series written by :func:`save_csi_csv` (header ``t_s,re,im``)."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:   # an OSError names the path, as np.loadtxt's does not
+            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
     if data.size == 0:

@@ -174,15 +174,14 @@ def _hampel(values: np.ndarray) -> np.ndarray:
                     med, values)
 
 
-def lowpass_taps(f_cut: float, f_rs: float, n_taps: int | None = None) -> np.ndarray:
+def lowpass_taps(f_cut: float, f_rs: float) -> np.ndarray:
     """Hamming-windowed sinc low-pass kernel, unit DC gain.
 
     The tap count scales with f_rs/f_cut (minimum 129) so the transition
     band stays narrow relative to the cut-off; at 129 taps a 1 Hz cut-off
     on a 64 Hz grid would otherwise droop measurably inside the passband.
     """
-    if n_taps is None:
-        n_taps = max(_FIR_TAPS, int(4.0 * f_rs / f_cut) | 1)
+    n_taps = max(_FIR_TAPS, int(4.0 * f_rs / f_cut) | 1)
     m = np.arange(n_taps) - (n_taps - 1) / 2.0
     fc = f_cut / f_rs
     h = 2.0 * fc * np.sinc(2.0 * fc * m)
@@ -482,8 +481,10 @@ def load_dataset(out_dir) -> Dataset:
 
     Every ``.x`` input needs a ``.y`` target of the same shape; a missing
     partner, a shape mismatch, a ragged or non-numeric file or a non-finite
-    value raises a ValueError that names the file.
+    value raises a ValueError that names the file.  A missing ``out_dir``
+    raises FileNotFoundError, and a file NotADirectoryError.
     """
+    os.listdir(out_dir)
     sets = {}
     for name in ("train", "test"):
         sub = os.path.join(out_dir, name)

@@ -14,13 +14,32 @@ from nfsense.capacity import (DEFAULT_FIT, FitParams, refit_mirror, refit_radial
 from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
 from nfsense.geometry import RadioConfig, load_raster
-from nfsense.sra import Dataset, SraConfig, save_dataset
-from nfsense.tcn import TcnConfig, TrainConfig
+from nfsense.sra import Dataset, Spectrogram, SraConfig, save_dataset, save_spectrogram
+from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, save_model
 from nfsense.traffic import TrafficModel
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def write_spectrogram(path):
+    data = np.random.default_rng(0).uniform(-1.0, 1.0, (32, 16))
+    save_spectrogram(Spectrogram(data=data, no_data_cols=np.zeros(16, dtype=bool),
+                                 frame_times=np.arange(16) * 0.25), path)
+    return path
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def error_line(capsys):
+    """The one stderr line of a failed command; it must start with ``error:``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 class TestConfig:
@@ -160,6 +179,31 @@ class TestCapacityCommand:
         assert f"--r {r} holds no r above capacity.delta_r = 0.1" in err
         assert not out.exists()
 
+    def test_search_overflow_names_r_and_b(self, tmp_path, capsys):
+        # without the dynamic-channel term (b = 0) N_max grows without bound in r
+        assert run(["capacity", "--set", "radio.b=0", "--r", "1e5:1e5:1",
+                    "--out", tmp_path / "cap"]) == 1
+        assert error_line(capsys) == ("error: exact N search exceeded 1000000 "
+                                      "at r=100000 m with b=0 (radio.b)")
+
+    def test_alias_error_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "cap"
+        assert run(["capacity", "--beta", "inf", "--out", out]) == 1
+        assert error_line(capsys).startswith(
+            "error: --beta: bad config value capacity.beta='inf'")
+        assert not out.exists()
+
+    def test_alias_and_set_last_wins(self, tmp_path):
+        def sweep(name, *flags):
+            assert run(["capacity", *flags, "--r", "1.0:1.5:0.05",
+                        "--out", tmp_path / name]) == 0
+            return (tmp_path / name / "capacity.csv").read_bytes()
+
+        alpha3, alpha4 = sweep("a3", "--alpha", 3), sweep("a4", "--alpha", 4)
+        assert alpha3 != alpha4
+        assert sweep("set_last", "--alpha", 3, "--set", "radio.alpha=4") == alpha4
+        assert sweep("flag_last", "--set", "radio.alpha=4", "--alpha", 3) == alpha3
+
     @pytest.mark.parametrize("alpha", [4.0, 3.0])
     def test_readme_sweep_bytes_match_scalar_reference(self, tmp_path, alpha):
         out = tmp_path / "cap"
@@ -265,6 +309,32 @@ class TestSimulatePipeline:
         assert "recovery_mse,0.0" in text
         assert "near_rate_bpm" in text
 
+    def test_max_label_frames_flag_is_the_key(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--duration", 120, "--uniform-rate", 64, "--out", sim]) == 0
+        csi = [sim / f"csi_ue{i}.csv" for i in range(4)]
+
+        def build(name, *flags):
+            capsys.readouterr()
+            assert run(["build-dataset", "--csi", *csi, "--duration", 120, *flags,
+                        "--out", tmp_path / name]) == 0
+            return capsys.readouterr().out
+
+        # 0 keeps every label slice whole: 4 slices, not 16 chopped ones
+        assert build("flag", "--max-label-frames", 0) == build(
+            "key", "--set", "dataset.max_label_frames=0") == \
+            "dataset: 9 train pairs, 3 test pairs from 4 label slices\n"
+        assert tree_bytes(tmp_path / "flag") == tree_bytes(tmp_path / "key")
+
+    @pytest.mark.parametrize("given, missing", [("--recovered", "--truth"),
+                                                ("--truth", "--recovered")])
+    def test_eval_half_pair_names_the_missing_flag(self, tmp_path, capsys, given, missing):
+        spec = write_spectrogram(tmp_path / "spec.txt")
+        out = tmp_path / "ev"
+        assert run(["eval", given, spec, "--spectrogram", spec, "--out", out]) == 1
+        assert error_line(capsys).startswith(f"error: {missing} is missing")
+        assert not out.exists()
+
     def test_train_missing_dataset(self, tmp_path):
         assert run(["train", "--dataset", tmp_path / "none", "--out", tmp_path]) == 1
 
@@ -286,6 +356,39 @@ class TestSimulatePipeline:
         err = capsys.readouterr().err
         assert "empty train split" in err and str(ds) in err and "--uniform-rate" in err
         assert not (tmp_path / "tr").exists()
+
+
+class TestUnreadableInputs:
+    # {bad} is the input under test; {spec} and {model} are readable inputs
+    # for the flags a command reads before it.
+    COMMANDS = [
+        ["simulate", "--scene", "{bad}"],
+        ["build-dataset", "--csi", "{bad}"],
+        ["train", "--dataset", "{bad}"],
+        ["recover", "--model", "{bad}", "--spectrogram", "{spec}"],
+        ["recover", "--model", "{model}", "--spectrogram", "{bad}"],
+        ["eval", "--recovered", "{bad}", "--truth", "{spec}"],
+        ["eval", "--recovered", "{spec}", "--truth", "{bad}"],
+        ["eval", "--spectrogram", "{bad}"],
+        ["eval", "--spectrogram", "{spec}", "--baseline-spectrogram", "{bad}"],
+        ["register-sim", "--arrivals", "{bad}"],
+        ["capacity", "--config", "{bad}"],
+    ]
+
+    @pytest.mark.parametrize("kind", ["missing", "wrong_kind"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0] + a[a.index("{bad}") - 1])
+    def test_one_error_line_names_the_path(self, tmp_path, capsys, argv, kind):
+        spec = write_spectrogram(tmp_path / "spec.txt")
+        model = tmp_path / "model.tcn"
+        save_model(TcnModel.initialize(TcnConfig(n_c=8, bottleneck_dim=4)), model)
+        bad = tmp_path / "ghost"
+        if kind == "wrong_kind":   # a directory where a file is read, and vice versa
+            bad = spec if argv[0] == "train" else tmp_path
+        paths = {"{bad}": bad, "{spec}": spec, "{model}": model}
+        out = tmp_path / "out"
+        assert run([paths.get(a, a) for a in argv] + ["--out", out]) == 1
+        assert error_line(capsys).startswith(f"error: {bad}: ")
+        assert not out.exists()
 
 
 class TestBfiDemoCommand:

@@ -148,8 +148,11 @@ class TestVir:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def scalar_vir_map(cfg, ap, ue, subject, fmap, beta, v_i):
-    """The per-cell loop vir_map replaces: two scalar vir() calls per cell."""
+def scalar_vir_map(cfg, ap, ue, subject, fmap, beta):
+    """The per-cell loop vir_map replaces: two scalar vir() calls per cell.
+
+    Each candidate interferer moves with the subject's intensity.
+    """
     delta_i = subject.position.distance(ue)
     vs, vi = np.empty((2, fmap.ny, fmap.nx))
     ok = np.zeros((fmap.ny, fmap.nx), dtype=bool)
@@ -158,7 +161,7 @@ def scalar_vir_map(cfg, ap, ue, subject, fmap, beta, v_i):
         if any(cell.distance(p) < 1e-12 for p in (ap, ue, subject.position)):
             vs[row, col] = vi[row, col] = math.inf
             continue
-        itf = Mover(cell, v_i)
+        itf = Mover(cell, subject.intensity)
         d = ap.distance(cell)
         cell_ue = Point2D(cell.x + delta_i * ((cell.x - ap.x) / d),
                           cell.y + delta_i * ((cell.y - ap.y) / d))
@@ -235,12 +238,11 @@ class TestVirMap:
         assert np.array_equal(a.vir_interferer, b.vir_interferer)
         assert np.array_equal(a.feasible, b.feasible)
 
-    def check_oracle(self, cfg, ap, ue, subject, extent, resolution, v_i=None, beta=50.0):
+    def check_oracle(self, cfg, ap, ue, subject, extent, resolution, beta=50.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fmap = vir_map(cfg, ap, ue, subject, extent, resolution, beta, v_i)
-        vs, vi, ok = scalar_vir_map(cfg, ap, ue, subject, fmap, beta,
-                                    subject.intensity if v_i is None else v_i)
+            fmap = vir_map(cfg, ap, ue, subject, extent, resolution, beta)
+        vs, vi, ok = scalar_vir_map(cfg, ap, ue, subject, fmap, beta)
         for got, want in ((fmap.vir_subject, vs), (fmap.vir_interferer, vi)):
             assert np.array_equal(np.isinf(got), np.isinf(want))
             fin = np.isfinite(want)
@@ -251,10 +253,12 @@ class TestVirMap:
     @pytest.mark.parametrize("cfg", [RadioConfig(), RadioConfig(alpha=3.0),
                                      RadioConfig(eta=0.0, b=0.0)],
                              ids=["default", "alpha3", "eta_b_zero"])
-    @pytest.mark.parametrize("v_i", [None, 0.4])
-    def test_grid_points_on_ap_ue_and_subject(self, cfg, v_i):
-        ap, ue, subject = Point2D(0.0, 0.0), Point2D(3.0, 0.625), Mover(Point2D(3.0, 0.5), 1.3)
-        fmap = self.check_oracle(cfg, ap, ue, subject, (-1.0, -1.0, 3.5, 1.5), 0.125, v_i, beta=5.0)
+    @pytest.mark.parametrize("speed", [None, 0.4])   # None: the default 1.3
+    def test_grid_points_on_ap_ue_and_subject(self, cfg, speed):
+        # beta 2: at alpha 3 a 0.4 subject clears beta 5 nowhere
+        ap, ue = Point2D(0.0, 0.0), Point2D(3.0, 0.625)
+        subject = Mover(Point2D(3.0, 0.5), 1.3 if speed is None else speed)
+        fmap = self.check_oracle(cfg, ap, ue, subject, (-1.0, -1.0, 3.5, 1.5), 0.125, beta=2.0)
         singular = np.isinf(fmap.vir_subject)
         # exactly the three cells at (0, 0), (3, 0.5) and (3, 0.625)
         assert sorted(zip(*np.nonzero(singular))) == [(8, 8), (12, 32), (13, 32)]
@@ -275,14 +279,14 @@ class TestVirMap:
     def test_single_row_wider_than_the_block(self):
         res, nx = 1 / 512, 5000
         assert nx > geometry._BLOCK_CELLS
-        fmap = self.check_oracle(self.cfg, self.ap, self.ue, self.subject,
-                                 (-4.0, 0.25, -4.0 + (nx - 1) * res, 0.25 + 1.5 * res), res, 0.8)
+        fmap = self.check_oracle(self.cfg, self.ap, self.ue, Mover(self.subject.position, 0.8),
+                                 (-4.0, 0.25, -4.0 + (nx - 1) * res, 0.25 + 1.5 * res), res)
         assert (fmap.ny, fmap.nx) == (2, nx)
 
     def map(self, extent=(-1.0, -1.0, 1.0, 1.0), resolution=0.5, ap=None, ue=None,
-            subject=None, v_i=None):
+            subject=None):
         return vir_map(self.cfg, ap or self.ap, ue or self.ue, subject or self.subject,
-                       extent, resolution, 50.0, v_i)
+                       extent, resolution, 50.0)
 
     @pytest.mark.parametrize("extent", [(-4.0, -4.0, math.inf, 4.0), (-math.inf, 0.0, 1.0, 1.0),
                                         (0.0, math.nan, 1.0, 1.0)])
@@ -305,15 +309,16 @@ class TestVirMap:
         ue, subject = Point2D(3.25, 0.0), Mover(Point2D(3.0, 0.0), v_s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fmap = vir_map(self.cfg, self.ap, ue, subject, (2.0, -0.5, 3.5, 0.5), 0.25, 1e-9, 0.4)
+            fmap = vir_map(self.cfg, self.ap, ue, subject, (2.0, -0.5, 3.5, 0.5), 0.25, 1e-9)
         assert fmap.cell_center(2, 3) == Point2D(2.75, 0.0)
         if v_s > 0:
             # the subject term (d_as * d_su)^-alpha grows without bound
             assert fmap.vir_interferer[2, 3] == 0.0 and not fmap.feasible[2, 3]
         else:
-            # a still subject adds nothing wherever it is
+            # a still subject adds nothing wherever it is (no 0 * inf NaN), and
+            # the candidate, as still as the subject, varies nothing either
             still_elsewhere = Mover(Point2D(0.5, 2.0), 0.0)
-            want = vir(self.cfg, self.ap, subject.position, Mover(Point2D(2.75, 0.0), 0.4),
+            want = vir(self.cfg, self.ap, subject.position, Mover(Point2D(2.75, 0.0), v_s),
                        [still_elsewhere])
             assert fmap.vir_interferer[2, 3] == pytest.approx(want, rel=1e-12)
         assert np.isfinite(fmap.vir_subject[2, 3])
@@ -322,16 +327,12 @@ class TestVirMap:
         with pytest.raises(ValueError, match=r"distances must be > 0, got 0\.0"):
             self.map(ue=Point2D(0.0, 0.0), subject=Mover(Point2D(0.1, 0.0), 1.0))
 
-    def test_negative_interferer_intensity(self):
-        with pytest.raises(ValueError, match="interferer_intensity"):
-            self.map(v_i=-1.0)
-
     def test_zero_denominator_like_scalar_vir(self):
         self.cfg = RadioConfig(eta=0.0, b=0.0)
         with pytest.raises(ZeroDivisionError):
             vir(self.cfg, self.ap, self.ue, self.subject, [Mover(Point2D(1.0, 1.0), 0.0)])
         with pytest.raises(ZeroDivisionError):
-            self.map(v_i=0.0)
+            self.map(subject=Mover(self.subject.position, 0.0))
 
 
 class TestRasterIO:
