@@ -182,13 +182,10 @@ def cmd_simulate(args) -> int:
 def cmd_build_dataset(args) -> int:
     cfg = _load_run_config(args)
     sra_cfg = cfg.sra()
-    labels: list[np.ndarray] = []
-    for path in args.csi:
-        series = scene_mod.load_csi_csv(path)
-        spec = sra_mod.process_series(series, sra_cfg, duration=args.duration)
-        name = os.path.splitext(os.path.basename(path))[0]
-        sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
-        labels.extend(sra_mod.extract_label_slices(spec, sra_cfg))
+    # every step that can fail runs before the first file is written
+    specs = [sra_mod.process_series(scene_mod.load_csi_csv(path), sra_cfg,
+                                    duration=args.duration) for path in args.csi]
+    labels = [s for spec in specs for s in sra_mod.extract_label_slices(spec, sra_cfg)]
     width = cfg["dataset.max_label_frames"]
     if width:
         stride = cfg["dataset.label_stride"] or width
@@ -199,6 +196,9 @@ def cmd_build_dataset(args) -> int:
                                mean_run_frames=cfg["mask.mean_run_frames"],
                                split_fraction=cfg["dataset.split_fraction"],
                                seed=args.seed or 0)
+    for path, spec in zip(args.csi, specs):
+        name = os.path.splitext(os.path.basename(path))[0]
+        sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
     sra_mod.save_dataset(ds, _out_path(args, "dataset"))
     print(f"dataset: {len(ds.train)} train pairs, {len(ds.test)} test pairs "
           f"from {len(labels)} label slices")

@@ -39,6 +39,9 @@ _CLI_DEFAULTS = {
     "dataset.label_stride": 96,
 }
 
+# Frame counts where 0 means "keep label slices whole" and "stride = width".
+_NON_NEGATIVE = ("dataset.max_label_frames", "dataset.label_stride")
+
 # Every accepted key with its annotation and default.
 _SCHEMA: dict[str, tuple[str, Any]] = {
     **{f"{section}.{f.name}": (f.type, f.default)
@@ -64,7 +67,10 @@ class RunConfig:
         """Set ``key`` from its text; errors name ``source`` (a flag or a file)."""
         if key not in _SCHEMA:
             raise ValueError(f"{source}: unknown config key {key!r}")
-        self.values[key] = kvtext.parse(_SCHEMA[key][0], str(value), key, source)
+        parsed = kvtext.parse(_SCHEMA[key][0], str(value), key, source)
+        if key in _NON_NEGATIVE and parsed < 0:
+            raise ValueError(f"{source}: bad config value {key}={value!r}: must be >= 0")
+        self.values[key] = parsed
 
     def _build(self, section: str, **supplied: Any):
         cls = _SECTIONS[section]

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kvtext
+
 FOUR_PI = 4.0 * math.pi
 
 # Positions closer than this are treated as coincident (singular geometry).
@@ -277,8 +279,7 @@ def save_raster(path, values: np.ndarray, x0: float, y0: float,
     ny, nx = arr.shape
     with open(path, "w") as fh:
         fh.write(f"# {x0:.10g} {y0:.10g} {dx:.10g} {dy:.10g} {nx} {ny}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+        fh.write(kvtext.format_table(arr, " ".join(["%.10g"] * nx) + "\n"))
 
 
 def load_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:

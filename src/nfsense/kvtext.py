@@ -1,19 +1,27 @@
-"""The key=value text format of run configs, scene files and the model header.
+"""The text formats: key=value files and numeric tables.
 
-One ``key=value`` per line, each key at most once; blank lines and ``#``
+Run configs, scene files and the model header are key=value text:
+one ``key=value`` per line, each key at most once; blank lines and ``#``
 comments are skipped.  A value is read and written by the annotation of the
 dataclass field it fills: a float is finite and written ``.9g``, an int or
 str as is, a bool as 0/1, ``tuple[int, ...]`` as ``1,2,4`` and hold
 intervals as ``a:b;c:d``.
 Annotations are compared as text, since every module postpones them.
 Errors name the file (or other source) and the key.
+
+Numeric tables (CSI series, sample times, spectrograms, rasters) are
+written by :func:`format_table`, one ``%`` over all values.  Dataset pairs,
+whose masked copies repeat their label's values, are written by
+:func:`format_rows`, which converts each distinct value once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 
 def _finite(text: str) -> float:
@@ -109,3 +117,34 @@ def lines(prefix: str, obj, names: Iterable[str] | None = None) -> list[str]:
     """``prefix + field=value`` lines of dataclass ``obj`` (only ``names`` if given)."""
     return [f"{prefix}{f.name}={_CODECS[f.type][1](getattr(obj, f.name))}"
             for f in dataclasses.fields(obj) if names is None or f.name in names]
+
+
+def format_table(a: np.ndarray, row_fmt: str) -> str:
+    """The text of 2-D ``a`` (or 1-D, a value per row): ``row_fmt % row`` per row.
+
+    ``row_fmt`` holds one ``%`` field per column and the line end.  Values
+    are formatted as Python floats, which gives the bytes of
+    ``np.savetxt`` and of ``f"{v:...}"`` on numpy scalars.
+    """
+    return row_fmt * len(a) % tuple(np.ravel(a).tolist())
+
+
+def format_rows(arrays: Sequence[np.ndarray], fmt: str) -> list[str]:
+    """The text of each 2-D array: a line per row of ``fmt % v`` values joined by spaces.
+
+    Each distinct value of all the arrays is converted once, told apart by
+    its bits, so -0.0 stays -0.0.  This pays only for arrays that share
+    values, such as the masked copies of one label; ``format_table``, one
+    ``%`` over every value, is faster on arrays whose values seldom repeat.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    words = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+    texts, start = [], 0
+    for a in arrays:
+        rows, cols = a.shape
+        w = words[inverse[start:start + a.size]].tolist()
+        texts.append("".join(" ".join(w[i * cols:(i + 1) * cols]) + "\n" for i in range(rows)))
+        start += a.size
+    return texts

@@ -285,8 +285,8 @@ def render_baseline(scene: Scene, sample_times) -> CsiSeries:
 def save_csi_csv(series: CsiSeries, path) -> None:
     with open(path, "w") as fh:
         fh.write("t_s,re,im\n")
-        for t, v in zip(series.timestamps, series.values):
-            fh.write(f"{t:.9f},{v.real:.12e},{v.imag:.12e}\n")
+        table = np.column_stack([series.timestamps, series.values.real, series.values.imag])
+        fh.write(kvtext.format_table(table, "%.9f,%.12e,%.12e\n"))
 
 
 def load_csi_csv(path, link_id: str = "") -> CsiSeries:
@@ -305,8 +305,9 @@ def load_csi_csv(path, link_id: str = "") -> CsiSeries:
         raise ValueError(f"{path}: non-finite value")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
-    return CsiSeries(timestamps=data[:, 0], values=data[:, 1] + 1j * data[:, 2],
-                     link_id=link_id)
+    # the (re, im) pairs viewed as complex: re + 1j * im would turn -0.0 into 0.0
+    return CsiSeries(timestamps=data[:, 0], link_id=link_id,
+                     values=np.ascontiguousarray(data[:, 1:]).view(complex).ravel())
 
 
 def _scene_lines(scene: Scene) -> list[str]:

@@ -10,6 +10,7 @@ traffic so that masked copies of dense slices can serve as training inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import kvtext
 from .scene import CsiSeries
 
 NO_DATA_SENTINEL = -1.0
@@ -413,9 +415,8 @@ def save_spectrogram(spec: Spectrogram, path) -> None:
     t0 = float(spec.frame_times[0]) if spec.n_t else 0.0
     with open(path, "w") as fh:
         fh.write(f"{spec.n_f} {spec.n_t} {t0:.9f} {frame_dt:.9f}\n")
-        for row in spec.data:
-            fh.write(" ".join(f"{v:.9e}" for v in row) + "\n")
-        fh.write(" ".join("1" if f else "0" for f in spec.no_data_cols) + "\n")
+        fh.write(kvtext.format_table(spec.data, " ".join(["%.9e"] * spec.n_t) + "\n"))
+        fh.write(" ".join(np.where(spec.no_data_cols, "1", "0").tolist()) + "\n")
 
 
 def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
@@ -452,13 +453,23 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
-    """Numbered pair files NNNN.x / NNNN.y under train/ and test/ subdirs."""
+    """Numbered pair files NNNN.x / NNNN.y under train/ and test/ subdirs.
+
+    Each file holds its 2-D array, a row per line of ``%.9e`` values.  The
+    masked copies of one label sit next to each other and hold only its
+    values and the sentinel, so each run of pairs with one target is
+    formatted in one call, which converts each value once.
+    """
     for name, pairs in (("train", ds.train), ("test", ds.test)):
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)
-        for i, (x, y) in enumerate(pairs):
-            np.savetxt(os.path.join(sub, f"{i:04d}.x"), x, fmt="%.9e")
-            np.savetxt(os.path.join(sub, f"{i:04d}.y"), y, fmt="%.9e")
+        for _, run in itertools.groupby(enumerate(pairs), lambda item: item[1][1].tobytes()):
+            run = list(run)
+            files = [f"{i:04d}{suffix}" for i, _ in run for suffix in (".x", ".y")]
+            texts = kvtext.format_rows([a for _, pair in run for a in pair], "%.9e")
+            for file, text in zip(files, texts):
+                with open(os.path.join(sub, file), "w") as fh:
+                    fh.write(text)
 
 
 def _load_pair_file(path) -> np.ndarray:
@@ -497,7 +508,8 @@ def load_dataset(out_dir) -> Dataset:
                     raise ValueError(f"{yp}: missing, but its input {xf} exists")
                 x, y = _load_pair_file(xp), _load_pair_file(yp)
                 if x.shape != y.shape:
-                    raise ValueError(f"{yp}: shape {y.shape} differs from its input's {x.shape}")
+                    raise ValueError(f"{yp}: shape {y.shape} differs from {x.shape} of its "
+                                     f"input {xp}")
                 pairs.append((x, y))
         sets[name] = tuple(pairs)
     return Dataset(train=sets["train"], test=sets["test"])

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kvtext
+
 KINDS = ("ul_csi", "dl_csi", "ul_bfi")
 
 # BFI reports are roughly a tenth of data frames and top out near 10 per
@@ -168,5 +170,4 @@ def max_rate_in_window(times: np.ndarray, window_s: float = 1.0) -> int:
 def save_sample_times(st: SampleTimes, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# duration_s {st.duration:.6f}\n")
-        for t in st.times:
-            fh.write(f"{t:.6f}\n")
+        fh.write(kvtext.format_table(st.times, "%.6f\n"))

@@ -326,6 +326,47 @@ class TestSimulatePipeline:
             "dataset: 9 train pairs, 3 test pairs from 4 label slices\n"
         assert tree_bytes(tmp_path / "flag") == tree_bytes(tmp_path / "key")
 
+    @pytest.mark.parametrize("source, setting", [
+        ("--max-label-frames", "-5"),
+        ("--set", "dataset.max_label_frames=-5"),
+        ("--set", "dataset.label_stride=-1"),
+        ("--config", "dataset.label_stride=-1"),
+    ])
+    def test_negative_frame_count_names_the_key(self, tmp_path, capsys, source, setting):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--duration", 4, "--uniform-rate", 64, "--out", sim]) == 0
+        flags = [source, setting]
+        if source == "--config":     # the error names the file
+            source = tmp_path / "run.cfg"
+            source.write_text(setting + "\n")
+            flags = ["--config", source]
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run(["build-dataset", "--csi", sim / "csi_ue0.csv", "--duration", 4,
+                    "--out", out, *flags]) == 1
+        line = error_line(capsys)
+        assert line.startswith(f"error: {source}: bad config value dataset.") and \
+            line.endswith("must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("traffic, ghost", [
+        (["--uniform-rate", 64], True),
+        # a short bursty link has no slice long enough to be a label
+        (["--traffic-kind", "dl-csi"], False)])
+    def test_build_dataset_writes_nothing_when_it_fails(self, tmp_path, capsys,
+                                                        traffic, ghost):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--duration", 4, *traffic, "--seed", 1, "--out", sim]) == 0
+        out, csi = tmp_path / "ds", [sim / "csi_ue0.csv"]
+        if ghost:
+            csi.append(tmp_path / "ghost.csv")
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["build-dataset", "--csi", *csi, "--duration", 4, "--out", out]) == 1
+        assert error_line(capsys).startswith(f"error: {csi[1]}: " if ghost
+                                             else "error: no eligible label slices")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("given, missing", [("--recovered", "--truth"),
                                                 ("--truth", "--recovered")])
     def test_eval_half_pair_names_the_missing_flag(self, tmp_path, capsys, given, missing):
