@@ -277,6 +277,7 @@ def save_raster(path, values: np.ndarray, x0: float, y0: float,
     """Write a raster as text: header ``# x0 y0 dx dy nx ny`` then row-major values."""
     arr = np.asarray(values)
     ny, nx = arr.shape
+    kvtext.check_text_range(path, arr, [x0, y0, dx, dy])
     with open(path, "w") as fh:
         fh.write(f"# {x0:.10g} {y0:.10g} {dx:.10g} {dy:.10g} {nx} {ny}\n")
         fh.write(kvtext.format_table(arr, " ".join(["%.10g"] * nx) + "\n"))

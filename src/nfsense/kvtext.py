@@ -78,8 +78,11 @@ def parse_lines(lines: Iterable[str], path, first_line: int = 1) -> dict[str, st
 
 
 def read(path) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_lines(fh, path)
+    try:
+        with open(path) as fh:
+            return parse_lines(fh, path)
+    except UnicodeDecodeError as exc:    # a ValueError, but one that does not name the file
+        raise ValueError(f"{path}: not text: {exc}") from None
 
 
 def parse(kind: str, text: str, key: str, path) -> Any:
@@ -117,6 +120,21 @@ def lines(prefix: str, obj, names: Iterable[str] | None = None) -> list[str]:
     """``prefix + field=value`` lines of dataclass ``obj`` (only ``names`` if given)."""
     return [f"{prefix}{f.name}={_CODECS[f.type][1](getattr(obj, f.name))}"
             for f in dataclasses.fields(obj) if names is None or f.name in names]
+
+
+# Finite values from here up print, at the 10 significant digits of ``%.9e``
+# and ``%.10g``, as text above the largest double, which reads back as inf.
+TEXT_MAX = 1.7976931345e308
+
+
+def check_text_range(path, *arrays) -> None:
+    """Refuse, naming ``path``, a finite value that 10 digits would write as inf."""
+    for a in arrays:
+        a = np.abs(np.asarray(a, dtype=float))
+        big = a[(a >= TEXT_MAX) & (a < np.inf)]
+        if big.size:
+            raise ValueError(f"{path}: |value| {float(big[0])!r} is at least {TEXT_MAX!r}; "
+                             f"10 digits would write it as inf")
 
 
 def format_table(a: np.ndarray, row_fmt: str) -> str:

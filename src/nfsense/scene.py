@@ -196,12 +196,20 @@ def _subject_axis(user: SceneUser) -> np.ndarray:
 
 def _reflection_track(scene: Scene, user: SceneUser, rx: Point2D,
                       times: np.ndarray) -> np.ndarray:
-    """Complex gain contribution of one subject toward receiver ``rx``."""
+    """Complex gain contribution of one subject toward receiver ``rx``.
+
+    Distances are ``sqrt(dx*dx + dy*dy)`` of the reflecting point's
+    coordinates, the bits of ``np.linalg.norm(axis=1)`` on its (n, 2) points.
+    """
     disp = displacement(user.motion, times)
-    point = user.subject.as_array()[None, :] + disp[:, None] * _subject_axis(user)[None, :]
-    d_as = np.linalg.norm(point - scene.ap.as_array(), axis=1)
-    d_se = np.linalg.norm(point - rx.as_array(), axis=1)
-    return reflection_gain_array(scene.cfg, d_as, d_se)
+    ax, ay = _subject_axis(user)
+    x, y = user.subject.x + disp * ax, user.subject.y + disp * ay
+
+    def distance(p: Point2D) -> np.ndarray:
+        dx, dy = x - p.x, y - p.y
+        return np.sqrt(dx * dx + dy * dy)
+
+    return reflection_gain_array(scene.cfg, distance(scene.ap), distance(rx))
 
 
 def _static_gain(cfg: RadioConfig, d_ae: float) -> complex:
@@ -290,12 +298,14 @@ def save_csi_csv(series: CsiSeries, path) -> None:
 
 
 def load_csi_csv(path, link_id: str = "") -> CsiSeries:
-    """Read a series written by :func:`save_csi_csv` (header ``t_s,re,im``)."""
-    try:
-        with open(path) as fh:   # an OSError names the path, as np.loadtxt's does not
-            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
+    """Read a series written by :func:`save_csi_csv`; its first line must be ``t_s,re,im``."""
+    with open(path) as fh:   # an OSError names the path, as np.loadtxt's does not
+        if fh.readline().strip() != "t_s,re,im":
+            raise ValueError(f"{path}: first line must be the header t_s,re,im")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
     if data.size == 0:
         return CsiSeries(timestamps=np.array([]), values=np.array([], dtype=complex),
                          link_id=link_id)

@@ -32,6 +32,7 @@ _FRAME_NO_DATA_FRACTION = 0.5
 _HAMPEL_HALF_WINDOW = 3          # window 7
 _HAMPEL_N_SIGMAS = 3.0
 _MAD_TO_SIGMA = 1.4826
+_HAMPEL_BLOCK_ROWS = 1024
 _FIR_TAPS = 129
 
 
@@ -156,24 +157,42 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int, bool]]:
     return [(a, b, bool(flags[a])) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
-def _hampel(values: np.ndarray) -> np.ndarray:
-    """Replace outliers by the rolling median (window 7, 3 scaled MADs).
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``arange(lo[i], hi[i])`` for every i, back to back, and each range's length."""
+    lengths = hi - lo
+    shift = lo - np.cumsum(lengths) + lengths      # each range's start minus its offset
+    return np.arange(lengths.sum()) + np.repeat(shift, lengths), lengths
 
-    End windows are truncated: +inf pads them, and each median is np.median's
-    own formula, the mean of sorted entries (m-1)//2 and m//2 of m real values.
+
+def _hampel(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Replace outliers by the rolling median (window 7, 3 scaled MADs), run by run.
+
+    ``values`` holds runs of ``lengths`` samples back to back; no window
+    crosses a run.  End windows are truncated: +inf pads each run, and each
+    median is np.median's own formula, the mean of sorted entries (m-1)//2 and
+    m//2 of m real values.  Rows go in blocks of ``_HAMPEL_BLOCK_ROWS``, so
+    temporaries do not grow with the link.
     """
-    n, k = values.size, _HAMPEL_HALF_WINDOW
-    pos = np.arange(n)
-    m = np.minimum(pos + k, n - 1) - np.maximum(pos - k, 0) + 1
-    lo, hi = (pos, (m - 1) // 2), (pos, m // 2)
-    pad = np.full(k, np.inf)
-    windows = np.concatenate([pad, values, pad])[pos[:, None] + np.arange(2 * k + 1)]
-    s = np.sort(windows, axis=1)
-    med = (s[lo] + s[hi]) / 2
-    s = np.sort(np.abs(windows - med[:, None]), axis=1)
-    mad = (s[lo] + s[hi]) / 2
-    return np.where(np.abs(values - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300,
-                    med, values)
+    k, lengths = _HAMPEL_HALF_WINDOW, np.asarray(lengths)
+    pos, _ = _ranges(np.zeros_like(lengths), lengths)
+    m = np.minimum(pos + k, np.repeat(lengths, lengths) - 1) - np.maximum(pos - k, 0) + 1
+    at = np.arange(values.size) + (2 * np.repeat(np.arange(lengths.size), lengths) + 1) * k
+    padded = np.full(values.size + 2 * k * lengths.size, np.inf)
+    padded[at] = values
+    out = np.empty(values.size)
+    for r0 in range(0, values.size, _HAMPEL_BLOCK_ROWS):
+        rows = slice(r0, r0 + _HAMPEL_BLOCK_ROWS)
+        windows = padded[at[rows, None] + np.arange(-k, k + 1)]
+        row = np.arange(len(windows))
+        lo, hi = (row, (m[rows] - 1) // 2), (row, m[rows] // 2)
+        s = np.sort(windows, axis=1)
+        med = (s[lo] + s[hi]) / 2
+        s = np.sort(np.abs(windows - med[:, None]), axis=1)
+        mad = (s[lo] + s[hi]) / 2
+        v = values[rows]
+        out[rows] = np.where(np.abs(v - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300,
+                             med, v)
+    return out
 
 
 def lowpass_taps(f_cut: float, f_rs: float) -> np.ndarray:
@@ -210,7 +229,9 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
     Non-sparse slices: Hampel outlier rejection then linear interpolation.
     Sparse slices: raw samples snapped to their nearest grid instant, all
     other instants tagged no-data and bridged linearly so the low-pass
-    filter sees a continuous track.
+    filter sees a continuous track.  The slices must be in time order and
+    must not overlap, as :func:`segment` makes them; all of them are
+    resampled at once.
     """
     if duration is None:
         duration = max(s.t1 for s in segmentation)
@@ -222,22 +243,38 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
     t = series.timestamps
     phase = series.phase() if len(series) else np.array([])
 
-    for sl in segmentation:
-        g_lo = int(math.ceil(sl.t0 * cfg.f_rs - 1e-9))
-        g_hi = min(int(math.floor(sl.t1 * cfg.f_rs + 1e-9)), n - 1)
-        if sl.t1 < duration and abs(g_hi / cfg.f_rs - sl.t1) < 1e-12:
-            g_hi -= 1  # grid instant on the boundary belongs to the next slice
-        if g_hi < g_lo:
-            continue
-        inside = slice(*np.searchsorted(t, (sl.t0, sl.t1)))
-        if sl.non_sparse and inside.stop - inside.start >= 2:
-            clean = _hampel(phase[inside])
-            values[g_lo:g_hi + 1] = np.interp(grid[g_lo:g_hi + 1], t[inside], clean)
-            no_data[g_lo:g_hi + 1] = False
-        else:
-            k = np.clip(np.round(t[inside] * cfg.f_rs).astype(int), g_lo, g_hi)
-            values[k] = phase[inside]
-            no_data[k] = False
+    table = np.array([(s.t0, s.t1, s.non_sparse) for s in segmentation], dtype=float)
+    table = table.reshape(-1, 3)
+    if np.any(np.diff(table[:, :2].ravel()) < 0):
+        raise ValueError("slices must be in time order and must not overlap")
+    t0, t1, non_sparse = table.T
+    g_lo = np.ceil(t0 * cfg.f_rs - 1e-9).astype(int)
+    g_hi = np.minimum(np.floor(t1 * cfg.f_rs + 1e-9).astype(int), n - 1)
+    # a grid instant on the boundary belongs to the next slice
+    g_hi -= (t1 < duration) & (np.abs(g_hi / cfg.f_rs - t1) < 1e-12)
+    kept = g_hi >= g_lo
+    g_lo, g_hi = g_lo[kept], g_hi[kept]
+    first, stop = np.searchsorted(t, [t0[kept], t1[kept]])
+    dense = (non_sparse[kept] == 1) & (stop - first >= 2)
+
+    # Every write in slice order: a dense slice's grid instants, a sparse
+    # slice's samples.  An instant two slices share keeps the later write.
+    src, count = _ranges(np.where(dense, g_lo, first), np.where(dense, g_hi + 1, stop))
+    on_grid = np.repeat(dense, count)
+    snap = ~on_grid
+    at, put = src.copy(), np.empty(src.size)
+    at[snap] = np.clip(np.round(t[src[snap]] * cfg.f_rs).astype(int),
+                       np.repeat(g_lo, count)[snap], np.repeat(g_hi, count)[snap])
+    put[snap] = phase[src[snap]]
+    if dense.any():
+        # np.interp returns fp[j] at knot j: clamping an instant to its own
+        # slice's first and last sample gives that slice's end fill
+        samples, runs = _ranges(first[dense], stop[dense])
+        x = np.clip(grid[src[on_grid]], np.repeat(t[first[dense]], count[dense]),
+                    np.repeat(t[stop[dense] - 1], count[dense]))
+        put[on_grid] = np.interp(x, t[samples], _hampel(phase[samples], runs))
+    values[at] = put
+    no_data[at] = False
 
     have = ~np.isnan(values)
     if not have.any():
@@ -413,6 +450,7 @@ def save_spectrogram(spec: Spectrogram, path) -> None:
     """Text format: header ``N_F N_T t0_s frame_dt_s``, rows, then flag row."""
     frame_dt = float(spec.frame_times[1] - spec.frame_times[0]) if spec.n_t > 1 else 0.0
     t0 = float(spec.frame_times[0]) if spec.n_t else 0.0
+    kvtext.check_text_range(path, spec.data)
     with open(path, "w") as fh:
         fh.write(f"{spec.n_f} {spec.n_t} {t0:.9f} {frame_dt:.9f}\n")
         fh.write(kvtext.format_table(spec.data, " ".join(["%.9e"] * spec.n_t) + "\n"))
@@ -426,7 +464,12 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
     ``df_hz`` when a real frequency mapping is needed.
     """
     with open(path) as fh:
-        rows = [line.split() for line in fh]
+        lines = fh.readlines()
+    for i, line in enumerate(lines, 1):
+        # Python's float reads '1_0' and non-ASCII digits; np.loadtxt does not
+        if "_" in line or not line.isascii():
+            raise ValueError(f"{path}: line {i}: '_' or a non-ASCII character")
+    rows = [line.split() for line in lines]
     try:
         n_f, n_t, t0, frame_dt = rows[0]
         n_f, n_t, t0, frame_dt = int(n_f), int(n_t), float(t0), float(frame_dt)
@@ -441,6 +484,9 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
             raise ValueError(f"{path}: line {i} has {len(row)} values, expected {n_t}")
     if not set(rows[n_f + 1]) <= {"0", "1"}:
         raise ValueError(f"{path}: flag row must hold only 0 and 1")
+    for i, row in enumerate(rows[n_f + 2:], n_f + 3):
+        if row:
+            raise ValueError(f"{path}: line {i}: text after the flag row")
     try:
         data = np.array(rows[1:n_f + 1], dtype=float).reshape(n_f, n_t)
     except ValueError as exc:
@@ -460,6 +506,10 @@ def save_dataset(ds: Dataset, out_dir) -> None:
     values and the sentinel, so each run of pairs with one target is
     formatted in one call, which converts each value once.
     """
+    for name, pairs in (("train", ds.train), ("test", ds.test)):
+        for i, pair in enumerate(pairs):
+            for suffix, a in zip((".x", ".y"), pair):
+                kvtext.check_text_range(os.path.join(out_dir, name, f"{i:04d}{suffix}"), a)
     for name, pairs in (("train", ds.train), ("test", ds.test)):
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sra_reference
+from nfsense.cli import demo_scene
 from nfsense.geometry import Point2D, RadioConfig
 from nfsense.scene import (_OU_TAU_S, MOTION_KINDS, CsiSeries, MotionProfile, Scene, SceneUser,
-                           _ou_track, displacement, load_csi_csv, load_scene,
+                           _ou_track, _reflection_track, displacement, load_csi_csv, load_scene,
                            render_baseline, render_components, render_csi,
                            save_csi_csv, save_scene)
 from nfsense.traffic import KINDS, TrafficModel, generate_arrivals
@@ -286,6 +288,9 @@ class TestCsiSeries:
         (3, "0.031250000,1.2e-05,-nan", "non-finite"),
         (3, "0.015625000,1.2e-05,2.2e-05", "strictly increasing"),  # repeated time
         (3, "0.010000000,1.2e-05,2.2e-05", "strictly increasing"),
+        (0, "0.000000000,9.0e-05,9.0e-05", "header"),       # no header: not a lost sample
+        (0, "t,re,im", "header"),
+        (0, "", "header"),
     ])
     def test_malformed_file_named(self, tmp_path, line, text, match):
         lines = list(self.GOOD)
@@ -309,6 +314,13 @@ class TestCsiSeries:
         series = load_csi_csv(path, link_id="x")
         assert series.timestamps.tolist() == [0.0, 0.015625, 0.03125]
         assert series.values[1] == complex(1.1e-05, 2.1e-05)
+
+    def test_empty_file_named(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header t_s,re,im") as exc:
+            load_csi_csv(path)
+        assert str(path) in str(exc.value)
 
 
 class TestSceneIO:
@@ -422,3 +434,30 @@ def scenes(draw):
     return Scene(ap=Point2D(draw(_finite(-1.5, -0.5)), draw(_finite(-0.5, 0.5))),
                  users=tuple(users), cfg=radio, baseline_observer=baseline,
                  noise_std=draw(_finite(0.0, 1.0)), seed=draw(st.integers(0, 2 ** 32)))
+
+
+class TestReflectionTrackMatchesNorm:
+    @given(scene=scenes(), shift=_finite(-1e3, 1e3),
+           times=st.lists(_finite(0.0, 1e4), max_size=40).map(np.unique))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_scenes(self, scene, shift, times):
+        # shifting every position keeps the scene valid and moves off small coordinates
+        def moved(p):
+            return Point2D(p.x + shift, p.y - shift)
+        users = tuple(SceneUser(ue=moved(u.ue), subject=moved(u.subject), motion=u.motion)
+                      for u in scene.users)
+        scene = Scene(ap=moved(scene.ap), users=users, cfg=scene.cfg)
+        for rx in (scene.ap, *(u.ue for u in users)):
+            for user in users:
+                got = _reflection_track(scene, user, rx, times)
+                want = sra_reference._reflection_track(scene, user, rx, times)
+                assert got.tobytes() == want.tobytes()
+
+    def test_demo_links(self):
+        scene = demo_scene(1)
+        times = np.arange(64 * 30) / 64.0
+        for rx in (u.ue for u in scene.users):
+            for user in scene.users:
+                got = _reflection_track(scene, user, rx, times)
+                assert got.tobytes() == sra_reference._reflection_track(
+                    scene, user, rx, times).tobytes()

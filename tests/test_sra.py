@@ -1,6 +1,7 @@
 """Pipeline tests: segmentation, resampling, STFT, normalization, masks,
 and dataset construction."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nfsense.sra as sra_module
+import sra_reference
 from nfsense.scene import CsiSeries
 from nfsense.sra import (Dataset, ResampledSeries, Slice, SraConfig, Spectrogram,
                          _hampel, build_dataset, chop_labels,
@@ -114,7 +117,7 @@ class TestArrayFormsMatchLoops:
         rng = np.random.default_rng(n)
         for values in (rng.standard_normal(n), rng.integers(-2, 3, n).astype(float),
                        np.zeros(n)):
-            assert np.array_equal(_hampel(values), hampel_loop(values))
+            assert np.array_equal(_hampel(values, [n]), hampel_loop(values))
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_hampel_truncated_edge_windows(self, n):
@@ -125,7 +128,7 @@ class TestArrayFormsMatchLoops:
                          np.linspace(-1.0, 1.0, n)):
                 values = base.copy()
                 values[spot] += 25.0
-                assert _hampel(values).tobytes() == hampel_loop(values).tobytes()
+                assert _hampel(values, [n]).tobytes() == hampel_loop(values).tobytes()
 
     def test_hampel_seeded_tracks(self):
         rng = np.random.default_rng(12)
@@ -137,7 +140,7 @@ class TestArrayFormsMatchLoops:
                 values = rng.integers(-3, 4, n).astype(float)  # ties, MAD = 0
             if n and i % 3 == 0:
                 values[rng.integers(0, n, 1 + n // 20)] += 40.0  # spikes
-            assert np.array_equal(_hampel(values), hampel_loop(values))
+            assert np.array_equal(_hampel(values, [n]), hampel_loop(values))
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "long", "gesture"])
     def test_stft(self, cfg):
@@ -300,6 +303,132 @@ class TestResample:
             if sl.non_sparse:
                 inside = (grid >= sl.t0) & (grid < sl.t1)
                 assert not rs.no_data[inside].any()
+
+
+@contextlib.contextmanager
+def hampel_blocks(rows):
+    """Run the Hampel filter in blocks of ``rows`` rows, so runs straddle blocks."""
+    saved, sra_module._HAMPEL_BLOCK_ROWS = sra_module._HAMPEL_BLOCK_ROWS, rows
+    try:
+        yield
+    finally:
+        sra_module._HAMPEL_BLOCK_ROWS = saved
+
+
+# phases with ties (MAD = 0), -0.0 beside 0.0, and spikes far off a smooth track
+phases = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 40.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def sliced_links(draw):
+    """(series, slices, duration, cfg): ordered slices over [0, duration].
+
+    Slice bounds fall on grid instants, within the grid tolerances of one, or
+    anywhere; a gap may separate two slices and the last one may stop short of
+    ``duration``.  Samples sit on bounds, on grid instants, half way between
+    two (ties), and several to a grid step (duplicate snaps); the labels are
+    drawn apart from the sample counts, so non-sparse slices hold 0 or 1
+    samples and sparse ones hold many.
+    """
+    cfg = SraConfig(f_rs=draw(st.sampled_from([64.0, 20.0, 8.0])))
+    step = 1.0 / cfg.f_rs
+    duration = draw(st.integers(4, 40)) * step + draw(st.sampled_from([0.0, 0.3 * step]))
+    nudge = st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 5e-12, -5e-12, 5e-10, 0.37 * step])
+    cuts = sorted({min(max(draw(st.integers(1, 39)) * step + draw(nudge), 0.0), duration)
+                   for _ in range(draw(st.integers(0, 6)))})
+    bounds = [0.0, *cuts, duration]
+    slices = []
+    for t0, t1 in zip(bounds[:-1], bounds[1:]):
+        if draw(st.integers(0, 5)) == 0:     # a gap: the slice starts late
+            t0 = min(t0 + draw(st.sampled_from([step, 0.5 * step])), t1)
+        slices.append(Slice(t0, t1, draw(st.booleans())))
+    if draw(st.booleans()):                   # the last slice stops short
+        last = slices[-1]
+        slices[-1] = Slice(last.t0, max(last.t0, last.t1 - 0.5 * step), last.non_sparse)
+    times = []
+    for sl in slices:
+        n = draw(st.integers(0, 12))
+        offsets = st.sampled_from([0.0, 0.5, 1.0, 0.1, 0.25, 2.0, 2.5, 3.0, 1.0 / 3])
+        times += [min(sl.t0 + draw(offsets) * step * draw(st.integers(0, 4)), sl.t1)
+                  for _ in range(n)]
+    times = np.unique(times)
+    values = np.exp(1j * np.array(draw(st.lists(phases, min_size=times.size,
+                                                max_size=times.size))))
+    return CsiSeries(timestamps=times, values=values, link_id="t"), slices, duration, cfg
+
+
+def same_resample(series, slices, cfg, duration):
+    a = resample(series, slices, cfg, duration)
+    b = sra_reference.resample(series, slices, cfg, duration)
+    return a.values.tobytes() == b.values.tobytes() and a.no_data.tobytes() == b.no_data.tobytes()
+
+
+class TestResampleMatchesPerSliceReference:
+    @given(link=sliced_links(), rows=st.sampled_from([1, 3, 7, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_slices(self, link, rows):
+        series, slices, duration, cfg = link
+        with hampel_blocks(rows):
+            assert same_resample(series, slices, cfg, duration)
+            assert same_resample(series, segment(series, cfg, duration), cfg, duration)
+
+    CFG = SraConfig()
+    STEP = 1.0 / 64.0
+
+    @pytest.mark.parametrize("times, slices", [
+        # non-sparse slices with 0, 1 and 2 samples, between sparse ones
+        ([0.1, 0.5, 0.55, 1.2], [(0.0, 0.3, True), (0.3, 0.6, True), (0.6, 0.9, True),
+                                 (0.9, 1.3, False), (1.3, 2.0, True)]),
+        # bounds on grid instants; a sample on a bound belongs to the next slice
+        ([0.25, 0.5, 0.515625, 0.75, 1.0], [(0.0, 0.5, True), (0.5, 1.0, False),
+                                              (1.0, 2.0, True)]),
+        # many samples of a sparse slice snap to one grid instant
+        ([0.3, 0.301, 0.302, 0.303, 0.9, 0.901], [(0.0, 1.0, False), (1.0, 2.0, True)]),
+        # the last slice ends at the duration and holds a sample there
+        ([0.5, 1.0, 1.5, 2.0], [(0.0, 1.0, True), (1.0, 2.0, True)]),
+        # a slice shorter than a grid step, and a gap between slices
+        ([0.2, 0.21, 1.5, 1.6], [(0.0, 0.5, True), (0.5, 0.51, True), (1.0, 2.0, True)]),
+        # a bound within the grid tolerance of an instant: both slices claim it
+        ([0.2, 0.3, 0.4, 0.5] + [0.5 + 5e-12 + i * 0.01 for i in range(10)],
+         [(0.0, 0.5 + 5e-12, False), (0.5 + 5e-12, 2.0, True)]),
+        ([0.1, 0.2, 0.3, 0.5 + 1e-11, 0.6, 0.7],
+         [(0.0, 0.5 - 5e-12, True), (0.5 - 5e-12, 2.0, False)]),
+        ([], [(0.0, 1.0, True), (1.0, 2.0, False)]),
+    ])
+    def test_named_cases(self, times, slices):
+        series = phase_series(times, np.cos(np.arange(len(times))))
+        assert same_resample(series, [Slice(*s) for s in slices], self.CFG, 2.0)
+
+    def test_long_dense_run_across_blocks(self):
+        t = np.arange(0, 40.0, 1 / 200)
+        rng = np.random.default_rng(4)
+        phase = np.cumsum(rng.standard_normal(t.size)) * 0.01
+        phase[rng.integers(0, t.size, 50)] += 3.0
+        series = phase_series(t, phase)
+        assert same_resample(series, segment(series, self.CFG, 40.0), self.CFG, 40.0)
+
+    @pytest.mark.parametrize("slices", [
+        [(1.0, 2.0, True), (0.0, 1.0, False)],     # out of time order
+        [(0.0, 1.2, True), (1.0, 2.0, False)],     # overlapping
+        [(0.0, 1.0, True), (1.0, 0.5, False)],     # ends before it starts
+    ])
+    def test_unordered_or_overlapping_slices_rejected(self, slices):
+        series = phase_series([0.5, 1.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="time order"):
+            resample(series, [Slice(*s) for s in slices], self.CFG, 2.0)
+
+
+class TestHampelRuns:
+    @given(runs=st.lists(st.lists(phases, max_size=20), max_size=8),
+           rows=st.sampled_from([1, 2, 5, 7, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_match_one_call_per_run(self, runs, rows):
+        values = np.array([v for run in runs for v in run], dtype=float)
+        lengths = np.array([len(run) for run in runs], dtype=int)
+        expected = [sra_reference._hampel(np.array(run, dtype=float)) for run in runs]
+        with hampel_blocks(rows):
+            got = _hampel(values, lengths)
+        assert got.tobytes() == np.concatenate([np.zeros(0), *expected]).tobytes()
 
 
 class TestSpectrogram:
@@ -580,13 +709,18 @@ class TestSpectrogramIO:
         (1, "0.1 nan 0.3", "non-finite"),
         (2, "0.4 inf 0.6", "non-finite"),
         (1, "0.1 abc 0.3", "abc"),
+        (1, "0.1 1_0 0.3", "line 2: '_'"),        # float() reads 10.0, np.loadtxt fails
+        (0, "2 3 0.0 0.2_5", "line 1: '_'"),
+        (2, "0.4 \u0665 0.6", "line 3: .* non-ASCII"),   # an Arabic-Indic 5
+        (4, "garbage here", "line 5: text after the flag row"),
+        (4, "\n0", "line 6: text after the flag row"),
     ])
     def test_malformed_file_named(self, tmp_path, line, text, match):
         lines = list(self.GOOD)
         if text is None:
             del lines[line]
         else:
-            lines[line] = text
+            lines[line:line + 1] = [text]
         path = tmp_path / "bad_spec.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=match) as exc:

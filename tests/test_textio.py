@@ -3,12 +3,15 @@
 Every writer must give the bytes of ``textio_reference`` (``np.savetxt`` and
 per-row f-strings) on drawn arrays: -0.0 next to 0.0, subnormals, +-1e+-300,
 the -1 sentinel, heavy repeats, one-column and empty shapes, and inf/nan.
-Every reader must reproduce a written file byte for byte after load and
-save, and must reject a truncated line, a non-numeric token, a ragged row
-or a NaN with a ValueError that names the file.
+A 10-digit writer refuses, naming the file and writing nothing, a finite
+value that its text would round above the largest double.  Every reader
+must reproduce a written file byte for byte after load and save, and must
+reject a truncated line, a non-numeric token, a ragged row or a NaN with a
+ValueError that names the file.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textio_reference as ref
+from nfsense import config, kvtext
+from nfsense.config import load_config
 from nfsense.geometry import load_raster, save_raster
-from nfsense.kvtext import format_rows, format_table
+from nfsense.kvtext import TEXT_MAX, format_rows, format_table
 from nfsense.scene import CsiSeries, load_csi_csv, save_csi_csv
 from nfsense.sra import (NO_DATA_SENTINEL, Dataset, Spectrogram, load_dataset,
                          load_spectrogram, save_dataset, save_spectrogram)
+from nfsense.tcn import TcnConfig, TcnModel, load_model, save_model
 from nfsense.traffic import SampleTimes, save_sample_times
 
 SPECIAL = (0.0, -0.0, NO_DATA_SENTINEL, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
@@ -34,10 +40,27 @@ def values(non_finite=False):
                      st.floats(allow_nan=non_finite, allow_infinity=non_finite))
 
 
-# Doubles above about 1.797693135e308 round, at 10 significant digits, to
-# text above the largest double, which reads back as inf; round trips draw
-# below 1e308.
-readable = st.one_of(st.sampled_from(SPECIAL[:-1]), st.floats(-1e308, 1e308))
+# Round trips draw every finite double, up to the largest; a 10-digit writer
+# refuses those from TEXT_MAX up, and the rest must read back.
+finite = values()
+writable = finite.filter(lambda v: abs(v) < TEXT_MAX)
+
+
+def too_large(*arrays):
+    """Whether a 10-digit writer must refuse one of the values."""
+    a = np.abs(np.concatenate([np.ravel(np.asarray(x, dtype=float)) for x in arrays]))
+    return bool(np.any((a >= TEXT_MAX) & np.isfinite(a)))
+
+
+PAIR_FILE = r"/t\w+/\d{4}\.[xy]: "       # a train/ or test/ pair file of a dataset
+
+
+def refused(save, path, named=None):
+    """``save()`` raises a ValueError naming ``named`` (by default ``path``) and writes nothing."""
+    with pytest.raises(ValueError, match="10 digits would write it as inf") as exc:
+        save()
+    assert re.search(named or re.escape(str(path)), str(exc.value))
+    assert not path.exists()
 
 
 @st.composite
@@ -80,7 +103,7 @@ def spectrograms(draw, cells=values(), min_side=0):
 
 
 @st.composite
-def csi_series(draw, cells=readable, min_rows=0):
+def csi_series(draw, cells=finite, min_rows=0):
     """Timestamps at least a microsecond apart, well above the 1 ns the format keeps."""
     gaps = draw(st.lists(st.floats(1e-6, 10.0), min_size=min_rows, max_size=12))
     t = draw(st.floats(0.0, 1e4)) + np.cumsum(gaps)
@@ -111,6 +134,30 @@ class TestFormatters:
         assert format_table(np.zeros((0, 3)), "%g %g %g\n") == ""
 
 
+class TestTextMax:
+    BELOW = float(np.nextafter(TEXT_MAX, 0.0))
+
+    def test_largest_double_refused_naming_the_file(self, tmp_path):
+        a = np.array([[0.5, -1.7976931348623157e308]])
+        refused(lambda: save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds"),
+                tmp_path / "ds", named=re.escape(str(tmp_path / "ds" / "train" / "0000.x")))
+        spec = Spectrogram(data=a, no_data_cols=np.zeros(2), frame_times=np.arange(2.0))
+        refused(lambda: save_spectrogram(spec, tmp_path / "s.txt"), tmp_path / "s.txt")
+        refused(lambda: save_raster(tmp_path / "r.txt", a, 0.0, 0.0, 1.0, 1.0), tmp_path / "r.txt")
+        refused(lambda: save_raster(tmp_path / "r.txt", np.ones((1, 1)), TEXT_MAX, 0.0, 1.0, 1.0),
+                tmp_path / "r.txt")
+
+    def test_just_below_reads_back_and_inf_cells_stay(self, tmp_path):
+        a = np.array([[self.BELOW, -self.BELOW]])
+        save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds")
+        assert np.isfinite(load_dataset(tmp_path / "ds").train[0][0]).all()
+        save_spectrogram(Spectrogram(data=a, no_data_cols=np.zeros(2),
+                                     frame_times=np.arange(2.0)), tmp_path / "s.txt")
+        assert np.isfinite(load_spectrogram(tmp_path / "s.txt").data).all()
+        save_raster(tmp_path / "r.txt", np.array([[self.BELOW, math.inf]]), 0.0, 0.0, 1.0, 1.0)
+        assert load_raster(tmp_path / "r.txt")[0].tolist() == [[1.797693134e308, math.inf]]
+
+
 class TestWritersMatchReference:
     @given(values_=tables(values(non_finite=True)), x0=values(), y0=values(),
            dx=cell_sizes, dy=cell_sizes)
@@ -122,6 +169,9 @@ class TestWritersMatchReference:
              x0=0.0, y0=0.0, dx=1.0, dy=1.0)
     def test_raster(self, tmp_path_factory, values_, x0, y0, dx, dy):
         d = tmp_path_factory.mktemp("raster")
+        if too_large(values_, [x0, y0, dx, dy]):
+            return refused(lambda: save_raster(d / "new.txt", values_, x0, y0, dx, dy),
+                           d / "new.txt")
         save_raster(d / "new.txt", values_, x0, y0, dx, dy)
         ref.save_raster(d / "ref.txt", values_, x0, y0, dx, dy)
         assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
@@ -136,6 +186,8 @@ class TestWritersMatchReference:
                               frame_times=np.zeros(0)))
     def test_spectrogram(self, tmp_path_factory, spec):
         d = tmp_path_factory.mktemp("spec")
+        if too_large(spec.data):
+            return refused(lambda: save_spectrogram(spec, d / "new.txt"), d / "new.txt")
         save_spectrogram(spec, d / "new.txt")
         ref.save_spectrogram(spec, d / "ref.txt")
         assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
@@ -148,6 +200,9 @@ class TestWritersMatchReference:
                               (np.array([[5e-324], [-1.0]]), np.array([[1e300], [-1e-300]])))))
     def test_dataset(self, tmp_path_factory, ds):
         d = tmp_path_factory.mktemp("ds")
+        if too_large(0.0, *(a for pair in ds.train + ds.test for a in pair)):
+            return refused(lambda: save_dataset(ds, d / "new"), d / "new",
+                           named=re.escape(str(d / "new")) + PAIR_FILE)
         save_dataset(ds, d / "new")
         ref.save_dataset(ds, d / "ref")
         assert tree_bytes(d / "new") == tree_bytes(d / "ref")
@@ -207,12 +262,16 @@ class TestReadersFuzzed:
     @settings(max_examples=40, deadline=None)
     def test_spectrogram(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("spec") / "spec.txt"
-        save_spectrogram(data.draw(spectrograms(readable)), path)
-        first = path.read_bytes()
-        save_spectrogram(load_spectrogram(path), path)
-        assert path.read_bytes() == first
+        spec = data.draw(spectrograms(finite))
+        if too_large(spec.data):
+            refused(lambda: save_spectrogram(spec, path), path)
+        else:
+            save_spectrogram(spec, path)
+            first = path.read_bytes()
+            save_spectrogram(load_spectrogram(path), path)
+            assert path.read_bytes() == first
 
-        spec = data.draw(spectrograms(readable, min_side=1))
+        spec = data.draw(spectrograms(writable, min_side=1))
         save_spectrogram(spec, path)
         damage_file(path, data, 1, spec.n_f)
         rejected(load_spectrogram, path)
@@ -221,11 +280,16 @@ class TestReadersFuzzed:
     @settings(max_examples=40, deadline=None)
     def test_dataset(self, tmp_path_factory, data):
         d = tmp_path_factory.mktemp("ds")
-        save_dataset(data.draw(datasets(readable, min_side=1)), d / "a")
-        save_dataset(load_dataset(d / "a"), d / "b")
-        assert tree_bytes(d / "a") == tree_bytes(d / "b")
+        ds = data.draw(datasets(finite, min_side=1))
+        if too_large(0.0, *(a for pair in ds.train + ds.test for a in pair)):
+            refused(lambda: save_dataset(ds, d / "a"), d / "a",
+                    named=re.escape(str(d / "a")) + PAIR_FILE)
+        else:
+            save_dataset(ds, d / "a")
+            save_dataset(load_dataset(d / "a"), d / "b")
+            assert tree_bytes(d / "a") == tree_bytes(d / "b")
 
-        y = data.draw(tables(readable, min_side=1))
+        y = data.draw(tables(writable, min_side=1))
         save_dataset(Dataset(train=((y, y),), test=()), d / "c")
         path = d / "c" / "train" / data.draw(st.sampled_from(["0000.x", "0000.y"]))
         damage_file(path, data, 0, y.shape[0] - 1)
@@ -250,10 +314,14 @@ class TestReadersFuzzed:
     def test_raster(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("raster") / "raster.txt"
         # inf cells are kept; NaN cells are what the reader rejects
-        cells = st.one_of(readable, st.sampled_from([math.inf, -math.inf]))
+        cells = st.one_of(finite, st.sampled_from([math.inf, -math.inf]))
         values_ = data.draw(tables(cells, min_side=1))
-        origin = data.draw(readable), data.draw(readable)
-        save_raster(path, values_, *origin, data.draw(cell_sizes), data.draw(cell_sizes))
+        origin = data.draw(finite), data.draw(finite)
+        sizes = data.draw(cell_sizes), data.draw(cell_sizes)
+        if too_large(values_, origin):
+            refused(lambda: save_raster(path, values_, *origin, *sizes), path)
+            values_, origin = np.ones((2, 3)), (0.0, 0.0)
+        save_raster(path, values_, *origin, *sizes)
         first = path.read_bytes()
         loaded, (x0, y0, dx, dy) = load_raster(path)
         save_raster(path, loaded, x0, y0, dx, dy)
@@ -261,3 +329,65 @@ class TestReadersFuzzed:
 
         damage_file(path, data, 1, values_.shape[0])
         rejected(load_raster, path)
+
+
+def corrupt(data, blob: bytes, weights_from: int | None = None) -> bytes:
+    """``blob`` truncated, with one byte flipped, with a value made NaN/inf or a line repeated.
+
+    A model's float32 weights start at byte ``weights_from``; its NaN/inf
+    case may overwrite one of them instead of a header value.
+    """
+    kind = data.draw(st.sampled_from(["truncated", "flipped", "non_finite", "repeated"]))
+    if kind == "truncated":
+        return blob[:data.draw(st.integers(0, max(len(blob) - 1, 0)))]
+    if kind == "flipped":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ data.draw(st.integers(1, 255))]) + blob[i + 1:]
+    head, tail = blob, b""
+    if weights_from is not None:
+        head, tail = blob[:weights_from], blob[weights_from:]
+    lines = head.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "repeated":
+        return b"\n".join(lines[:i + 1] + lines[i:]) + tail
+    token = data.draw(st.sampled_from([b"nan", b"inf", b"-inf", b"-nan", b"1e999"]))
+    if weights_from is not None and len(tail) >= 4 and data.draw(st.booleans()):
+        j = 4 * data.draw(st.integers(0, len(tail) // 4 - 1))
+        return head + tail[:j] + np.float32(float(token)).tobytes() + tail[j + 4:]
+    key, eq, _ = lines[i].partition(b"=")
+    lines[i] = key + eq + token if eq else token
+    return b"\n".join(lines) + tail
+
+
+def loads_or_names_the_file(load, path):
+    """``load(path)`` returns, or raises a ValueError naming ``path``; nothing else."""
+    try:
+        load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc), exc
+
+
+class TestKeyValueReadersFuzzed:
+    CONFIG = "".join(f"{key}={kvtext._CODECS[kind][1](default)}\n"
+                     for key, (kind, default) in config._SCHEMA.items()).encode()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_config(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_bytes(self.CONFIG)
+        assert load_config(path).values == config.RunConfig().values
+        path.write_bytes(corrupt(data, self.CONFIG))
+        loads_or_names_the_file(load_config, path)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_model(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("model") / "model.tcn"
+        cfg = TcnConfig(n_f=3, n_c=2, kernel_len=2, n_blocks=2, dilations=(1, 2),
+                        bottleneck_dim=2, seed=5)
+        save_model(TcnModel.initialize(cfg), path)
+        blob = path.read_bytes()
+        assert load_model(path).config == cfg
+        path.write_bytes(corrupt(data, blob, blob.index(b"end_header\n") + 11))
+        loads_or_names_the_file(load_model, path)
