@@ -6,6 +6,16 @@ converted into Givens-rotation angles, quantized, and reconstructed on the
 AP side.  A diagonal motion model Q_rx H Q_tx then shows that the
 reconstructed matrix responds only to changes of the subject-to-AP
 direction, not to radial subject-UE motion.
+
+The matrices are at most 8 x 8 (an IEEE 802.11 compressed-beamforming
+report), so the codec is bound by per-call overhead, not arithmetic.  The
+real Givens rotations and the angle quantizer run on Python floats and
+complex numbers: a real-times-complex product and a complex sum give the
+same bits in CPython as in numpy.  A complex-times-complex product does
+not (numpy's array loop rounds differently), so every phase step stays one
+broadcast numpy product over the rows it scales, which gives the bits of a
+per-row product.  Angles come from ``math.atan2``, whose bits
+``np.arctan2`` does not always match.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ class ChannelMatrix:
         object.__setattr__(self, "h", h)
         if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
             raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
-        if not np.all(np.isfinite(h.view(float))):
+        if not np.isfinite(h.view(float)).all():
             raise ValueError("channel matrix entries must be finite")
 
     @property
@@ -52,7 +62,9 @@ class BeamformingMatrix:
         n = v.shape[0]
         if v.ndim != 2 or v.shape != (n, n):
             raise ValueError(f"beamforming matrix must be square, got {v.shape}")
-        err = np.max(np.abs(v.conj().T @ v - np.eye(n)))
+        gram = v.conj().T @ v
+        gram.ravel()[:: n + 1] -= 1.0            # VᴴV − I, in place
+        err = abs(gram).max()
         if err > 1e-6:
             raise ValueError(f"matrix is not unitary (max deviation {err:.3g})")
 
@@ -100,20 +112,18 @@ def phase_normalize(v: BeamformingMatrix) -> tuple[BeamformingMatrix, tuple[int,
     entry instead (a zero entry is already real, so the compression contract
     still holds).
     """
-    mat = v.v.copy()
-    n = mat.shape[0]
-    flagged = []
-    for c in range(mat.shape[1]):
-        col = mat[:, c]
-        z = col[n - 1]
-        if abs(z) < 1e-15:
-            flagged.append(c)
-            nz = np.nonzero(np.abs(col) >= 1e-15)[0]
-            if nz.size == 0:
-                continue
-            z = col[nz[-1]]
-        mat[:, c] = col * (z.conjugate() / abs(z))
-    return BeamformingMatrix(mat), tuple(flagged)
+    mat = v.v
+    # (1, n), not (n,): numpy multiplies a (1, 1) by a (1,) in another loop,
+    # whose complex products round differently
+    z = mat[-1:].copy()
+    # abs() of one complex is libm hypot; np.abs over an array may round otherwise
+    mags = [abs(x) for x in z[0].tolist()]
+    flagged = [c for c, r in enumerate(mags) if r < 1e-15]
+    for c in flagged:
+        # a unitary column always holds an entry of magnitude >= 1e-15
+        z[0, c] = mat[np.flatnonzero(np.abs(mat[:, c]) >= 1e-15)[-1], c]
+        mags[c] = abs(z[0, c])
+    return BeamformingMatrix(mat * (z.conj() / mags)), tuple(flagged)
 
 
 @dataclass(frozen=True)
@@ -142,12 +152,12 @@ class BfiReport:
                 f"the Givens decomposition of a {self.n_tx}x{self.n_cols} matrix "
                 f"({n_phi} phi, {n_psi} psi)")
         if self.b_phi:
-            if self.phi_codes is None or np.any(self.phi_codes < 0) or \
-                    np.any(self.phi_codes >= 2 ** self.b_phi):
+            if self.phi_codes is None or (self.phi_codes < 0).any() or \
+                    (self.phi_codes >= 2 ** self.b_phi).any():
                 raise ValueError("phi codes out of range for the stated bit width")
         if self.b_psi:
-            if self.psi_codes is None or np.any(self.psi_codes < 0) or \
-                    np.any(self.psi_codes >= 2 ** self.b_psi):
+            if self.psi_codes is None or (self.psi_codes < 0).any() or \
+                    (self.psi_codes >= 2 ** self.b_psi).any():
                 raise ValueError("psi codes out of range for the stated bit width")
 
 
@@ -163,9 +173,8 @@ def _quantize(angles: np.ndarray, bits: int, span: float) -> tuple[np.ndarray, n
     """Midpoint quantization of angles in [0, span) to 2^bits uniform cells."""
     cells = 2 ** bits
     width = span / cells
-    codes = np.floor(np.mod(angles, span) / width).astype(int)
-    codes = np.clip(codes, 0, cells - 1)
-    return codes, (codes + 0.5) * width
+    codes = [min(max(math.floor(a % span / width), 0), cells - 1) for a in angles.tolist()]
+    return np.array(codes, dtype=int), np.array([(c + 0.5) * width for c in codes])
 
 
 def extract_angles(v: BeamformingMatrix, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,25 +183,26 @@ def extract_angles(v: BeamformingMatrix, n_cols: int) -> tuple[np.ndarray, np.nd
     Column-major elimination: for each stage i, the phases of rows i..M-2 of
     column i are removed (phi angles), then real rotations on row pairs
     (i, l) for l = i+1..M-1 zero the sub-diagonal entries (psi angles).
+    Row operations act on each column alone, so only the columns that feed
+    an angle are carried.
     """
-    w = v.v.copy()
-    m = w.shape[0]
+    m = v.v.shape[0]
     stages = min(n_cols, m - 1)
+    w = v.v[:, :stages].tolist()
     phis: list[float] = []
     psis: list[float] = []
     for i in range(stages):
-        for l in range(i, m - 1):
-            phi = math.atan2(w[l, i].imag, w[l, i].real) % (2.0 * math.pi)
-            phis.append(phi)
-            w[l, :] *= np.exp(-1j * phi)
+        new = [math.atan2(row[i].imag, row[i].real) % (2.0 * math.pi) for row in w[i:m - 1]]
+        phis += new
+        w[i:m - 1] = (np.array(w[i:m - 1])
+                      * np.exp([-1j * phi for phi in new])[:, None]).tolist()
         for l in range(i + 1, m):
-            psi = math.atan2(w[l, i].real, w[i, i].real)
+            psi = math.atan2(w[l][i].real, w[i][i].real)
             psis.append(psi)
             c, s = math.cos(psi), math.sin(psi)
-            row_i = w[i, :].copy()
-            row_l = w[l, :].copy()
-            w[i, :] = c * row_i + s * row_l
-            w[l, :] = -s * row_i + c * row_l
+            row_i, row_l = w[i], w[l]
+            w[i] = [c * a + s * b for a, b in zip(row_i, row_l)]
+            w[l] = [-s * a + c * b for a, b in zip(row_i, row_l)]
     return np.array(phis), np.array(psis)
 
 
@@ -209,7 +219,7 @@ def compress(v: BeamformingMatrix, b_phi: int = 6, b_psi: int = 4,
     if n_cols is None:
         n_cols = mat.shape[1]
     last_row = mat[n_tx - 1, :n_cols]
-    if np.max(np.abs(last_row.imag)) > 1e-9:
+    if abs(last_row.imag).max() > 1e-9:
         raise ValueError("input is not phase-normalized: last row has imaginary parts")
     phis, psis = extract_angles(v, n_cols)
     phi_codes = psi_codes = None
@@ -231,31 +241,24 @@ def decompress(report: BfiReport) -> BeamformingMatrix:
     """
     m = report.n_tx
     stages = min(report.n_cols, m - 1)
-    w = np.eye(m, dtype=complex)
-    phi_slices: list[np.ndarray] = []
-    psi_slices: list[np.ndarray] = []
-    pos_phi = pos_psi = 0
-    for i in range(stages):
-        n_i = m - 1 - i
-        phi_slices.append(np.asarray(report.phi_angles[pos_phi:pos_phi + n_i]))
-        psi_slices.append(np.asarray(report.psi_angles[pos_psi:pos_psi + n_i]))
-        pos_phi += n_i
-        pos_psi += n_i
+    phis = np.asarray(report.phi_angles, dtype=float).tolist()
+    psis = np.asarray(report.psi_angles, dtype=float).tolist()
+    w = np.eye(m, dtype=complex).tolist()
+    pos = len(phis)
     for i in reversed(range(stages)):
-        psis = psi_slices[i]
+        pos -= m - 1 - i                     # stage i's angles start here
         for l in reversed(range(i + 1, m)):
-            psi = psis[l - i - 1]
+            psi = psis[pos + l - i - 1]
             c, s = math.cos(psi), math.sin(psi)
-            row_i = w[i, :].copy()
-            row_l = w[l, :].copy()
+            row_i, row_l = w[i], w[l]
             # transpose of the extraction rotation
-            w[i, :] = c * row_i - s * row_l
-            w[l, :] = s * row_i + c * row_l
-        phases = np.ones(m, dtype=complex)
-        for l in range(i, m - 1):
-            phases[l] = np.exp(1j * phi_slices[i][l - i])
-        w = phases[:, None] * w
-    return BeamformingMatrix(w)
+            w[i] = [c * a - s * b for a, b in zip(row_i, row_l)]
+            w[l] = [s * a + c * b for a, b in zip(row_i, row_l)]
+        # rows above i are still identity rows, which a unit factor leaves alone;
+        # the last row's factor is exp(0) = 1
+        phases = np.exp([1j * phi for phi in phis[pos:pos + m - 1 - i]] + [0j])
+        w[i:] = (phases[:, None] * np.array(w[i:])).tolist()
+    return BeamformingMatrix(np.array(w))
 
 
 def apply_motion(h0: ChannelMatrix, m: MotionUpdate, lambda_m: float) -> ChannelMatrix:
@@ -266,7 +269,7 @@ def apply_motion(h0: ChannelMatrix, m: MotionUpdate, lambda_m: float) -> Channel
     if len(rho) != n_rx or len(ddr) != n_rx:
         raise ValueError(f"rho/delta_d_r must have {n_rx} entries, got {len(rho)}/{len(ddr)}")
     k = 2.0 * math.pi / lambda_m
-    q_rx = np.array([r * np.exp(-1j * k * d) for r, d in zip(rho, ddr)])
+    q_rx = np.asarray(rho, dtype=float) * np.exp(-1j * k * np.asarray(ddr, dtype=float))
     tx_phase = [m.delta_d_t - kk * m.ell * m.delta_theta * math.sin(m.theta)
                 for kk in range(n_tx)]
     q_tx = np.exp(-1j * k * np.array(tx_phase))

@@ -158,12 +158,6 @@ def _search_rhs(qs: Sequence[CapacityQuery], share: float) -> tuple[np.ndarray, 
     return ~(np.array(a) <= 0.0), np.array(rhs)
 
 
-def _radial_at(n: np.ndarray, alpha: float) -> np.ndarray:
-    """:func:`radial_series` at every entry of ``n``, once per distinct N."""
-    distinct, where = np.unique(n, return_inverse=True)
-    return np.array([radial_series(int(v), alpha) for v in distinct])[where]
-
-
 def _n_max_search(qs: Sequence[CapacityQuery]) -> list[int]:
     """Exact N_max of every query (all share ``cfg``): one search over them all.
 
@@ -171,13 +165,22 @@ def _n_max_search(qs: Sequence[CapacityQuery]) -> list[int]:
     rhs, then bisect the integers keeping series(lo) <= rhs < series(hi).
     """
     alpha = qs[0].cfg.alpha
+    series = {3: radial_series(3, alpha)}    # one evaluation per distinct N
+
+    def at(n: np.ndarray) -> np.ndarray:
+        ns = n.tolist()
+        for v in ns:
+            if v not in series:
+                series[v] = radial_series(v, alpha)
+        return np.array([series[v] for v in ns])
+
     live, rhs = _search_rhs(qs, 1.0)
-    live &= ~(radial_series(3, alpha) > rhs)
+    live &= ~(series[3] > rhs)
     lo = np.full(len(qs), 3)
     hi = np.full(len(qs), 6)
     idx = np.flatnonzero(live)
     while idx.size:
-        idx = idx[_radial_at(hi[idx], alpha) <= rhs[idx]]
+        idx = idx[at(hi[idx]) <= rhs[idx]]
         lo[idx] = hi[idx]
         hi[idx] *= 2
         if idx.size and hi[idx].max() > _N_SEARCH_CAP:
@@ -188,7 +191,7 @@ def _n_max_search(qs: Sequence[CapacityQuery]) -> list[int]:
     idx = np.flatnonzero(live & (hi - lo > 1))
     while idx.size:
         mid = (lo[idx] + hi[idx]) // 2
-        below = _radial_at(mid, alpha) <= rhs[idx]
+        below = at(mid) <= rhs[idx]
         lo[idx[below]] = mid[below]
         hi[idx[~below]] = mid[~below]
         idx = idx[hi[idx] - lo[idx] > 1]

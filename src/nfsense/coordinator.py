@@ -75,20 +75,22 @@ class Registry:
         uy = (position.y - self.ap.y) / d
         return Point2D(position.x + self.delta_r * ux, position.y + self.delta_r * uy)
 
-    def _mover_of(self, reg: Registration) -> Mover:
-        return Mover(reg.position, self.intensities.get(reg.motion_type, 1.0))
+    def _virs(self, population: list[Registration]):
+        """(registration, its VIR against every other user id), in population order.
 
-    def _vir_of(self, reg: Registration, others: list[Registration]) -> float:
-        return vir(self.cfg, self.ap, self._ue_of(reg.position), self._mover_of(reg),
-                   [self._mover_of(o) for o in others])
+        Each Mover is built once per call, and a UE only when its VIR is asked for.
+        """
+        movers = [Mover(reg.position, self.intensities.get(reg.motion_type, 1.0))
+                  for reg in population]
+        for reg, mover in zip(population, movers):
+            yield reg, vir(self.cfg, self.ap, self._ue_of(reg.position), mover,
+                           [m for o, m in zip(population, movers) if o.user_id != reg.user_id])
 
     def pairwise_feasible(self, candidate: Registration) -> tuple[bool, float, str]:
         """Check every member's VIR (and the candidate's) with the candidate added."""
         population = list(self.members.values()) + [candidate]
         worst = math.inf
-        for reg in population:
-            others = [o for o in population if o.user_id != reg.user_id]
-            ratio = self._vir_of(reg, others)
+        for reg, ratio in self._virs(population):
             worst = min(worst, ratio)
             if ratio < self.beta:
                 return False, worst, (
@@ -133,12 +135,8 @@ class Registry:
 
     def min_pairwise_vir(self) -> float:
         """Worst VIR over admitted members (inf when fewer than one member)."""
-        worst = math.inf
-        population = list(self.members.values())
-        for reg in population:
-            others = [o for o in population if o.user_id != reg.user_id]
-            worst = min(worst, self._vir_of(reg, others))
-        return worst
+        return min((ratio for _, ratio in self._virs(list(self.members.values()))),
+                   default=math.inf)
 
     def dump_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

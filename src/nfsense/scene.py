@@ -11,6 +11,7 @@ observation noise.  Everything is deterministic given the scene seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -303,7 +304,9 @@ def load_csi_csv(path, link_id: str = "") -> CsiSeries:
         if fh.readline().strip() != "t_s,re,im":
             raise ValueError(f"{path}: first line must be the header t_s,re,im")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")      # a header-only file only warns
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
     if data.size == 0:

@@ -237,18 +237,21 @@ def _bias_grad(dz: np.ndarray) -> np.ndarray:
 
 
 def _conv_b(dz: np.ndarray, cols2: np.ndarray, w: np.ndarray, chi: int, stride: int,
-            dcols: np.ndarray, dx: np.ndarray):
+            dcols: np.ndarray, dx: np.ndarray | None):
     """Gradients (dx, dw, db) of _conv_f from dz (C_out, B, M); dx and dcols
     (l*C_in, B*M) are output buffers.
 
     ``dx`` may share memory with ``dz``: dz is fully read before dx is written.
+    With ``dx`` None the input gradient is skipped and returned as None.
     """
-    c_in, bsz, _ = dx.shape
     c_out, l, _ = w.shape
     m = dz.shape[2]
-    dz2 = dz.reshape(c_out, bsz * m)
+    dz2 = dz.reshape(c_out, -1)
     dw = (dz2 @ cols2.T).reshape(w.shape)
     db = _bias_grad(dz)
+    if dx is None:
+        return None, dw, db
+    c_in, bsz, _ = dx.shape
     dcols = np.matmul(w.reshape(c_out, l * c_in).T, dz2, out=dcols).reshape(l, c_in, bsz, m)
     dx.fill(0.0)
     for i, m0, s in _taps(l, chi, stride, m):
@@ -263,9 +266,12 @@ def _proj_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, dx: np.ndarray):
+def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, dx: np.ndarray | None):
+    """Gradients (dx, dw, db) of _proj_f; with ``dx`` None, dx is skipped."""
     dz2 = dz.reshape(dz.shape[0], -1)
     dw = dz2 @ x.reshape(x.shape[0], -1).T
+    if dx is None:
+        return None, dw, _bias_grad(dz)
     np.matmul(w.T, dz2, out=dx.reshape(x.shape[0], -1))
     return dx, dw, _bias_grad(dz)
 
@@ -336,7 +342,8 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
     """Accumulate into ``grads`` the gradients for output gradient dy (N_F, B, N).
 
     The input-gradient chain ping-pongs between two workspace buffers, and
-    every layer's im2col gradient shares one ``dcols`` buffer.
+    every layer's im2col gradient shares one ``dcols`` buffer.  Nothing reads
+    the gradient of the network input, so block 0 computes none.
     """
     cfg = model.config
     p = model.params
@@ -348,12 +355,12 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
         mask = np.greater(a, 0.0, out=ws.get("mask", a.shape, bool))
         return np.multiply(da, mask, out=da if out is None else out)
 
-    def conv_b(layer: str, dz: np.ndarray, dx_key: str, chi: int = 1,
-               stride: int = 1) -> np.ndarray:
+    def conv_b(layer: str, dz: np.ndarray, dx_key: str | None, chi: int = 1,
+               stride: int = 1) -> np.ndarray | None:
         cols, _ = cache[layer]
         w = p[f"{layer}.w"]                  # every conv reads n frames
         dx, dw, db = _conv_b(dz, cols, w, chi, stride, ws.get("dcols", cols.shape),
-                             ws.get(dx_key, (w.shape[2], bsz, n)))
+                             ws.get(dx_key, (w.shape[2], bsz, n)) if dx_key else None)
         grads[f"{layer}.w"] += dw
         grads[f"{layer}.b"] += db
         return dx
@@ -377,17 +384,15 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
         # dh, also the residual branch's gradient, is in bufs[1]; bufs[0] is free
         dz2 = relu_b(dh, a2, ws.get(bufs[0], dh.shape))
         da1 = conv_b(f"block{bi}.conv2", dz2, bufs[0], chi)
-        dh_conv = conv_b(f"block{bi}.conv1", relu_b(da1, a1), bufs[0], chi)
-        if f"block{bi}.proj.w" in p:
-            # dcols is free again: hold the projection's input gradient there
-            dh_res, dw, db = _proj_b(dh, cache["x"], p[f"block{bi}.proj.w"],
-                                     ws.get("dcols", dh_conv.shape))
-            grads[f"block{bi}.proj.w"] += dw
-            grads[f"block{bi}.proj.b"] += db
-        else:
-            dh_res = dh
-        dh = np.add(dh_conv, dh_res, out=dh_conv)
+        dh_conv = conv_b(f"block{bi}.conv1", relu_b(da1, a1), bufs[0] if bi else None, chi)
+        if not bi:
+            break
+        dh = np.add(dh_conv, dh, out=dh_conv)   # only block 0 can have a projection
         bufs.reverse()
+    if "block0.proj.w" in p:
+        _, dw, db = _proj_b(dh, cache["x"], p["block0.proj.w"], None)
+        grads["block0.proj.w"] += dw
+        grads["block0.proj.b"] += db
 
 
 def _shape_groups(batch: Sequence[tuple[np.ndarray, np.ndarray]]):

@@ -1,10 +1,15 @@
 """Beamforming-feedback tests: SVD contract, angle codec round-trips,
-quantization bounds, and the direction-only sensitivity theorem."""
+quantization bounds, the direction-only sensitivity theorem, and the codec
+against its row-at-a-time reference (``tests/bfi_reference.py``) bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bfi_reference as ref
 
 from nfsense.bfi import (BeamformingMatrix, BfiReport, ChannelMatrix,
                          MotionUpdate, angle_counts, apply_motion,
@@ -303,3 +308,152 @@ class TestDirectionOnlyTheorem:
         rows = bfi_sensitivity_demo(
             h0, [MotionUpdate(delta_d_r=(0.0, 0.0), rho=(1.0, 1.0))] * 3, self.LAM)
         assert all(r == (0.0, 0.0) for r in rows)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_reports(a, b):
+    fields = ("n_tx", "n_cols", "b_phi", "b_psi")
+    arrays = ("phi_angles", "psi_angles", "phi_codes", "psi_codes")
+    return (all(getattr(a, f) == getattr(b, f) for f in fields)
+            and all(getattr(a, f) is None is getattr(b, f) or same_bytes(getattr(a, f),
+                                                                          getattr(b, f))
+                    for f in arrays))
+
+
+# How a drawn channel is shaped: a zero last Tx column zeroes the last-row
+# entries of the steering columns (flagged by phase_normalize); "rank1" and
+# "repeated_row" are rank-deficient; "gaussian_int" holds many exact zeros.
+KINDS = ("generic", "zero_last_tx", "rank1", "repeated_row", "real", "gaussian_int")
+
+
+@st.composite
+def channels(draw):
+    n_rx, n_tx = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "zero_last_tx":
+        h[:, -1] = 0.0
+    elif kind == "rank1":
+        h = np.outer(h[:, 0], h[0])
+    elif kind == "repeated_row":
+        h[-1] = h[0]
+    elif kind == "real":
+        h = h.real + 0j
+    elif kind == "gaussian_int":
+        h = np.round(h)
+    return ChannelMatrix(h)
+
+
+@st.composite
+def unitaries(draw):
+    """A random unitary, with a zero last-row entry in one column when drawn."""
+    n = draw(st.integers(1, 8))
+    v = random_unitary(n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        v = zero_last_row_entry(v, a, b)
+    return BeamformingMatrix(v)
+
+
+def zero_last_row_entry(v, a, b):
+    """v with columns a and b mixed by a unitary 2x2 so that v[-1, a] is 0."""
+    v = v.copy()
+    x, y = v[-1, a], v[-1, b]
+    r = math.hypot(abs(x), abs(y))
+    v[:, a], v[:, b] = (y * v[:, a] - x * v[:, b]) / r, \
+        (x.conjugate() * v[:, a] + y.conjugate() * v[:, b]) / r
+    v[-1, a] = 0.0                           # the mix leaves rounding residue there
+    return v
+
+
+bits = st.integers(0, 8)
+
+
+class TestMatchesRowLoopReference:
+    """Every codec step against the row-at-a-time loops it replaced, bit for bit."""
+
+    @given(h=channels(), b_phi=bits, b_psi=bits)
+    @settings(max_examples=300, deadline=None)
+    def test_chain(self, h, b_phi, b_psi):
+        _, _, v = svd_decompose(h)
+        (got, got_flags), (want, want_flags) = phase_normalize(v), ref.phase_normalize(v)
+        assert got_flags == want_flags and same_bytes(got.v, want.v)
+        n_cols = min(h.n_rx, h.n_tx)
+        report = compress(got, b_phi=b_phi, b_psi=b_psi, n_cols=n_cols)
+        assert same_reports(report, ref.compress(want, b_phi=b_phi, b_psi=b_psi,
+                                                 n_cols=n_cols))
+        assert same_bytes(decompress(report).v, ref.decompress(report).v)
+        assert same_bytes(reconstructed_v(h, b_phi, b_psi).v,
+                          ref.reconstructed_v(h, b_phi, b_psi).v)
+
+    def test_every_shape(self):
+        # numpy picks its complex-multiply loop from the operand shapes, so
+        # each matrix size and column count is run at least once
+        rng = np.random.default_rng(61)
+        for n in range(1, 9):
+            for v in (random_unitary(n, rng),
+                      np.asfortranarray(random_unitary(n, rng)),
+                      zero_last_row_entry(random_unitary(n, rng), 0, n - 1) if n > 1
+                      else random_unitary(n, rng)):
+                v = BeamformingMatrix(v)
+                (got, got_flags), (want, want_flags) = phase_normalize(v), \
+                    ref.phase_normalize(v)
+                assert got_flags == want_flags and same_bytes(got.v, want.v)
+                for n_cols in range(0, n + 2):
+                    for a, b in zip(extract_angles(got, n_cols),
+                                    ref.extract_angles(got, n_cols)):
+                        assert same_bytes(a, b)
+                    if n_cols:
+                        report = compress(got, 6, 4, n_cols)
+                        assert same_reports(report, ref.compress(got, 6, 4, n_cols))
+                        assert same_bytes(decompress(report).v, ref.decompress(report).v)
+            for n_rx in range(1, 9):
+                h = random_channel(n_rx, n, rng)
+                m = MotionUpdate(delta_theta=0.01, delta_d_t=0.02,
+                                 delta_d_r=tuple(rng.uniform(-0.1, 0.1, n_rx).tolist()),
+                                 rho=tuple(rng.uniform(0.1, 2.0, n_rx).tolist()))
+                assert same_bytes(apply_motion(h, m, 0.06).h, ref.apply_motion(h, m, 0.06).h)
+                assert same_bytes(reconstructed_v(h, 6, 4).v, ref.reconstructed_v(h, 6, 4).v)
+
+    @given(v=unitaries(), n_cols=st.integers(0, 9), b_phi=bits, b_psi=bits)
+    @settings(max_examples=200, deadline=None)
+    def test_unitary_with_zero_last_row_entry(self, v, n_cols, b_phi, b_psi):
+        (got, got_flags), (want, want_flags) = phase_normalize(v), ref.phase_normalize(v)
+        assert got_flags == want_flags and same_bytes(got.v, want.v)
+        for a, b in zip(extract_angles(got, n_cols), ref.extract_angles(got, n_cols)):
+            assert same_bytes(a, b)
+        if n_cols:
+            report = compress(got, b_phi, b_psi, n_cols)
+            assert same_reports(report, ref.compress(got, b_phi, b_psi, n_cols))
+            assert same_bytes(decompress(report).v, ref.decompress(report).v)
+
+    @given(n_tx=st.integers(1, 8), n_cols=st.integers(0, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_decompress_any_angles(self, n_tx, n_cols, data):
+        n_phi, n_psi = angle_counts(n_tx, n_cols)
+        angle = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
+        report = BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=0, b_psi=0,
+                           phi_angles=np.array(data.draw(st.lists(angle, min_size=n_phi,
+                                                                  max_size=n_phi))),
+                           psi_angles=np.array(data.draw(st.lists(angle, min_size=n_psi,
+                                                                  max_size=n_psi))))
+        assert same_bytes(decompress(report).v, ref.decompress(report).v)
+
+    @given(h=channels(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_motion(self, h, data):
+        n = h.n_rx
+        small = st.floats(-0.2, 0.2) | st.sampled_from([0.0, -0.0])
+        m = MotionUpdate(
+            delta_theta=data.draw(small), delta_d_t=data.draw(small),
+            delta_d_r=tuple(data.draw(st.lists(small, min_size=n, max_size=n)))
+            if data.draw(st.booleans()) else (),
+            rho=tuple(data.draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
+            if data.draw(st.booleans()) else (),
+            theta=data.draw(st.floats(-math.pi, math.pi)))
+        assert same_bytes(apply_motion(h, m, 0.06).h, ref.apply_motion(h, m, 0.06).h)

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfsense.capacity import (CapacityQuery, DEFAULT_FIT, FitParams,
                               _dd_min_search, _mirror_sums,
@@ -249,6 +251,14 @@ class TestMatchesScalarReference:
                 == struct.pack(f"<{len(qs)}d", *expected))
         for q, v in zip(qs, expected):
             assert struct.pack("<d", delta_d_min_exact(q)) == struct.pack("<d", v)
+
+    @given(r=st.floats(0.3, 4.0), alpha=st.sampled_from([4.0, 3.0, 2.5]),
+           beta=st.sampled_from([10.0, 50.0, 300.0]), delta_r=st.sampled_from([0.05, 0.1, 0.2]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_query_n_max(self, r, alpha, beta, delta_r):
+        q = CapacityQuery(r=r, delta_r=delta_r, beta=beta,
+                          cfg=dataclasses.replace(RadioConfig(), alpha=alpha))
+        assert n_max_exact(q) == ref.n_max_exact(q)
 
     def test_search_cap_overflow(self):
         # without the dynamic-channel term the headroom never runs out, so at

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nfsense.coordinator import Decision, Registration, Registry
-from nfsense.geometry import Point2D, RadioConfig
+from nfsense.coordinator import (F_CUT_BY_MOTION, MOTION_TYPES, Decision, Registration,
+                                 Registry)
+from nfsense.capacity import CapacityQuery
+from nfsense.geometry import Mover, Point2D, RadioConfig, vir
+from nfsense.traffic import KINDS
+
+import capacity_reference
 
 
 def new_registry(beta=50.0, delta_r=0.15):
@@ -145,3 +150,67 @@ class TestValidationAndDump:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "user_id,x_m,y_m,motion_type,strategy,f_cut_hz"
         assert lines[1].startswith("u0,1.410000,0.000000,gesture,ul_bfi,20.0")
+
+
+def pair_virs(registry, population):
+    """Each user's VIR by scalar geometry.vir(), every Mover and UE built afresh."""
+    def mover(reg):
+        return Mover(reg.position, registry.intensities.get(reg.motion_type, 1.0))
+
+    out = []
+    for reg in population:
+        d = registry.ap.distance(reg.position)
+        ux, uy = (reg.position.x - registry.ap.x) / d, (reg.position.y - registry.ap.y) / d
+        ue = Point2D(reg.position.x + registry.delta_r * ux,
+                     reg.position.y + registry.delta_r * uy)
+        out.append((reg, vir(registry.cfg, registry.ap, ue, mover(reg),
+                             [mover(o) for o in population if o.user_id != reg.user_id])))
+    return out
+
+
+def expected_decision(registry, cand):
+    """The admission rule recomputed pair by pair, with the scalar capacity search."""
+    worst = math.inf
+    for reg, ratio in pair_virs(registry, list(registry.members.values()) + [cand]):
+        worst = min(worst, ratio)
+        if ratio < registry.beta:
+            return Decision(admitted=False, min_vir=worst, reason=(
+                f"pairwise VIR: user {reg.user_id!r} would see VIR "
+                f"{ratio:.3g} < beta {registry.beta:.3g}"))
+    radius = max(registry.ap.distance(r.position)
+                 for r in list(registry.members.values()) + [cand])
+    limit = 0 if radius <= registry.delta_r else capacity_reference.n_max_exact(
+        CapacityQuery(r=radius, delta_r=registry.delta_r, beta=registry.beta,
+                      cfg=registry.cfg))
+    count_after = len(registry.members) + 1
+    if count_after >= 3 and count_after > limit:
+        return Decision(admitted=False, min_vir=worst,
+                        reason=f"capacity: {count_after} users exceed N_max={limit} "
+                               f"at radius {registry.ap.distance(cand.position):.3g} m")
+    return Decision(admitted=True, f_cut_hz=F_CUT_BY_MOTION[cand.motion_type], min_vir=worst)
+
+
+class TestMatchesScalarRecomputation:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_event_stream(self, seed):
+        rng = np.random.default_rng(seed)
+        registry = Registry(ap=Point2D(0.2, -0.1), cfg=RadioConfig(),
+                            beta=float(rng.choice([10.0, 30.0, 50.0])), delta_r=0.15,
+                            intensities={"respiration": 0.5, "gesture": 2.0, "activity": 1.0})
+        admitted = 0
+        for k in range(40):
+            if registry.members and rng.random() < 0.25:
+                registry.deregister(sorted(registry.members)[rng.integers(len(registry.members))])
+                continue
+            r, ang = rng.uniform(0.6, 3.5), rng.uniform(0.0, 2.0 * math.pi)
+            cand = Registration(f"u{k}", Point2D(0.2 + r * math.cos(ang), -0.1 + r * math.sin(ang)),
+                                motion_type=str(rng.choice(MOTION_TYPES)),
+                                strategy=str(rng.choice(KINDS)))
+            want = expected_decision(registry, cand)
+            got = registry.register(cand)
+            assert got == want
+            admitted += got.admitted
+            assert registry.min_pairwise_vir() == min(
+                (ratio for _, ratio in pair_virs(registry, list(registry.members.values()))),
+                default=math.inf)
+        assert admitted >= 2

@@ -12,6 +12,7 @@ ValueError that names the file.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ class TestFormatters:
         assert format_table(np.array([1.5, -0.0]), "%g\n") == "1.5\n-0\n"
         assert format_table(np.zeros((2, 0)), "\n") == "\n\n"
         assert format_table(np.zeros((0, 3)), "%g %g %g\n") == ""
+
+
+class TestEmptyCsiSeries:
+    def test_header_only_file_reads_without_a_warning(self, tmp_path):
+        path = tmp_path / "e.csv"
+        save_csi_csv(CsiSeries(np.array([]), np.array([]), "e"), path)
+        assert path.read_text() == "t_s,re,im\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = load_csi_csv(path)
+        assert len(series) == 0 and series.values.dtype == complex
 
 
 class TestTextMax:
