@@ -9,12 +9,15 @@ direction, not to radial subject-UE motion.
 
 The matrices are at most 8 x 8 (an IEEE 802.11 compressed-beamforming
 report), so the codec is bound by per-call overhead, not arithmetic.  The
-real Givens rotations and the angle quantizer run on Python floats and
-complex numbers: a real-times-complex product and a complex sum give the
-same bits in CPython as in numpy.  A complex-times-complex product does
-not (numpy's array loop rounds differently), so every phase step stays one
-broadcast numpy product over the rows it scales, which gives the bits of a
-per-row product.  Angles come from ``math.atan2``, whose bits
+angle extraction's real Givens rotations and the angle quantizer run on
+Python floats and complex numbers: a real-times-complex product and a
+complex sum give numpy's bits unless a partial product underflows to a
+zero, whose sign numpy's fused multiply-add loop keeps and CPython loses.
+A report's angles may be anything, subnormal ones included, so
+:func:`decompress` rotates numpy rows as the row-at-a-time codec did.  A
+complex-times-complex product does not match either, so every phase step
+stays one broadcast numpy product over the rows it scales, which gives the
+bits of a per-row product.  Angles come from ``math.atan2``, whose bits
 ``np.arctan2`` does not always match.
 """
 
@@ -219,7 +222,7 @@ def compress(v: BeamformingMatrix, b_phi: int = 6, b_psi: int = 4,
     if n_cols is None:
         n_cols = mat.shape[1]
     last_row = mat[n_tx - 1, :n_cols]
-    if abs(last_row.imag).max() > 1e-9:
+    if (abs(last_row.imag) > 1e-9).any():
         raise ValueError("input is not phase-normalized: last row has imaginary parts")
     phis, psis = extract_angles(v, n_cols)
     phi_codes = psi_codes = None
@@ -243,22 +246,20 @@ def decompress(report: BfiReport) -> BeamformingMatrix:
     stages = min(report.n_cols, m - 1)
     phis = np.asarray(report.phi_angles, dtype=float).tolist()
     psis = np.asarray(report.psi_angles, dtype=float).tolist()
-    w = np.eye(m, dtype=complex).tolist()
+    w = np.eye(m, dtype=complex)
     pos = len(phis)
     for i in reversed(range(stages)):
         pos -= m - 1 - i                     # stage i's angles start here
         for l in reversed(range(i + 1, m)):
             psi = psis[pos + l - i - 1]
             c, s = math.cos(psi), math.sin(psi)
-            row_i, row_l = w[i], w[l]
             # transpose of the extraction rotation
-            w[i] = [c * a - s * b for a, b in zip(row_i, row_l)]
-            w[l] = [s * a + c * b for a, b in zip(row_i, row_l)]
+            w[i], w[l] = c * w[i] - s * w[l], s * w[i] + c * w[l]
         # rows above i are still identity rows, which a unit factor leaves alone;
         # the last row's factor is exp(0) = 1
         phases = np.exp([1j * phi for phi in phis[pos:pos + m - 1 - i]] + [0j])
-        w[i:] = (phases[:, None] * np.array(w[i:])).tolist()
-    return BeamformingMatrix(np.array(w))
+        w[i:] = phases[:, None] * w[i:]
+    return BeamformingMatrix(w)
 
 
 def apply_motion(h0: ChannelMatrix, m: MotionUpdate, lambda_m: float) -> ChannelMatrix:

@@ -10,13 +10,13 @@ a sweep at once; a single query is the one-element sweep.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kvtext
 from .geometry import RadioConfig
 
 _N_SEARCH_CAP = 1_000_000
@@ -296,14 +296,10 @@ def capacity_curve(cfg: RadioConfig, beta: float, delta_r: float,
 
 
 def write_capacity_csv(rows: Iterable[CapacityRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_m", "n_max_fit", "n_max_exact",
-                         "dd_min_fit_m", "dd_min_exact_m", "feasible"])
-        for row in rows:
-            writer.writerow([f"{row.r:.6f}", row.n_max_fit, row.n_max_exact,
-                             f"{row.dd_min_fit:.6f}", f"{row.dd_min_exact:.6f}",
-                             int(row.feasible)])
+    kvtext.write_csv(path, ("r_m", "n_max_fit", "n_max_exact", "dd_min_fit_m",
+                            "dd_min_exact_m", "feasible"),
+                     ((f"{row.r:.6f}", row.n_max_fit, row.n_max_exact, f"{row.dd_min_fit:.6f}",
+                       f"{row.dd_min_exact:.6f}", int(row.feasible)) for row in rows))
 
 
 def _power_law_lsq(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,

@@ -18,6 +18,7 @@ from . import bfi as bfi_mod
 from . import capacity as cap_mod
 from . import coordinator as coord_mod
 from . import geometry as geo
+from . import kvtext
 from . import metrics as met
 from . import scene as scene_mod
 from . import sra as sra_mod
@@ -56,10 +57,16 @@ def _key_value(text: str) -> tuple[str, str, str]:
     return key, value, "--set"
 
 
-def _set_alias(p: argparse.ArgumentParser, flag: str, key: str) -> None:
-    """Add ``flag VALUE`` as shorthand for ``--set key=VALUE``."""
-    p.add_argument(flag, action="append", dest="set", metavar="VALUE",
-                   type=lambda text: (key, text, flag), help=f"shorthand for --set {key}=VALUE")
+def _set_alias(p: argparse.ArgumentParser, flag: str, key: str,
+               choices: dict[str, str] | None = None) -> None:
+    """Add ``flag VALUE`` as shorthand for ``--set key=VALUE`` (``key=choices[VALUE]``)."""
+    def setting(text: str) -> tuple[str, str, str]:
+        if choices is not None and text not in choices:
+            raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from "
+                                             f"{', '.join(choices)})")
+        return key, choices[text] if choices else text, flag
+    p.add_argument(flag, action="append", dest="set", metavar="VALUE", type=setting,
+                   help=f"shorthand for --set {key}=VALUE")
 
 
 def _int_at_least(lo: int):
@@ -155,7 +162,6 @@ def cmd_simulate(args) -> int:
         scn = demo_scene(seed=args.seed or 0)
     scene_mod.save_scene(scn, _out_path(args, "scene.txt"))
 
-    kind = TRAFFIC_FLAG_TO_KIND[args.traffic_kind]
     duration = args.duration
     for idx, user in enumerate(scn.users):
         if args.uniform_rate:
@@ -164,8 +170,7 @@ def cmd_simulate(args) -> int:
         else:
             model = cfg.traffic(seed=(scn.seed * 1000 + idx))
             model = dataclasses.replace(
-                model, kind=kind,
-                contention_users=max(model.contention_users, len(scn.users)))
+                model, contention_users=max(model.contention_users, len(scn.users)))
             times = traffic_mod.generate_arrivals(model, duration)
         traffic_mod.save_sample_times(times, _out_path(args, f"times_{user.user_id}.txt"))
         series = scene_mod.render_csi(scn, user.user_id, times.times)
@@ -270,10 +275,7 @@ def cmd_eval(args) -> int:
         print("error: nothing to evaluate (pass --recovered/--truth or --spectrogram)",
               file=sys.stderr)
         return 1
-    with open(_out_path(args, "metrics.csv"), "w") as fh:
-        fh.write("metric,value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value}\n")
+    kvtext.write_csv(_out_path(args, "metrics.csv"), ("metric", "value"), rows)
     for key, value in rows:
         print(f"{key}={value}")
     return 0
@@ -300,15 +302,15 @@ def cmd_bfi_demo(args) -> int:
                 rho=tuple(1.0 for _ in range(args.n_rx)), ell=lam / 2, theta=math.pi / 4))
     rows = bfi_mod.bfi_sensitivity_demo(h0, motions, lam,
                                         b_phi=args.bits_phi, b_psi=args.bits_psi)
-    with open(_out_path(args, "bfi_sensitivity.csv"), "w") as fh:
-        fh.write("step,csi_phase_change_rad,bfi_frobenius_change\n")
-        for i, (csi, change) in enumerate(rows):
-            fh.write(f"{i},{csi:.9e},{change:.9e}\n")
+    kvtext.write_csv(_out_path(args, "bfi_sensitivity.csv"),
+                     ("step", "csi_phase_change_rad", "bfi_frobenius_change"),
+                     ((i, f"{csi:.9e}", f"{change:.9e}") for i, (csi, change) in enumerate(rows)))
     print(f"{args.sweep} sweep: max CSI phase change {max(r[0] for r in rows):.3f} rad, "
           f"max BFI change {max(r[1] for r in rows):.3e}")
     return 0
 
 
+_SCRIPT_HEADER = ("user_id", "x", "y", "motion_type", "strategy", "action")
 _DEFAULT_SCRIPT = """user_id,x,y,motion_type,strategy,action
 u0,1.41,0.0,respiration,ul_csi,register
 u1,0.0,1.41,respiration,dl_csi,register
@@ -322,33 +324,33 @@ u5,0.0,1.41,respiration,ul_csi,register
 
 def cmd_register_sim(args) -> int:
     cfg = _load_run_config(args)
+    source = args.arrivals or "built-in script"
     if args.arrivals:
         with open(args.arrivals) as fh:
-            lines = fh.read().strip().splitlines()
+            rows = kvtext.parse_csv(fh, _SCRIPT_HEADER, source)
     else:
-        lines = _DEFAULT_SCRIPT.strip().splitlines()
+        rows = kvtext.parse_csv(_DEFAULT_SCRIPT.splitlines(), _SCRIPT_HEADER, source)
     registry = coord_mod.Registry(ap=geo.Point2D(0.0, 0.0), cfg=cfg.radio(),
                                   beta=args.beta, delta_r=args.delta_r)
     log_rows = []
-    for step, line in enumerate(lines[1:]):
-        user_id, x, y, motion, strategy, action = (v.strip() for v in line.split(","))
-        if action == "register":
+    for step, (number, (user_id, x, y, motion, strategy, action)) in enumerate(rows):
+        try:
             reg = coord_mod.Registration(user_id=user_id,
                                          position=geo.Point2D(float(x), float(y)),
                                          motion_type=motion, strategy=strategy)
-            decision = registry.register(reg)
-            log_rows.append((step, user_id, action, int(decision.admitted),
-                             decision.reason or "-", f"{decision.f_cut_hz:.1f}"))
-        elif action == "deregister":
-            registry.deregister(user_id)
-            log_rows.append((step, user_id, action, 1, "-", "0.0"))
-        else:
-            print(f"error: unknown action {action!r} at step {step}", file=sys.stderr)
-            return 1
-    with open(_out_path(args, "admission_log.csv"), "w") as fh:
-        fh.write("step,user_id,action,admitted,reason,f_cut_hz\n")
-        for row in log_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+            if action == "register":
+                decision = registry.register(reg)
+                log_rows.append((step, user_id, action, int(decision.admitted),
+                                 decision.reason or "-", f"{decision.f_cut_hz:.1f}"))
+            elif action == "deregister":
+                registry.deregister(user_id)
+                log_rows.append((step, user_id, action, 1, "-", "0.0"))
+            else:
+                raise ValueError(f"unknown action {action!r} (expected register or deregister)")
+        except (ValueError, KeyError) as exc:   # the script names the file and the line
+            raise ValueError(f"{source}: line {number}: {exc.args[0]}") from None
+    kvtext.write_csv(_out_path(args, "admission_log.csv"),
+                     ("step", "user_id", "action", "admitted", "reason", "f_cut_hz"), log_rows)
     registry.dump_csv(_out_path(args, "registry.csv"))
     admitted = sum(1 for r in log_rows if r[2] == "register" and r[3])
     print(f"{admitted} of {sum(1 for r in log_rows if r[2] == 'register')} "
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scene", help="scene description file (default: built-in 4-user demo)")
     p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--traffic-kind", choices=sorted(TRAFFIC_FLAG_TO_KIND), default="dl-csi")
+    _set_alias(p, "--traffic-kind", "traffic.kind", TRAFFIC_FLAG_TO_KIND)
     p.add_argument("--uniform-rate", type=float, default=None,
                    help="bypass traffic and sample uniformly at this rate (Hz)")
     p.set_defaults(func=cmd_simulate)

@@ -9,10 +9,10 @@ low-pass cut-off is recorded per user from its declared motion type.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
+from . import kvtext
 from .capacity import CapacityQuery, n_max_exact
 from .geometry import Mover, Point2D, RadioConfig, vir
 from .traffic import KINDS
@@ -139,10 +139,8 @@ class Registry:
                    default=math.inf)
 
     def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "x_m", "y_m", "motion_type", "strategy", "f_cut_hz"])
-            for reg in self.members.values():
-                writer.writerow([reg.user_id, f"{reg.position.x:.6f}", f"{reg.position.y:.6f}",
-                                 reg.motion_type, reg.strategy,
-                                 f"{F_CUT_BY_MOTION[reg.motion_type]:.1f}"])
+        kvtext.write_csv(path, ("user_id", "x_m", "y_m", "motion_type", "strategy", "f_cut_hz"),
+                         ((reg.user_id, f"{reg.position.x:.6f}", f"{reg.position.y:.6f}",
+                           reg.motion_type, reg.strategy,
+                           f"{F_CUT_BY_MOTION[reg.motion_type]:.1f}")
+                          for reg in self.members.values()))

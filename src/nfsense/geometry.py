@@ -297,13 +297,11 @@ def load_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
         try:
             x0, y0, dx, dy = (float(p) for p in parts[:4])
             nx, ny = int(parts[4]), int(parts[5])
-            values = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        values = kvtext.read_table(path, fh, allow_inf=True)
     if not (nx >= 1 and ny >= 1 and all(math.isfinite(d) and d > 0 for d in (dx, dy))):
         raise ValueError(f"{path}: need nx, ny >= 1 and finite dx, dy > 0, got {parts[:6]}")
     if values.shape != (ny, nx):
         raise ValueError(f"{path}: expected {ny}x{nx} raster, got {values.shape}")
-    if np.isnan(values).any():
-        raise ValueError(f"{path}: NaN cell in raster")
     return values, (x0, y0, dx, dy)

@@ -12,13 +12,17 @@ Errors name the file (or other source) and the key.
 Numeric tables (CSI series, sample times, spectrograms, rasters) are
 written by :func:`format_table`, one ``%`` over all values.  Dataset pairs,
 whose masked copies repeat their label's values, are written by
-:func:`format_rows`, which converts each distinct value once.
+:func:`format_rows`, which converts each distinct value once.  The CSI,
+dataset-pair, raster and spectrogram readers parse their values with
+:func:`read_table`.  The CSV outputs are written by :func:`write_csv`, and
+the registration script is read by :func:`parse_csv`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -166,3 +170,51 @@ def format_rows(arrays: Sequence[np.ndarray], fmt: str) -> list[str]:
         texts.append("".join(" ".join(w[i * cols:(i + 1) * cols]) + "\n" for i in range(rows)))
         start += a.size
     return texts
+
+
+def read_table(path, lines: Iterable[str], delimiter: str | None = None,
+               allow_inf: bool = False, what: str = "") -> np.ndarray:
+    """The 2-D array ``np.loadtxt`` reads from ``lines``; no values give an empty one.
+
+    Every error names ``path``, and ``what`` opens a parse error's reason.
+    NaN is refused, and inf unless ``allow_inf``.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # an input with no values only warns
+            data = np.loadtxt(lines, delimiter=delimiter, ndmin=2)
+    except ValueError as exc:    # UnicodeDecodeError included
+        raise ValueError(f"{path}: {what}{exc}") from None
+    if (np.isnan(data) if allow_inf else ~np.isfinite(data)).any():
+        raise ValueError(f"{path}: {'NaN' if allow_inf else 'non-finite'} value")
+    return data
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header``, then each row's fields as ``str`` joined by commas; every line ends in LF."""
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+
+
+def parse_csv(lines: Iterable[str], header: Sequence[str], path) -> list[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each non-blank row below the line ``header``.
+
+    Another first line, or a row without a field per header name, is an
+    error naming ``path`` (and the line).
+    """
+    first, rows = ",".join(header), []
+    try:
+        lines = iter(lines)
+        if next(lines, "").strip() != first:
+            raise ValueError(f"{path}: first line must be the header {first}")
+        for number, line in enumerate(lines, 2):
+            if not line.strip():
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != len(header):
+                raise ValueError(f"{path}: line {number}: expected {len(header)} fields "
+                                 f"{first}, got {len(fields)}")
+            rows.append((number, fields))
+    except UnicodeDecodeError as exc:    # a ValueError, but one that does not name the file
+        raise ValueError(f"{path}: not text: {exc}") from None
+    return rows

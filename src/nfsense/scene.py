@@ -11,7 +11,6 @@ observation noise.  Everything is deterministic given the scene seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -300,22 +299,15 @@ def save_csi_csv(series: CsiSeries, path) -> None:
 
 def load_csi_csv(path, link_id: str = "") -> CsiSeries:
     """Read a series written by :func:`save_csi_csv`; its first line must be ``t_s,re,im``."""
-    with open(path) as fh:   # an OSError names the path, as np.loadtxt's does not
+    with open(path) as fh:
         if fh.readline().strip() != "t_s,re,im":
             raise ValueError(f"{path}: first line must be the header t_s,re,im")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")      # a header-only file only warns
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: expected numeric columns t_s,re,im: {exc}") from None
+        data = kvtext.read_table(path, fh, ",", what="expected numeric columns t_s,re,im: ")
     if data.size == 0:
         return CsiSeries(timestamps=np.array([]), values=np.array([], dtype=complex),
                          link_id=link_id)
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns t_s,re,im, got {data.shape[1]}")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: non-finite value")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
     # the (re, im) pairs viewed as complex: re + 1j * im would turn -0.0 into 0.0

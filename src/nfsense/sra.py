@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -466,9 +465,10 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
     with open(path) as fh:
         lines = fh.readlines()
     for i, line in enumerate(lines, 1):
-        # Python's float reads '1_0' and non-ASCII digits; np.loadtxt does not
-        if "_" in line or not line.isascii():
-            raise ValueError(f"{path}: line {i}: '_' or a non-ASCII character")
+        # the header's float() reads '1_0' and non-ASCII digits, which the table
+        # reader refuses, and the table reader drops a '#' and what follows it
+        if "_" in line or "#" in line or not line.isascii():
+            raise ValueError(f"{path}: line {i}: '_', '#' or a non-ASCII character")
     rows = [line.split() for line in lines]
     try:
         n_f, n_t, t0, frame_dt = rows[0]
@@ -487,12 +487,7 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
     for i, row in enumerate(rows[n_f + 2:], n_f + 3):
         if row:
             raise ValueError(f"{path}: line {i}: text after the flag row")
-    try:
-        data = np.array(rows[1:n_f + 1], dtype=float).reshape(n_f, n_t)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: non-finite spectrogram value")
+    data = kvtext.read_table(path, lines[1:n_f + 1]).reshape(n_f, n_t)
     flags = np.array(rows[n_f + 1]) == "1"
     times = t0 + np.arange(n_t) * frame_dt
     return Spectrogram(data=data, no_data_cols=flags, frame_times=times, df_hz=df_hz)
@@ -524,16 +519,10 @@ def save_dataset(ds: Dataset, out_dir) -> None:
 
 def _load_pair_file(path) -> np.ndarray:
     """One array of a dataset pair; a ValueError names the file if it is unusable."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # an empty file only warns
-            data = np.loadtxt(path, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path) as fh:
+        data = kvtext.read_table(path, fh)
     if data.size == 0:
         raise ValueError(f"{path}: holds no values")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: non-finite value")
     return data
 
 

@@ -521,10 +521,9 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
 
 
 def write_history_csv(history: Sequence[EpochStats], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,train_mse,test_mse\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.train_mse:.9e},{row.test_mse:.9e}\n")
+    kvtext.write_csv(path, ("epoch", "train_mse", "test_mse"),
+                     ((row.epoch, f"{row.train_mse:.9e}", f"{row.test_mse:.9e}")
+                      for row in history))
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,32 @@ class TestSimulatePipeline:
             line.endswith("must be >= 0")
         assert not out.exists()
 
+    def test_traffic_kind_flag_is_the_key(self, tmp_path):
+        def simulate(name, *flags):
+            assert run(["simulate", "--duration", 8, "--seed", 1, *flags,
+                        "--out", tmp_path / name]) == 0
+            return tree_bytes(tmp_path / name)
+
+        config = tmp_path / "run.cfg"
+        config.write_text("traffic.kind=ul_bfi\n")
+        ul_bfi = simulate("flag", "--traffic-kind", "ul-bfi")
+        assert ul_bfi != simulate("default")
+        assert simulate("key", "--set", "traffic.kind=ul_bfi") == ul_bfi
+        assert simulate("config", "--config", config) == ul_bfi
+        assert simulate("set_last", "--traffic-kind", "dl-csi",
+                        "--set", "traffic.kind=ul_bfi") == ul_bfi
+        assert simulate("flag_last", "--config", config, "--set", "traffic.kind=dl_csi",
+                        "--traffic-kind", "ul-bfi") == ul_bfi
+        assert simulate("dl_csi", "--config", config, "--traffic-kind", "dl-csi") == \
+            simulate("default")
+
+    def test_traffic_kind_flag_takes_only_its_choices(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--traffic-kind", "ul_bfi", "--out", tmp_path / "sim"])
+        assert exc.value.code == 2
+        assert "argument --traffic-kind: invalid choice 'ul_bfi'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("traffic, ghost", [
         (["--uniform-rate", 64], True),
         # a short bursty link has no slice long enough to be a label
@@ -492,6 +518,66 @@ class TestRegisterSimCommand:
         assert rows["u4"][3] == "0"
         assert rows["u5"][3] == "1"
         assert (out / "registry.csv").exists()
+
+    GOOD = "u0,1.41,0.0,respiration,ul_csi,register"
+
+    @pytest.mark.parametrize("rows, line, match", [
+        (["u0,1.41,0.0,respiration,ul_csi"], 2, "expected 6 fields"),
+        (["u0,1.41,0.0,respiration,ul_csi,register,1"], 2, "expected 6 fields"),
+        ([GOOD, "u1,abc,0.0,respiration,ul_csi,register"], 3, "'abc'"),
+        ([GOOD, "u1,0.0,,respiration,ul_csi,register"], 3, "convert string to float"),
+        ([GOOD, "", "u1,0.0,1.41,dance,ul_csi,register"], 4, "motion_type must be one of"),
+        (["u0,1.41,0.0,respiration,carrier_pigeon,register"], 2, "strategy must be one of"),
+        ([GOOD, "u0,1.41,0.0,respiration,ul_csi,wave"], 3, "unknown action 'wave'"),
+        (["u9,1.41,0.0,respiration,ul_csi,deregister"], 2, "unknown user_id 'u9'"),
+    ])
+    def test_bad_script_row_names_file_and_line(self, tmp_path, capsys, rows, line, match):
+        script = tmp_path / "arrivals.csv"
+        script.write_text("\n".join(["user_id,x,y,motion_type,strategy,action", *rows]) + "\n")
+        out = tmp_path / "reg"
+        assert run(["register-sim", "--arrivals", script, "--out", out]) == 1
+        error = error_line(capsys)
+        assert error.startswith(f"error: {script}: line {line}: ") and match in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["user_id,x,y,motion,strategy,action",
+                                        "u0,1.41,0.0,respiration,ul_csi,register", ""])
+    def test_bad_script_header_named(self, tmp_path, capsys, header):
+        script = tmp_path / "arrivals.csv"
+        script.write_text(header + "\n" + self.GOOD + "\n")
+        out = tmp_path / "reg"
+        assert run(["register-sim", "--arrivals", script, "--out", out]) == 1
+        assert error_line(capsys) == (f"error: {script}: first line must be the header "
+                                      "user_id,x,y,motion_type,strategy,action")
+        assert not out.exists()
+
+
+class TestCsvOutputs:
+    # (header, command, file) of every CSV the CLI writes
+    CASES = [
+        ("r_m,n_max_fit,n_max_exact,dd_min_fit_m,dd_min_exact_m,feasible",
+         ["capacity", "--r", "1.0:1.2:0.1"], "capacity.csv"),
+        ("user_id,x_m,y_m,motion_type,strategy,f_cut_hz", ["register-sim"], "registry.csv"),
+        ("step,user_id,action,admitted,reason,f_cut_hz", ["register-sim"], "admission_log.csv"),
+        ("epoch,train_mse,test_mse",
+         ["train", "--dataset", "{ds}", "--epochs", 1, "--set", "tcn.n_c=8",
+          "--set", "tcn.bottleneck_dim=4"], "loss_history.csv"),
+        ("metric,value", ["eval", "--spectrogram", "{spec}"], "metrics.csv"),
+        ("step,csi_phase_change_rad,bfi_frobenius_change", ["bfi-demo", "--steps", 4],
+         "bfi_sensitivity.csv"),
+    ]
+
+    @pytest.mark.parametrize("header, argv, name", CASES, ids=[c[2] for c in CASES])
+    def test_header_then_lf_lines(self, tmp_path, header, argv, name):
+        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
+        save_dataset(Dataset(train=(pair,), test=(pair,)), tmp_path / "ds")
+        inputs = {"{ds}": tmp_path / "ds", "{spec}": write_spectrogram(tmp_path / "spec.txt")}
+        out = tmp_path / "out"
+        assert run([inputs.get(a, a) for a in argv] + ["--out", out]) == 0
+        data = (out / name).read_bytes()
+        assert b"\r" not in data
+        lines = data.decode().split("\n")
+        assert lines[0] == header and len(lines) > 2 and lines[-1] == ""
 
 
 class TestDeterminism:

@@ -135,6 +135,36 @@ class TestFormatters:
         assert format_table(np.zeros((0, 3)), "%g %g %g\n") == ""
 
 
+class TestTableHelpers:
+    def test_read_table_names_the_file_and_refuses_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kvtext.read_table("t.txt", []).size == 0
+        assert kvtext.read_table("t.txt", ["1 -0", "2 3"]).tolist() == [[1.0, -0.0], [2.0, 3.0]]
+        with pytest.raises(ValueError, match=r"^t\.txt: non-finite value$"):
+            kvtext.read_table("t.txt", ["1 -inf"])
+        assert kvtext.read_table("t.txt", ["1 -inf"], allow_inf=True)[0, 1] == -math.inf
+        with pytest.raises(ValueError, match=r"^t\.txt: NaN value$"):
+            kvtext.read_table("t.txt", ["nan 1"], allow_inf=True)
+        with pytest.raises(ValueError, match=r"^t\.txt: expected a,b: .*'x'"):
+            kvtext.read_table("t.txt", ["1,x"], ",", what="expected a,b: ")
+
+    def test_write_csv_ends_every_line_in_lf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        kvtext.write_csv(path, ("a", "b"), [(1, "x"), (-0.5, "-")])
+        assert path.read_bytes() == b"a,b\n1,x\n-0.5,-\n"
+        kvtext.write_csv(path, ("a",), iter(()))
+        assert path.read_bytes() == b"a\n"
+
+    def test_parse_csv_numbers_rows_by_file_line(self):
+        assert kvtext.parse_csv(["a,b\n", "1,2\n", "\n", " 3 , x \n"], ("a", "b"), "s") == \
+            [(2, ["1", "2"]), (4, ["3", "x"])]
+        with pytest.raises(ValueError, match=r"^s: first line must be the header a,b$"):
+            kvtext.parse_csv(["a;b\n"], ("a", "b"), "s")
+        with pytest.raises(ValueError, match=r"^s: line 3: expected 2 fields a,b, got 3$"):
+            kvtext.parse_csv(["a,b", "1,2", "1,2,3"], ("a", "b"), "s")
+
+
 class TestEmptyCsiSeries:
     def test_header_only_file_reads_without_a_warning(self, tmp_path):
         path = tmp_path / "e.csv"
