@@ -7,17 +7,11 @@ AP side.  A diagonal motion model Q_rx H Q_tx then shows that the
 reconstructed matrix responds only to changes of the subject-to-AP
 direction, not to radial subject-UE motion.
 
-The matrices are at most 8 x 8 (an IEEE 802.11 compressed-beamforming
-report), so the codec is bound by per-call overhead, not arithmetic.  The
-angle extraction's real Givens rotations and the angle quantizer run on
-Python floats and complex numbers: a real-times-complex product and a
-complex sum give numpy's bits unless a partial product underflows to a
-zero, whose sign numpy's fused multiply-add loop keeps and CPython loses.
-A report's angles may be anything, subnormal ones included, so
-:func:`decompress` rotates numpy rows as the row-at-a-time codec did.  A
-complex-times-complex product does not match either, so every phase step
-stays one broadcast numpy product over the rows it scales, which gives the
-bits of a per-row product.  Angles come from ``math.atan2``, whose bits
+Both directions of the codec work on a numpy array of all N_tx columns:
+:func:`extract_angles` applies the phase steps and Givens rotations that
+:func:`decompress` undoes in reverse order, so every complex product runs
+in numpy and only real scalars (angles, their sines and cosines, the
+quantizer) are Python floats.  Angles come from ``math.atan2``, whose bits
 ``np.arctan2`` does not always match.
 """
 
@@ -166,10 +160,8 @@ class BfiReport:
 
 def angle_counts(n_tx: int, n_cols: int) -> tuple[int, int]:
     """Number of (phi, psi) angles in the Givens decomposition."""
-    stages = min(n_cols, n_tx - 1)
-    n_phi = sum(n_tx - 1 - i for i in range(stages))
-    n_psi = sum(n_tx - 1 - i for i in range(stages))
-    return n_phi, n_psi
+    n = sum(n_tx - 1 - i for i in range(min(n_cols, n_tx - 1)))
+    return n, n                              # one psi per phi
 
 
 def _quantize(angles: np.ndarray, bits: int, span: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,26 +178,24 @@ def extract_angles(v: BeamformingMatrix, n_cols: int) -> tuple[np.ndarray, np.nd
     Column-major elimination: for each stage i, the phases of rows i..M-2 of
     column i are removed (phi angles), then real rotations on row pairs
     (i, l) for l = i+1..M-1 zero the sub-diagonal entries (psi angles).
-    Row operations act on each column alone, so only the columns that feed
-    an angle are carried.
+    Every column is carried, so each row product has the shape that
+    :func:`decompress` and the row-at-a-time codec use.
     """
-    m = v.v.shape[0]
-    stages = min(n_cols, m - 1)
-    w = v.v[:, :stages].tolist()
+    w = v.v.copy()
+    m = w.shape[0]
     phis: list[float] = []
     psis: list[float] = []
-    for i in range(stages):
-        new = [math.atan2(row[i].imag, row[i].real) % (2.0 * math.pi) for row in w[i:m - 1]]
-        phis += new
-        w[i:m - 1] = (np.array(w[i:m - 1])
-                      * np.exp([-1j * phi for phi in new])[:, None]).tolist()
+    for i in range(min(n_cols, m - 1)):
+        for l in range(i, m - 1):
+            phi = math.atan2(w[l, i].imag, w[l, i].real) % (2.0 * math.pi)
+            phis.append(phi)
+            w[l] *= np.exp(-1j * phi)
         for l in range(i + 1, m):
-            psi = math.atan2(w[l][i].real, w[i][i].real)
+            psi = math.atan2(w[l, i].real, w[i, i].real)
             psis.append(psi)
             c, s = math.cos(psi), math.sin(psi)
-            row_i, row_l = w[i], w[l]
-            w[i] = [c * a + s * b for a, b in zip(row_i, row_l)]
-            w[l] = [-s * a + c * b for a, b in zip(row_i, row_l)]
+            # the rotation decompress undoes by its transpose
+            w[i], w[l] = c * w[i] + s * w[l], -s * w[i] + c * w[l]
     return np.array(phis), np.array(psis)
 
 

@@ -42,13 +42,6 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SystemExit(f"expected start:stop:step, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
-
-
 def _key_value(text: str) -> tuple[str, str, str]:
     """argparse type of ``--set``: KEY=VALUE split at the first ``=``."""
     key, eq, value = text.partition("=")
@@ -78,9 +71,27 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _parse_point(text: str) -> geo.Point2D:
-    x, y = (float(v) for v in text.split(","))
-    return geo.Point2D(x, y)
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return float(text)
+
+
+def _floats(metavar: str):
+    """argparse type: the numbers of ``metavar``'s fields, e.g. ``X,Y`` or ``X0:Y0:X1:Y1``."""
+    sep = "," if "," in metavar else ":"
+    n = metavar.count(sep) + 1
+
+    def fields(text: str) -> tuple[float, ...]:
+        parts = text.split(sep)
+        try:
+            if len(parts) == n:
+                return tuple(float(v) for v in parts)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {metavar} ({n} numbers), got {text!r}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +100,9 @@ def _parse_point(text: str) -> geo.Point2D:
 def cmd_feasible_map(args) -> int:
     cfg = _load_run_config(args)
     radio = cfg.radio()
-    ap = _parse_point(args.ap)
-    ue = _parse_point(args.ue)
-    subject = geo.Mover(_parse_point(args.subject), args.subject_speed)
-    extent = tuple(float(v) for v in args.extent.split(":"))
-    fmap = geo.vir_map(radio, ap, ue, subject, extent, args.resolution, args.beta)
+    subject = geo.Mover(geo.Point2D(*args.subject), args.subject_speed)
+    fmap = geo.vir_map(radio, geo.Point2D(*args.ap), geo.Point2D(*args.ue), subject,
+                       args.extent, args.resolution, args.beta)
     geo.save_raster(_out_path(args, "vir_subject.txt"), fmap.vir_subject,
                     fmap.x0, fmap.y0, fmap.dx, fmap.dy)
     geo.save_raster(_out_path(args, "vir_interferer.txt"), fmap.vir_interferer,
@@ -115,11 +124,10 @@ def cmd_capacity(args) -> int:
         p1, p2, p3 = cap_mod.refit_radial(radio.alpha)
         q1, q2, q3 = cap_mod.refit_mirror(radio.alpha, k)
         params = cap_mod.FitParams(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=q3)
-    r_start, r_stop, r_step = _parse_range(args.r)
-    rows = cap_mod.capacity_curve(radio, beta, delta_r, r_start, r_stop, r_step,
-                                  k=k, params=params)
+    rows = cap_mod.capacity_curve(radio, beta, delta_r, *args.r, k=k, params=params)
     if not rows:
-        raise ValueError(f"--r {args.r} holds no r above capacity.delta_r = {delta_r:g}")
+        raise ValueError(f"--r {':'.join(map(repr, args.r))} holds no r above "
+                         f"capacity.delta_r = {delta_r:g}")
     cap_mod.write_capacity_csv(rows, _out_path(args, "capacity.csv"))
     best = max(rows, key=lambda row: row.n_max_fit)
     print(f"max n_max_fit: {best.n_max_fit} at r={best.r:.2f} m")
@@ -164,7 +172,7 @@ def cmd_simulate(args) -> int:
 
     duration = args.duration
     for idx, user in enumerate(scn.users):
-        if args.uniform_rate:
+        if args.uniform_rate is not None:
             n = int(math.floor(duration * args.uniform_rate)) + 1
             times = traffic_mod.SampleTimes(np.arange(n) / args.uniform_rate, duration)
         else:
@@ -286,20 +294,15 @@ def cmd_bfi_demo(args) -> int:
     h0 = bfi_mod.ChannelMatrix(rng.standard_normal((args.n_rx, args.n_tx))
                                + 1j * rng.standard_normal((args.n_rx, args.n_tx)))
     lam = args.lambda_m
-    motions = []
+    still = bfi_mod.MotionUpdate(delta_d_r=(0.0,) * args.n_rx, rho=(1.0,) * args.n_rx,
+                                 ell=lam / 2, theta=math.pi / 4)
     if args.sweep == "radial":
         # Subject-UE radial motion: both path legs stretch, direction fixed.
-        for s in np.linspace(0.0, 2.0 * lam, args.steps):
-            motions.append(bfi_mod.MotionUpdate(
-                delta_theta=0.0, delta_d_t=float(s),
-                delta_d_r=tuple(float(s) for _ in range(args.n_rx)),
-                rho=tuple(1.0 for _ in range(args.n_rx)), ell=lam / 2, theta=math.pi / 4))
+        motions = [dataclasses.replace(still, delta_d_t=s, delta_d_r=(s,) * args.n_rx)
+                   for s in np.linspace(0.0, 2.0 * lam, args.steps).tolist()]
     else:
-        for dth in np.linspace(0.0, args.max_dtheta, args.steps):
-            motions.append(bfi_mod.MotionUpdate(
-                delta_theta=float(dth), delta_d_t=0.0,
-                delta_d_r=tuple(0.0 for _ in range(args.n_rx)),
-                rho=tuple(1.0 for _ in range(args.n_rx)), ell=lam / 2, theta=math.pi / 4))
+        motions = [dataclasses.replace(still, delta_theta=dth)
+                   for dth in np.linspace(0.0, args.max_dtheta, args.steps).tolist()]
     rows = bfi_mod.bfi_sensitivity_demo(h0, motions, lam,
                                         b_phi=args.bits_phi, b_psi=args.bits_psi)
     kvtext.write_csv(_out_path(args, "bfi_sensitivity.csv"),
@@ -377,11 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasible-map", help="VIR feasibility raster around one subject")
     common(p)
     p.add_argument("--beta", type=float, default=50.0)
-    p.add_argument("--ap", default="0,0")
-    p.add_argument("--ue", default="3.1,0")
-    p.add_argument("--subject", default="3.0,0")
+    for flag, default in (("--ap", "0,0"), ("--ue", "3.1,0"), ("--subject", "3.0,0")):
+        p.add_argument(flag, type=_floats("X,Y"), default=default, metavar="X,Y")
     p.add_argument("--subject-speed", type=float, default=1.0)
-    p.add_argument("--extent", default="-4:-4:4.5:4", metavar="X0:Y0:X1:Y1")
+    p.add_argument("--extent", type=_floats("X0:Y0:X1:Y1"), default="-4:-4:4.5:4",
+                   metavar="X0:Y0:X1:Y1")
     p.add_argument("--resolution", type=float, default=0.05)
     p.set_defaults(func=cmd_feasible_map)
 
@@ -390,22 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, key in (("--alpha", "radio.alpha"), ("--beta", "capacity.beta"),
                       ("--delta-r", "capacity.delta_r"), ("--k", "capacity.k")):
         _set_alias(p, flag, key)
-    p.add_argument("--r", default="0.3:4.0:0.01", metavar="START:STOP:STEP")
+    p.add_argument("--r", type=_floats("START:STOP:STEP"), default="0.3:4.0:0.01",
+                   metavar="START:STOP:STEP")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("simulate", help="render per-link CSI under bursty traffic")
     common(p)
     p.add_argument("--scene", help="scene description file (default: built-in 4-user demo)")
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=_positive_float, default=60.0)
     _set_alias(p, "--traffic-kind", "traffic.kind", TRAFFIC_FLAG_TO_KIND)
-    p.add_argument("--uniform-rate", type=float, default=None,
+    p.add_argument("--uniform-rate", type=_positive_float, default=None,
                    help="bypass traffic and sample uniformly at this rate (Hz)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("build-dataset", help="pipeline CSI files into training pairs")
     common(p)
     p.add_argument("--csi", nargs="+", required=True, help="CSI CSV files")
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", type=_positive_float, default=None)
     _set_alias(p, "--max-label-frames", "dataset.max_label_frames")
     p.set_defaults(func=cmd_build_dataset)
 
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("radial", "angular"), default="radial")
     p.add_argument("--steps", type=_int_at_least(1), default=64)
     p.add_argument("--max-dtheta", type=float, default=0.02)
-    p.add_argument("--lambda-m", type=float, default=0.06)
+    p.add_argument("--lambda-m", type=_positive_float, default=0.06)
     p.add_argument("--bits-phi", type=_int_at_least(0), default=0, help="0 = exact angles")
     p.add_argument("--bits-psi", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_bfi_demo)

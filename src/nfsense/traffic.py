@@ -68,8 +68,8 @@ class SampleTimes:
 
 def generate_arrivals(model: TrafficModel, duration: float) -> SampleTimes:
     """Draw one realization of the arrival process over [0, duration]."""
-    if not (duration > 0):
-        raise ValueError(f"duration must be > 0, got {duration}")
+    if not (0 < duration < float("inf")):     # an infinite window never ends
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, KINDS.index(model.kind))))
     gap_mean = model.mean_gap_s * model.contention_users
     p_on = model.mean_burst_s / (model.mean_burst_s + gap_mean)

@@ -2,9 +2,8 @@
 
 ``phase_normalize``, ``_quantize``, ``extract_angles``, ``compress``,
 ``decompress``, ``apply_motion`` and ``reconstructed_v`` below are the
-implementation that ``nfsense.bfi`` used before its Givens rotations ran on
-Python floats, copied verbatim.  ``tests/test_bfi.py`` checks the package
-against them bit for bit.
+row-at-a-time implementation that ``nfsense.bfi`` started from, copied
+verbatim.  ``tests/test_bfi.py`` checks the package against them bit for bit.
 """
 
 from __future__ import annotations

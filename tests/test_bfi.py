@@ -447,16 +447,25 @@ class TestMatchesRowLoopReference:
     @given(n_tx=st.integers(1, 8), n_cols=st.integers(0, 8), data=st.data())
     # subnormal phi: a rotation's partial product underflows to a signed zero
     @example(n_tx=3, n_cols=2, data=Drawn([-5e-324, 0.0, -5e-324], [math.pi, 1.0, 19.0]))
+    # tiny angles leave signed zeros in the rebuilt matrix; extracting it at
+    # n_cols=2 must give the reference's fifth phi, pi, not 0
+    @example(n_tx=4, n_cols=1, data=Drawn([19.0, -1e-200, 1.0], [1e-200, -1e-310, 0.0]))
     @settings(max_examples=200, deadline=None)
     def test_decompress_any_angles(self, n_tx, n_cols, data):
         n_phi, n_psi = angle_counts(n_tx, n_cols)
-        angle = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
+        tiny = [5e-324, 1e-310, 1e-200]
+        angle = st.floats(-50.0, 50.0) | st.sampled_from(
+            [0.0, -0.0, math.pi, -math.pi / 2] + tiny + [-x for x in tiny])
         report = BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=0, b_psi=0,
                            phi_angles=np.array(data.draw(st.lists(angle, min_size=n_phi,
                                                                   max_size=n_phi))),
                            psi_angles=np.array(data.draw(st.lists(angle, min_size=n_psi,
                                                                   max_size=n_psi))))
-        assert same_bytes(decompress(report).v, ref.decompress(report).v)
+        v = ref.decompress(report)
+        assert same_bytes(decompress(report).v, v.v)
+        for k in range(1, n_tx + 1):
+            for a, b in zip(extract_angles(v, k), ref.extract_angles(v, k)):
+                assert same_bytes(a, b)
 
     @given(h=channels(), data=st.data())
     @settings(max_examples=200, deadline=None)

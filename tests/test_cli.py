@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import math
 import os
 import re
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import capacity_reference
+from nfsense.bfi import ChannelMatrix, MotionUpdate, bfi_sensitivity_demo
 from nfsense.capacity import (DEFAULT_FIT, FitParams, refit_mirror, refit_radial,
                               write_capacity_csv)
 from nfsense.cli import main
@@ -33,6 +35,17 @@ def write_spectrogram(path):
 def tree_bytes(root):
     """Every file under ``root`` by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_usage_error(capsys, tmp_path, argv, message):
+    """``argv`` exits 2 naming the flag, and ``--out`` stays empty."""
+    out = tmp_path / "out"
+    out.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", out])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def error_line(capsys):
@@ -167,9 +180,10 @@ class TestCapacityCommand:
         peak = max(int(line.split(",")[1]) for line in lines[1:])
         assert peak == 51
 
-    def test_bad_range_flag(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["capacity", "--r", "1.0:2.0", "--out", tmp_path / "x"])
+    def test_bad_range_flag(self, tmp_path, capsys):
+        for i, r in enumerate(["1.0:2.0", "1:2:x", "1:2:3:4"]):
+            assert_usage_error(capsys, tmp_path / str(i), ["capacity", "--r", r],
+                               f"argument --r: expected START:STOP:STEP (3 numbers), got '{r}'")
 
     @pytest.mark.parametrize("r", ["0.05:0.09:0.01", "2.0:1.0:0.1"])
     def test_empty_sweep_rejected_before_writing(self, tmp_path, capsys, r):
@@ -237,6 +251,15 @@ class TestFeasibleMapCommand:
     def test_non_finite_grid_rejected(self, tmp_path, capsys, flags, named):
         assert run(["feasible-map", *flags, "--out", tmp_path / "map"]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, metavar", [
+        ("--ap", "1", "X,Y (2 numbers)"), ("--ue", "a,b", "X,Y (2 numbers)"),
+        ("--subject", "1,2,3", "X,Y (2 numbers)"),
+        ("--extent", "1:2", "X0:Y0:X1:Y1 (4 numbers)")])
+    def test_malformed_point_or_extent_names_the_flag(self, tmp_path, capsys, flag, value,
+                                                      metavar):
+        assert_usage_error(capsys, tmp_path, ["feasible-map", flag, value],
+                           f"argument {flag}: expected {metavar}, got '{value}'")
 
     def test_candidate_ue_on_subject_is_infeasible(self, tmp_path):
         # The candidate cell (2.75, 0) places its own UE 0.25 m farther from
@@ -375,6 +398,20 @@ class TestSimulatePipeline:
         assert "argument --traffic-kind: invalid choice 'ul_bfi'" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["simulate", "--uniform-rate", 64], "--duration", "-1"),
+        (["simulate"], "--duration", "0"),                 # bursty traffic
+        (["simulate"], "--duration", "inf"),
+        (["simulate"], "--uniform-rate", "0"),
+        (["simulate"], "--uniform-rate", "nan"),
+        (["simulate", "--duration", 4], "--uniform-rate", "-64"),
+        (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "inf"),
+        (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "-1")])
+    def test_impossible_sampling_rejected_before_writing(self, tmp_path, capsys, argv,
+                                                         flag, value):
+        assert_usage_error(capsys, tmp_path, [*argv, f"{flag}={value}"],
+                           f"argument {flag}: must be finite and > 0, got '{value}'")
+
     @pytest.mark.parametrize("traffic, ghost", [
         (["--uniform-rate", 64], True),
         # a short bursty link has no slice long enough to be a label
@@ -502,6 +539,29 @@ class TestBfiDemoCommand:
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.06", "nan"])
+    def test_wavelength_must_be_positive(self, tmp_path, capsys, value):
+        assert_usage_error(capsys, tmp_path, ["bfi-demo", f"--lambda-m={value}"],
+                           f"argument --lambda-m: must be finite and > 0, got '{value}'")
+
+    @pytest.mark.parametrize("sweep", ["radial", "angular"])
+    def test_sweep_bytes_match_separately_built_motions(self, tmp_path, sweep):
+        # each step's motion differs from the still one in the swept field alone
+        out = tmp_path / "bfi"
+        assert run(["bfi-demo", "--sweep", sweep, "--steps", 5, "--seed", 2,
+                    "--out", out]) == 0
+        rng = np.random.default_rng(np.random.SeedSequence((2, 0xBF1)))
+        h0 = ChannelMatrix(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+        motions = []
+        for x in np.linspace(0.0, 0.12 if sweep == "radial" else 0.02, 5):
+            d = float(x) if sweep == "radial" else 0.0
+            motions.append(MotionUpdate(
+                delta_theta=0.0 if sweep == "radial" else float(x), delta_d_t=d,
+                delta_d_r=(d, d), rho=(1.0, 1.0), ell=0.03, theta=math.pi / 4))
+        rows = bfi_sensitivity_demo(h0, motions, 0.06)
+        assert (out / "bfi_sensitivity.csv").read_text().splitlines()[1:] == \
+            [f"{i},{csi:.9e},{change:.9e}" for i, (csi, change) in enumerate(rows)]
 
 
 class TestRegisterSimCommand:

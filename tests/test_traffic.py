@@ -161,3 +161,8 @@ class TestModelValidation:
             TrafficModel(rate_in_burst_hz=-5.0)
         with pytest.raises(ValueError):
             TrafficModel(contention_users=0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_arrival_window(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            generate_arrivals(TrafficModel(), duration)
