@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bfi-demo", help="BFI vs CSI motion-sensitivity sweep")
     common(p)
-    p.add_argument("--n-tx", type=int, default=3)
-    p.add_argument("--n-rx", type=int, default=2)
+    p.add_argument("--n-tx", type=_int_at_least(1), default=3)
+    p.add_argument("--n-rx", type=_int_at_least(1), default=2)
     p.add_argument("--sweep", choices=("radial", "angular"), default="radial")
     p.add_argument("--steps", type=_int_at_least(1), default=64)
     p.add_argument("--max-dtheta", type=float, default=0.02)

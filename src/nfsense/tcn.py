@@ -8,7 +8,9 @@ a binary weight format are all implemented here on plain numpy arrays.
 Weights are float32 on disk.  In memory the model's dtype is the compute
 precision: float64 by default (gradient checks), float32 for ``nfsense
 train``.  Activations are channel-major (C, B, N), so each layer over a
-batch is one im2col GEMM, and ``train`` keeps its scratch in one workspace.
+batch is one im2col GEMM.  ``train`` keeps its scratch in one workspace with
+a single im2col buffer: the backward caches each conv layer's input, not its
+columns, and rebuilds them (the same bits) when it needs them.
 """
 
 from __future__ import annotations
@@ -209,25 +211,29 @@ def _taps(l: int, chi: int, stride: int, m: int):
         yield i, m0, stride * m0 - chi * i
 
 
-def _conv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int, stride: int,
-            cols: np.ndarray, out: np.ndarray):
-    """Causal dilated, strided conv of x (C_in, B, N) into out (C_out, B, M),
-    M = ceil(N / stride): out[k, ., m] = sum_i w[k, i, :] . x[:, ., stride*m - chi*i] + b[k].
-
-    ``cols`` (l, C_in, B, M) receives the im2col copy of x.  Returns out and
-    cols as the (l*C_in, B*M) matrix the backward needs.
-    """
+def _im2col(x: np.ndarray, l: int, chi: int, stride: int, cols: np.ndarray) -> np.ndarray:
+    """Write the causal taps of x (C_in, B, N) into cols (l, C_in, B, M): cols[i, ., ., m]
+    = x[., ., stride*m - chi*i], zero before the start.  Returns (l*C_in, B*M)."""
     c_in, bsz, _ = x.shape
-    c_out, l, _ = w.shape
-    m = out.shape[2]
+    m = cols.shape[3]
     for i, m0, s in _taps(l, chi, stride, m):
         cols[i, :, :, :m0] = 0.0
         cols[i, :, :, m0:] = x[:, :, s::stride][:, :, :m - m0]
-    cols2 = cols.reshape(l * c_in, bsz * m)
-    z2 = out.reshape(c_out, bsz * m)
-    np.matmul(w.reshape(c_out, l * c_in), cols2, out=z2)
+    return cols.reshape(l * c_in, bsz * m)
+
+
+def _conv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int, stride: int,
+            cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Causal dilated, strided conv of x (C_in, B, N) into out (C_out, B, M),
+    M = ceil(N / stride): out[k, ., m] = sum_i w[k, i, :] . x[:, ., stride*m - chi*i] + b[k].
+
+    ``cols`` (l, C_in, B, M) is scratch for the im2col copy of x.
+    """
+    c_out, l, c_in = w.shape
+    z2 = out.reshape(c_out, -1)
+    np.matmul(w.reshape(c_out, l * c_in), _im2col(x, l, chi, stride, cols), out=z2)
     z2 += b[:, None]
-    return out, cols2
+    return out
 
 
 def _bias_grad(dz: np.ndarray) -> np.ndarray:
@@ -236,26 +242,27 @@ def _bias_grad(dz: np.ndarray) -> np.ndarray:
     return np.cumsum(dz.sum(axis=2), axis=1)[:, -1]
 
 
-def _conv_b(dz: np.ndarray, cols2: np.ndarray, w: np.ndarray, chi: int, stride: int,
-            dcols: np.ndarray, dx: np.ndarray | None):
-    """Gradients (dx, dw, db) of _conv_f from dz (C_out, B, M); dx and dcols
-    (l*C_in, B*M) are output buffers.
+def _conv_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, chi: int, stride: int,
+            cols: np.ndarray, dx: np.ndarray | None):
+    """Gradients (dx, dw, db) of _conv_f(x, w, ...) from dz (C_out, B, M).
 
-    ``dx`` may share memory with ``dz``: dz is fully read before dx is written.
-    With ``dx`` None the input gradient is skipped and returned as None.
+    The im2col of x is rebuilt in ``cols`` (l, C_in, B, M), which then holds
+    its gradient.  ``dx`` is an output buffer and may share memory with ``dz``:
+    dz is fully read before dx is written.  With ``dx`` None the input
+    gradient is skipped and returned as None.
     """
-    c_out, l, _ = w.shape
+    c_out, l, c_in = w.shape
     m = dz.shape[2]
     dz2 = dz.reshape(c_out, -1)
+    cols2 = _im2col(x, l, chi, stride, cols)
     dw = (dz2 @ cols2.T).reshape(w.shape)
     db = _bias_grad(dz)
     if dx is None:
         return None, dw, db
-    c_in, bsz, _ = dx.shape
-    dcols = np.matmul(w.reshape(c_out, l * c_in).T, dz2, out=dcols).reshape(l, c_in, bsz, m)
+    np.matmul(w.reshape(c_out, l * c_in).T, dz2, out=cols2)
     dx.fill(0.0)
     for i, m0, s in _taps(l, chi, stride, m):
-        dx[:, :, s::stride][:, :, :m - m0] += dcols[i, :, :, m0:]
+        dx[:, :, s::stride][:, :, :m - m0] += cols[i, :, :, m0:]
     return dx, dw, db
 
 
@@ -283,9 +290,10 @@ def _forward(model: TcnModel, x: np.ndarray, need_cache: bool,
              ws: _Workspace | None = None):
     """Batched network forward on channel-major (N_F, B, N_T) input.
 
-    The output and every cached array live in ``ws``.  With ``need_cache``
-    each layer keeps its own im2col and activation buffers for the backward;
-    without it the layers share one of each.
+    The output and every cached array live in ``ws``, and every layer builds
+    its im2col in the one ``cols`` buffer.  With ``need_cache`` each layer
+    keeps its activation and each block its output, so the backward finds
+    every conv layer's input; without it the layers share one of each.
     """
     cfg = model.config
     p = model.params
@@ -297,20 +305,19 @@ def _forward(model: TcnModel, x: np.ndarray, need_cache: bool,
         w = p[f"{layer}.w"]
         c_out, l, c_in = w.shape
         m = -(-inp.shape[2] // stride)
-        tag = layer if need_cache else "shared"
-        z, cols = _conv_f(inp, w, p[f"{layer}.b"], chi, stride,
-                          ws.get(f"{tag}.cols", (l, c_in, bsz, m)),
-                          ws.get(f"{tag}.act", (c_out, bsz, m)))
+        z = _conv_f(inp, w, p[f"{layer}.b"], chi, stride, ws.get("cols", (l, c_in, bsz, m)),
+                    ws.get(f"{layer}.act" if need_cache else "act", (c_out, bsz, m)))
         a = np.maximum(z, 0.0, out=z)
-        cache[layer] = (cols, a)
+        cache[layer] = (inp, a)
         return a
 
-    # one residual-stream buffer: only block 0 can have a projection, and it
-    # reads x, so no block needs its input once its output is written
+    # block b's conv1 reads block b-1's output, so the backward needs one
+    # residual-stream buffer per block; a forward alone overwrites one in place
+    # (only block 0 can have a projection, and it reads x)
     h = x
-    out = ws.get("h", (cfg.n_c, bsz, n))
     for bi in range(cfg.n_blocks):
         chi = cfg.dilations[bi]
+        out = ws.get(f"h{bi}" if need_cache else "h", (cfg.n_c, bsz, n))
         a1 = conv(f"block{bi}.conv1", h, chi)
         a2 = conv(f"block{bi}.conv2", a1, chi)
         if f"block{bi}.proj.w" in p:
@@ -342,12 +349,13 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
     """Accumulate into ``grads`` the gradients for output gradient dy (N_F, B, N).
 
     The input-gradient chain ping-pongs between two workspace buffers, and
-    every layer's im2col gradient shares one ``dcols`` buffer.  Nothing reads
+    every layer rebuilds its im2col from its cached input into the forward's
+    one ``cols`` buffer, which then takes the im2col gradient.  Nothing reads
     the gradient of the network input, so block 0 computes none.
     """
     cfg = model.config
     p = model.params
-    _, bsz, n = dy.shape
+    n = dy.shape[2]
     bufs = ["grad0", "grad1"]
 
     def relu_b(da: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -357,10 +365,11 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
 
     def conv_b(layer: str, dz: np.ndarray, dx_key: str | None, chi: int = 1,
                stride: int = 1) -> np.ndarray | None:
-        cols, _ = cache[layer]
-        w = p[f"{layer}.w"]                  # every conv reads n frames
-        dx, dw, db = _conv_b(dz, cols, w, chi, stride, ws.get("dcols", cols.shape),
-                             ws.get(dx_key, (w.shape[2], bsz, n)) if dx_key else None)
+        x, _ = cache[layer]
+        w = p[f"{layer}.w"]
+        _, l, c_in = w.shape
+        dx, dw, db = _conv_b(dz, x, w, chi, stride, ws.get("cols", (l, c_in) + dz.shape[1:]),
+                             ws.get(dx_key, x.shape) if dx_key else None)
         grads[f"{layer}.w"] += dw
         grads[f"{layer}.b"] += db
         return dx

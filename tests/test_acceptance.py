@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or test group) per criterion, each printing a
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -s`` to see the
-lines as they complete; this file takes about 10 s on a 2-core machine, half
-of it in the entropy-ordering criterion.
+lines as they complete; this file takes about 5 s on a 2-core machine, a
+quarter of it in the entropy-ordering criterion.
 
 Two sub-assertions are expected failures (strict xfail): the paper's own
 formulas place the minimum-spacing curve slightly outside the spec'd band at

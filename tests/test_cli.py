@@ -531,7 +531,8 @@ class TestBfiDemoCommand:
 
 
     @pytest.mark.parametrize("flag, value", [("--steps", 0), ("--steps", -3),
-                                             ("--bits-phi", -1), ("--bits-psi", -1)])
+                                             ("--bits-phi", -1), ("--bits-psi", -1),
+                                             ("--n-tx", 0), ("--n-rx", 0), ("--n-rx", -1)])
     def test_bad_flag_rejected_before_writing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bfi"
         with pytest.raises(SystemExit) as exc:

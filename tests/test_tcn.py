@@ -22,8 +22,7 @@ TINY = TcnConfig(n_f=5, n_c=7, kernel_len=3, n_blocks=2, dilations=(1, 2),
 def dconv(x, w, b, chi):
     """Dilated stride-1 conv of a channel-major (C_in, B, N) array into fresh buffers."""
     (c_in, bsz, n), (c_out, l, _) = x.shape, w.shape
-    z, _ = _conv_f(x, w, b, chi, 1, np.empty((l, c_in, bsz, n)), np.empty((c_out, bsz, n)))
-    return z
+    return _conv_f(x, w, b, chi, 1, np.empty((l, c_in, bsz, n)), np.empty((c_out, bsz, n)))
 
 
 def tiny_model(seed=4):
@@ -278,18 +277,20 @@ class TestMatchesBatchFirstReference:
 
     def test_workspace_reuse_across_batch_sizes(self):
         # one workspace serving a large batch, then smaller and other-shaped
-        # ones, gives the bits of fresh buffers every time
+        # ones, gives the bits of fresh buffers every time, in both geometries;
+        # every layer's im2col, whatever its l * C_in and M, shares one buffer
         from nfsense.tcn import _Workspace
-        model = TcnModel.initialize(TcnConfig(seed=3), dtype=np.float32)
-        ws = _Workspace(model.dtype)
         rng = np.random.default_rng(22)
-        for widths in ([128] * 16, [128], [64] * 3, [128] * 15):
-            batch = _dataset_like_pairs(rng, 32, widths)
-            shared = loss_and_gradients(model, batch, workspace=ws)
-            fresh = loss_and_gradients(model, batch)
-            assert shared[0] == fresh[0]
-            assert all(_bits_equal(shared[1][k], fresh[1][k]) for k in fresh[1])
-            assert evaluate_mse(model, batch, workspace=ws) == evaluate_mse(model, batch)
+        for cfg, dtype in ((TcnConfig(seed=3), np.float32), (TINY, np.float64)):
+            model = TcnModel.initialize(cfg, dtype=dtype)
+            ws = _Workspace(model.dtype)
+            for widths in ([128] * 16, [128], [64] * 3, [37] * 4, [128] * 15):
+                batch = _dataset_like_pairs(rng, cfg.n_f, widths)
+                shared = loss_and_gradients(model, batch, workspace=ws)
+                fresh = loss_and_gradients(model, batch)
+                assert shared[0] == fresh[0]
+                assert all(_bits_equal(shared[1][k], fresh[1][k]) for k in fresh[1])
+                assert evaluate_mse(model, batch, workspace=ws) == evaluate_mse(model, batch)
 
 
 class TestTrain:
@@ -299,6 +300,21 @@ class TestTrain:
         out, history = train(model, [], (), TrainConfig(epochs=0))
         assert history == []
         assert all(np.array_equal(before[k], out.params[k]) for k in before)
+
+    def test_scratch_grows_three_activations_per_block(self):
+        # per block the backward keeps two conv activations and the block's
+        # output; the im2col columns are rebuilt in one shared buffer
+        from nfsense.tcn import _Workspace
+        rng = np.random.default_rng(23)
+        batch = _dataset_like_pairs(rng, 32, [128] * 16)
+        scratch = {}
+        for dilations in ((1, 2, 4, 8), (1, 2, 4, 8, 16, 32, 64, 128)):
+            cfg = TcnConfig(n_blocks=len(dilations), dilations=dilations)
+            ws = _Workspace(np.float32)
+            loss_and_gradients(TcnModel.initialize(cfg, dtype=np.float32), batch, workspace=ws)
+            scratch[len(dilations)] = sum(buf.nbytes for buf in ws._flat.values())
+        activation = 64 * 16 * 128 * np.dtype(np.float32).itemsize    # n_c * B * N
+        assert scratch[8] - scratch[4] <= 4 * 3 * activation
 
     def test_single_pair_memorization(self):
         # overfit sanity oracle: one pair, 500 epochs, lr 1e-3 (float64:
