@@ -71,11 +71,14 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float above 0."""
-    if not 0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return float(text)
+def _finite_float(above: float = -math.inf):
+    """argparse type: a finite float, greater than ``above`` if that is given."""
+    def number(text: str) -> float:
+        if not above < float(text) < math.inf:
+            bound = f" and > {above:g}" if above > -math.inf else ""
+            raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text!r}")
+        return float(text)
+    return number
 
 
 def _floats(metavar: str):
@@ -262,6 +265,9 @@ def cmd_eval(args) -> int:
     rows: list[tuple[str, str]] = []
     df = cfg.sra().df_hz
     band = (args.band_lo, args.band_hi)
+    if not -math.inf < band[0] < band[1] < math.inf:
+        raise ValueError(f"--band-lo {band[0]:g} and --band-hi {band[1]:g} must be finite, "
+                         "with --band-lo below --band-hi")
     if bool(args.recovered) != bool(args.truth):
         missing = "--truth" if args.recovered else "--recovered"
         raise ValueError(f"{missing} is missing: --recovered and --truth go together")
@@ -400,16 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="render per-link CSI under bursty traffic")
     common(p)
     p.add_argument("--scene", help="scene description file (default: built-in 4-user demo)")
-    p.add_argument("--duration", type=_positive_float, default=60.0)
+    p.add_argument("--duration", type=_finite_float(above=0), default=60.0)
     _set_alias(p, "--traffic-kind", "traffic.kind", TRAFFIC_FLAG_TO_KIND)
-    p.add_argument("--uniform-rate", type=_positive_float, default=None,
+    p.add_argument("--uniform-rate", type=_finite_float(above=0), default=None,
                    help="bypass traffic and sample uniformly at this rate (Hz)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("build-dataset", help="pipeline CSI files into training pairs")
     common(p)
     p.add_argument("--csi", nargs="+", required=True, help="CSI CSV files")
-    p.add_argument("--duration", type=_positive_float, default=None)
+    p.add_argument("--duration", type=_finite_float(above=0), default=None)
     _set_alias(p, "--max-label-frames", "dataset.max_label_frames")
     p.set_defaults(func=cmd_build_dataset)
 
@@ -442,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-rx", type=_int_at_least(1), default=2)
     p.add_argument("--sweep", choices=("radial", "angular"), default="radial")
     p.add_argument("--steps", type=_int_at_least(1), default=64)
-    p.add_argument("--max-dtheta", type=float, default=0.02)
-    p.add_argument("--lambda-m", type=_positive_float, default=0.06)
+    p.add_argument("--max-dtheta", type=_finite_float(), default=0.02)
+    p.add_argument("--lambda-m", type=_finite_float(above=0), default=0.06)
     p.add_argument("--bits-phi", type=_int_at_least(0), default=0, help="0 = exact angles")
     p.add_argument("--bits-psi", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_bfi_demo)

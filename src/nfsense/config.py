@@ -23,8 +23,8 @@ _SECTIONS = {"radio": RadioConfig, "traffic": TrafficModel, "sra": SraConfig,
              "tcn": TcnConfig, "train": TrainConfig}
 
 # Module-config fields that are not keys: the builders supply every seed and
-# tcn.n_f (it is sra.n_f), and relu is the only legal tcn.activation.
-_SUPPLIED = {"tcn.n_f", "tcn.activation"}
+# tcn.n_f (it is sra.n_f).
+_SUPPLIED = {"tcn.n_f"}
 
 # Keys only the CLI reads, with their defaults.
 _CLI_DEFAULTS = {

@@ -90,7 +90,6 @@ class Slice:
 class ResampledSeries:
     values: np.ndarray
     no_data: np.ndarray
-    rate: float
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.no_data):
@@ -281,7 +280,7 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
     else:
         values = np.interp(grid, grid[have], values[have])
     values = _zero_phase_filter(values, lowpass_taps(cfg.f_cut, cfg.f_rs))
-    return ResampledSeries(values=values, no_data=no_data, rate=cfg.f_rs)
+    return ResampledSeries(values=values, no_data=no_data)
 
 
 def minmax_normalize(raw: np.ndarray, flags: np.ndarray) -> np.ndarray:

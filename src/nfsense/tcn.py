@@ -8,15 +8,16 @@ a binary weight format are all implemented here on plain numpy arrays.
 Weights are float32 on disk.  In memory the model's dtype is the compute
 precision: float64 by default (gradient checks), float32 for ``nfsense
 train``.  Activations are channel-major (C, B, N), so each layer over a
-batch is one im2col GEMM.  ``train`` keeps its scratch in one workspace with
-a single im2col buffer: the backward caches each conv layer's input, not its
+batch is one im2col GEMM, and there is one residual block per dilation.
+``train`` keeps its scratch, evaluation included, in one workspace with a
+single im2col buffer: the backward caches each conv layer's input, not its
 columns, and rebuilds them (the same bits) when it needs them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,31 +38,29 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TcnConfig:
-    """Network geometry: channels, kernel, dilation schedule, bottleneck."""
+    """Network geometry: channels, kernel, bottleneck, dilations (one block each)."""
 
     n_f: int = 32
     n_c: int = 64
     kernel_len: int = 5
-    n_blocks: int = 4
     dilations: tuple[int, ...] = (1, 2, 4, 8)
     bottleneck_dim: int = 16
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.dilations) != self.n_blocks:
-            raise ValueError(f"need {self.n_blocks} dilations, got {len(self.dilations)}")
-        for i, chi in enumerate(self.dilations):
-            if chi < 1 or (chi & (chi - 1)) != 0:
-                raise ValueError(f"dilations must be powers of two, got {self.dilations}")
-            if i and chi <= self.dilations[i - 1]:
-                raise ValueError(f"dilations must be strictly increasing, got {self.dilations}")
+        d = self.dilations
+        if not d or any(chi < 1 or chi & (chi - 1) for chi in d):
+            raise ValueError(f"dilations must be one or more powers of two, got {d}")
+        if any(a >= b for a, b in zip(d, d[1:])):
+            raise ValueError(f"dilations must be strictly increasing, got {d}")
         if self.kernel_len < 1:
             raise ValueError(f"kernel_len must be >= 1, got {self.kernel_len}")
-        if self.activation != "relu":
-            raise ValueError(f"only relu is supported, got {self.activation!r}")
         if min(self.n_f, self.n_c, self.bottleneck_dim) < 1:
             raise ValueError("channel counts must be >= 1")
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.dilations)
 
 
 @dataclass(frozen=True)
@@ -286,14 +285,12 @@ def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, dx: np.ndarray | None)
 # ---------------------------------------------------------------------------
 # network forward/backward
 
-def _forward(model: TcnModel, x: np.ndarray, need_cache: bool,
-             ws: _Workspace | None = None):
+def _forward(model: TcnModel, x: np.ndarray, ws: _Workspace | None = None):
     """Batched network forward on channel-major (N_F, B, N_T) input.
 
     The output and every cached array live in ``ws``, and every layer builds
-    its im2col in the one ``cols`` buffer.  With ``need_cache`` each layer
-    keeps its activation and each block its output, so the backward finds
-    every conv layer's input; without it the layers share one of each.
+    its im2col in the one ``cols`` buffer.  Each layer keeps its activation
+    and each block its output, so the backward finds every conv layer's input.
     """
     cfg = model.config
     p = model.params
@@ -306,18 +303,14 @@ def _forward(model: TcnModel, x: np.ndarray, need_cache: bool,
         c_out, l, c_in = w.shape
         m = -(-inp.shape[2] // stride)
         z = _conv_f(inp, w, p[f"{layer}.b"], chi, stride, ws.get("cols", (l, c_in, bsz, m)),
-                    ws.get(f"{layer}.act" if need_cache else "act", (c_out, bsz, m)))
+                    ws.get(f"{layer}.act", (c_out, bsz, m)))
         a = np.maximum(z, 0.0, out=z)
         cache[layer] = (inp, a)
         return a
 
-    # block b's conv1 reads block b-1's output, so the backward needs one
-    # residual-stream buffer per block; a forward alone overwrites one in place
-    # (only block 0 can have a projection, and it reads x)
     h = x
-    for bi in range(cfg.n_blocks):
-        chi = cfg.dilations[bi]
-        out = ws.get(f"h{bi}" if need_cache else "h", (cfg.n_c, bsz, n))
+    for bi, chi in enumerate(cfg.dilations):
+        out = ws.get(f"h{bi}", (cfg.n_c, bsz, n))
         a1 = conv(f"block{bi}.conv1", h, chi)
         a2 = conv(f"block{bi}.conv2", a1, chi)
         if f"block{bi}.proj.w" in p:
@@ -340,7 +333,7 @@ def forward(model: TcnModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=model.dtype)
     if x.ndim != 2 or x.shape[0] != model.config.n_f:
         raise ValueError(f"input must be {model.config.n_f} x N_T, got {x.shape}")
-    y, _ = _forward(model, x[:, None], need_cache=False)
+    y, _ = _forward(model, x[:, None])
     return y[:, 0].copy()
 
 
@@ -386,8 +379,7 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
     dae[:, :, : n // 2] += dup[:, :, 1::2]
     dh = conv_b("enc", relu_b(dae, ae), bufs[1], stride=2)
 
-    for bi in reversed(range(cfg.n_blocks)):
-        chi = cfg.dilations[bi]
+    for bi, chi in reversed(list(enumerate(cfg.dilations))):
         _, a1 = cache[f"block{bi}.conv1"]
         _, a2 = cache[f"block{bi}.conv2"]
         # dh, also the residual branch's gradient, is in bufs[1]; bufs[0] is free
@@ -443,7 +435,7 @@ def loss_and_gradients(model: TcnModel, batch: Sequence[tuple[np.ndarray, np.nda
     dtype = model.dtype
     for shape, indices in _shape_groups(batch).items():
         xs, ys = _stack_group(batch, indices, shape, ws)
-        y, cache = _forward(model, xs, True, ws)
+        y, cache = _forward(model, xs, ws)
         diff = np.subtract(y.transpose(1, 0, 2), ys, out=ws.get("diff", ys.shape))
         if masked_loss_only:
             cols = np.all(xs == NO_DATA_SENTINEL, axis=0)        # (B, N)
@@ -468,7 +460,7 @@ def evaluate_mse(model: TcnModel, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
     total = 0.0
     for shape, indices in _shape_groups(pairs).items():
         xs, ys = _stack_group(pairs, indices, shape, ws)
-        y, _ = _forward(model, xs, False, ws)
+        y, _ = _forward(model, xs, ws)
         d = np.subtract(y.transpose(1, 0, 2), ys, out=ws.get("diff", ys.shape))
         total += float((d * d).mean(axis=(1, 2)).sum())
     return total / len(pairs)
@@ -550,9 +542,9 @@ def save_model(model: TcnModel, path) -> None:
 def load_model(path) -> TcnModel:
     """Rebuild a model from disk; weights come back as float32-exact float64.
 
-    A bad header (a missing, repeated or non-integer field, a geometry TcnConfig
-    rejects), a wrong weight count or a NaN/inf weight raises a ValueError
-    naming the file.
+    The header holds exactly the TcnConfig fields.  A bad header (a missing,
+    repeated, unknown or non-integer field, a geometry TcnConfig rejects), a
+    wrong weight count or a NaN/inf weight raises a ValueError naming the file.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip().decode("ascii", errors="replace")
@@ -567,6 +559,9 @@ def load_model(path) -> TcnModel:
         else:
             raise ValueError(f"{path}: truncated header")
         kv = kvtext.parse_lines(header, path, first_line=2)   # line 1 is the magic
+        unknown = [key for key in kv if key not in {f.name for f in fields(TcnConfig)}]
+        if unknown:
+            raise ValueError(f"{path}: unknown header key {unknown[0]!r}")
         cfg = kvtext.build(TcnConfig, kv, "", path, required=True)
         blob = fh.read()
     spec = _param_spec(cfg)

@@ -85,7 +85,7 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
     else:
         values = np.interp(grid, grid[have], values[have])
     values = _zero_phase_filter(values, lowpass_taps(cfg.f_cut, cfg.f_rs))
-    return ResampledSeries(values=values, no_data=no_data, rate=cfg.f_rs)
+    return ResampledSeries(values=values, no_data=no_data)
 
 
 def _reflection_track(scene: Scene, user: SceneUser, rx: Point2D,

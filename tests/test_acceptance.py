@@ -154,8 +154,8 @@ class TestCriterion2SeriesFit:
 class TestCriterion3Gradients:
     def test_gradcheck_per_layer_type(self):
         t0 = time.time()
-        cfg = tcn.TcnConfig(n_f=6, n_c=10, kernel_len=3, n_blocks=2,
-                            dilations=(1, 2), bottleneck_dim=4, seed=2)
+        cfg = tcn.TcnConfig(n_f=6, n_c=10, kernel_len=3, dilations=(1, 2),
+                            bottleneck_dim=4, seed=2)
         model = tcn.TcnModel.initialize(cfg)
         rng = np.random.default_rng(33)
         batch = [(rng.standard_normal((6, 14)), rng.standard_normal((6, 14))),

@@ -17,7 +17,7 @@ from nfsense.cli import main
 from nfsense.config import RunConfig, load_config
 from nfsense.geometry import RadioConfig, load_raster
 from nfsense.sra import Dataset, Spectrogram, SraConfig, save_dataset, save_spectrogram
-from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, save_model
+from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, load_model, save_model
 from nfsense.traffic import TrafficModel
 
 
@@ -65,7 +65,7 @@ class TestConfig:
         "traffic.rate_in_burst_hz": 1000.0, "traffic.contention_users": 1,
         "sra.dt": 0.1, "sra.n_nsp": 2, "sra.f_rs": 64.0, "sra.f_cut": 1.0, "sra.n_f": 32,
         "sra.fft_len": 256, "sra.hop": 16, "sra.min_label_slice_s": 4.0,
-        "tcn.n_c": 64, "tcn.kernel_len": 5, "tcn.n_blocks": 4, "tcn.dilations": (1, 2, 4, 8),
+        "tcn.n_c": 64, "tcn.kernel_len": 5, "tcn.dilations": (1, 2, 4, 8),
         "tcn.bottleneck_dim": 16,
         "train.lr": 1e-3, "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
         "train.batch_size": 16, "train.epochs": 30, "train.grad_clip": 5.0,
@@ -78,7 +78,7 @@ class TestConfig:
 
     def test_key_set_and_defaults_pinned(self):
         values = RunConfig().values
-        assert len(values) == 40
+        assert len(values) == 39
         assert values == self.DEFAULTS
         assert {k: type(v) for k, v in values.items()} == \
             {k: type(v) for k, v in self.DEFAULTS.items()}
@@ -93,10 +93,10 @@ class TestConfig:
 
     def test_file_values_reach_the_builders(self, tmp_path):
         path = tmp_path / "all.cfg"
-        path.write_text("sra.n_f=16\ntcn.dilations=1,2\ntcn.n_blocks=2\n"
+        path.write_text("sra.n_f=16\ntcn.dilations=1,2\n"
                         "train.masked_loss_only=1\ntrain.epochs=7\ntraffic.kind=ul_bfi\n")
         cfg = load_config(path)
-        assert cfg.tcn(seed=1) == TcnConfig(n_f=16, n_blocks=2, dilations=(1, 2), seed=1)
+        assert cfg.tcn(seed=1) == TcnConfig(n_f=16, dilations=(1, 2), seed=1)
         assert cfg.train() == TrainConfig(masked_loss_only=True, epochs=7)
         assert cfg.traffic().kind == "ul_bfi"
 
@@ -168,6 +168,14 @@ class TestConfig:
         cfg = RunConfig()
         with pytest.raises(ValueError, match="nope"):
             cfg.set("nope", 1)
+
+    @pytest.mark.parametrize("key", ["tcn.n_blocks", "tcn.activation"])
+    def test_removed_tcn_keys_named(self, tmp_path, capsys, key):
+        # the block count is len(tcn.dilations), and relu is the only activation
+        out = tmp_path / "cap"
+        assert run(["capacity", "--set", f"{key}=4", "--out", out]) == 1
+        assert error_line(capsys) == f"error: --set: unknown config key {key!r}"
+        assert not out.exists()
 
 
 class TestCapacityCommand:
@@ -439,6 +447,31 @@ class TestSimulatePipeline:
         assert error_line(capsys).startswith(f"error: {missing} is missing")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lo, hi", [(0.7, 0.1), (0.5, 0.5), ("nan", 0.7), (0.1, "inf")])
+    def test_eval_bad_band_names_both_flags(self, tmp_path, capsys, lo, hi):
+        spec = write_spectrogram(tmp_path / "spec.txt")
+        out = tmp_path / "ev"
+        assert run(["eval", "--spectrogram", spec, "--band-lo", lo, "--band-hi", hi,
+                    "--out", out]) == 1
+        line = error_line(capsys)
+        assert "--band-lo" in line and "--band-hi" in line and "coverage" not in line
+        assert not out.exists()
+
+    def test_train_block_count_follows_dilations(self, tmp_path):
+        ds = tmp_path / "ds"
+        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
+        save_dataset(Dataset(train=(pair,), test=(pair,)), ds)
+        assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.dilations=1,2",
+                    "--set", "tcn.n_c=8", "--set", "tcn.bottleneck_dim=4",
+                    "--out", tmp_path / "tr"]) == 0
+        model = load_model(tmp_path / "tr" / "model.tcn")
+        assert model.config.dilations == (1, 2) and model.config.n_blocks == 2
+        assert {name.split(".")[0] for name in model.params if name.startswith("block")} \
+            == {"block0", "block1"}
+        spec = write_spectrogram(tmp_path / "spec.txt")
+        assert run(["recover", "--model", tmp_path / "tr" / "model.tcn",
+                    "--spectrogram", spec, "--out", tmp_path / "rec"]) == 0
+
     def test_train_missing_dataset(self, tmp_path):
         assert run(["train", "--dataset", tmp_path / "none", "--out", tmp_path]) == 1
 
@@ -532,14 +565,21 @@ class TestBfiDemoCommand:
 
     @pytest.mark.parametrize("flag, value", [("--steps", 0), ("--steps", -3),
                                              ("--bits-phi", -1), ("--bits-psi", -1),
-                                             ("--n-tx", 0), ("--n-rx", 0), ("--n-rx", -1)])
+                                             ("--n-tx", 0), ("--n-rx", 0), ("--n-rx", -1),
+                                             ("--max-dtheta", "nan"), ("--max-dtheta", "inf")])
     def test_bad_flag_rejected_before_writing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bfi"
         with pytest.raises(SystemExit) as exc:
             run(["bfi-demo", flag, value, "--out", out])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        bound = "finite" if flag == "--max-dtheta" else ">= "
+        assert f"argument {flag}: must be {bound}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.02"])
+    def test_max_dtheta_zero_or_negative_runs(self, tmp_path, value):
+        assert run(["bfi-demo", "--sweep", "angular", "--steps", 3, f"--max-dtheta={value}",
+                    "--out", tmp_path / "bfi"]) == 0
 
     @pytest.mark.parametrize("value", ["0", "-0.06", "nan"])
     def test_wavelength_must_be_positive(self, tmp_path, capsys, value):

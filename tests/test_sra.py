@@ -150,8 +150,7 @@ class TestArrayFormsMatchLoops:
             no_data = np.zeros(n, dtype=bool)
             no_data[rng.integers(0, n, n // 2)] = True
             no_data[:cfg.fft_len] = np.arange(cfg.fft_len) < cfg.fft_len // 2  # frame 0: exactly half
-            rs = ResampledSeries(values=np.cumsum(rng.standard_normal(n)),
-                                 no_data=no_data, rate=cfg.f_rs)
+            rs = ResampledSeries(values=np.cumsum(rng.standard_normal(n)), no_data=no_data)
             got, want = stft_magnitudes(rs, cfg), stft_loop(rs, cfg)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -439,7 +438,7 @@ class TestSpectrogram:
         tone_hz = 4 * cfg.df_hz  # bin 4
         from nfsense.sra import ResampledSeries
         rs = ResampledSeries(values=np.sin(2 * np.pi * tone_hz * grid),
-                             no_data=np.zeros(n, dtype=bool), rate=cfg.f_rs)
+                             no_data=np.zeros(n, dtype=bool))
         spec = spectrogram(rs, cfg)
         assert np.all(np.argmax(spec.data, axis=0) == 4)
 
@@ -447,7 +446,7 @@ class TestSpectrogram:
         cfg = SraConfig()
         from nfsense.sra import ResampledSeries
         rs = ResampledSeries(values=np.zeros(cfg.fft_len - 1),
-                             no_data=np.zeros(cfg.fft_len - 1, dtype=bool), rate=cfg.f_rs)
+                             no_data=np.zeros(cfg.fft_len - 1, dtype=bool))
         with pytest.raises(ValueError):
             spectrogram(rs, cfg)
 
@@ -455,8 +454,7 @@ class TestSpectrogram:
         cfg = SraConfig()
         from nfsense.sra import ResampledSeries
         n = cfg.fft_len * 2
-        rs = ResampledSeries(values=np.zeros(n), no_data=np.ones(n, dtype=bool),
-                             rate=cfg.f_rs)
+        rs = ResampledSeries(values=np.zeros(n), no_data=np.ones(n, dtype=bool))
         spec = spectrogram(rs, cfg)
         assert spec.no_data_cols.all()
         assert np.all(spec.data == -1.0)
@@ -467,7 +465,7 @@ class TestSpectrogram:
         n = cfg.fft_len * 2
         from nfsense.sra import ResampledSeries
         rs = ResampledSeries(values=rng.standard_normal(n),
-                             no_data=np.zeros(n, dtype=bool), rate=cfg.f_rs)
+                             no_data=np.zeros(n, dtype=bool))
         window = 0.5 * (1 - np.cos(2 * np.pi * np.arange(cfg.fft_len) / cfg.fft_len))
         chunk = rs.values[:cfg.fft_len]
         windowed = (chunk - chunk.mean()) * window

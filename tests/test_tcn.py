@@ -15,7 +15,7 @@ from nfsense.tcn import _conv_f
 
 import tcn_reference as ref
 
-TINY = TcnConfig(n_f=5, n_c=7, kernel_len=3, n_blocks=2, dilations=(1, 2),
+TINY = TcnConfig(n_f=5, n_c=7, kernel_len=3, dilations=(1, 2),
                  bottleneck_dim=3, seed=4)
 
 
@@ -26,8 +26,8 @@ def dconv(x, w, b, chi):
 
 
 def tiny_model(seed=4):
-    return TcnModel.initialize(TcnConfig(n_f=5, n_c=7, kernel_len=3, n_blocks=2,
-                                         dilations=(1, 2), bottleneck_dim=3, seed=seed))
+    return TcnModel.initialize(TcnConfig(n_f=5, n_c=7, kernel_len=3, dilations=(1, 2),
+                                         bottleneck_dim=3, seed=seed))
 
 
 def fd_gradient(model, batch, name, idx, h=1e-4):
@@ -52,7 +52,7 @@ def fd_is_smooth(model, batch, name, idx, h=1e-4):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TcnConfig(dilations=(1, 2, 4))           # wrong count
+            TcnConfig(dilations=())                  # no blocks
         with pytest.raises(ValueError):
             TcnConfig(dilations=(1, 3, 4, 8))        # not powers of two
         with pytest.raises(ValueError):
@@ -60,9 +60,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TcnConfig(kernel_len=0)
         with pytest.raises(ValueError):
-            TcnConfig(activation="gelu")
-        with pytest.raises(ValueError):
             TrainConfig(beta1=0.999, beta2=0.9)
+
+    def test_block_count_is_the_dilation_count(self):
+        assert TcnConfig().n_blocks == 4
+        assert TcnConfig(dilations=(1, 2)).n_blocks == 2
+        assert TcnConfig(dilations=(2,)).n_blocks == 1
 
     def test_param_count_formula(self):
         for cfg in (TINY, TcnConfig()):
@@ -128,7 +131,7 @@ class TestForward:
     def test_causality_of_block_stack(self):
         # perturbations must never propagate backward in time, and the
         # block-stack receptive field must match the closed form
-        cfg = TcnConfig(n_f=3, n_c=4, kernel_len=3, n_blocks=2, dilations=(1, 2),
+        cfg = TcnConfig(n_f=3, n_c=4, kernel_len=3, dilations=(1, 2),
                         bottleneck_dim=2, seed=1)
         model = TcnModel.initialize(cfg)
         rng = np.random.default_rng(11)
@@ -149,12 +152,12 @@ class TestForward:
         n = 200
         x = rng.standard_normal((cfg.n_f, n))
         # run only the block stack: zero the tail by inspecting the cache
-        y_base, cache = _forward(model, x[:, None], need_cache=True)
+        y_base, cache = _forward(model, x[:, None])
         h_base = cache["h"][:, 0]
         probe = 30
         xp = x.copy()
         xp[:, probe] += 1.0
-        _, cache_p = _forward(model, xp[:, None], need_cache=True)
+        _, cache_p = _forward(model, xp[:, None])
         h_pert = cache_p["h"][:, 0]
         changed = np.where(np.max(np.abs(h_pert - h_base), axis=0) > 1e-12)[0]
         assert changed[0] == probe
@@ -309,12 +312,24 @@ class TestTrain:
         batch = _dataset_like_pairs(rng, 32, [128] * 16)
         scratch = {}
         for dilations in ((1, 2, 4, 8), (1, 2, 4, 8, 16, 32, 64, 128)):
-            cfg = TcnConfig(n_blocks=len(dilations), dilations=dilations)
+            cfg = TcnConfig(dilations=dilations)
             ws = _Workspace(np.float32)
             loss_and_gradients(TcnModel.initialize(cfg, dtype=np.float32), batch, workspace=ws)
             scratch[len(dilations)] = sum(buf.nbytes for buf in ws._flat.values())
         activation = 64 * 16 * 128 * np.dtype(np.float32).itemsize    # n_c * B * N
         assert scratch[8] - scratch[4] <= 4 * 3 * activation
+
+    def test_evaluation_adds_no_scratch_to_training(self):
+        # evaluate_mse runs the training forward, so the buffers one
+        # loss_and_gradients step filled serve it: the workspace does not grow
+        from nfsense.tcn import _Workspace
+        batch = _dataset_like_pairs(np.random.default_rng(24), 32, [128] * 16)
+        model = TcnModel.initialize(TcnConfig(), dtype=np.float32)
+        ws = _Workspace(model.dtype)
+        loss_and_gradients(model, batch, workspace=ws)
+        trained = {key: buf.nbytes for key, buf in ws._flat.items()}
+        evaluate_mse(model, batch, workspace=ws)
+        assert {key: buf.nbytes for key, buf in ws._flat.items()} == trained
 
     def test_single_pair_memorization(self):
         # overfit sanity oracle: one pair, 500 epochs, lr 1e-3 (float64:
@@ -412,11 +427,11 @@ class TestSerialization:
         (b"dilations=1,2", b"dilations=1,x", "bad config"),
         (b"dilations=1,2", b"dilations=1,3", "powers of two"),
         (b"dilations=1,2", b"dilations=2,1", "increasing"),
-        (b"dilations=1,2", b"dilations=1,2,4", "need 2 dilations"),
+        (b"dilations=1,2", b"dilations=1,2,4", "weight bytes"),
         (b"n_f=5", b"n_f=0", "channel counts"),
-        (b"activation=relu", b"activation=tanh", "only relu"),
         (b"seed=4\n", b"", "bad config: missing key 'seed'"),
-        (b"activation=relu\n", b"", "bad config: missing key 'activation'"),
+        (b"seed=4\n", b"seed=4\nbogus=1\n", "unknown header key 'bogus'"),
+        (b"kernel_len=3\n", b"kernel_len=3\nn_blocks=2\n", "unknown header key 'n_blocks'"),
         (b"n_c=7", b"n_c 7", "malformed line"),
     ])
     def test_bad_config_named(self, tmp_path, old, new, match):

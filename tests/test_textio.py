@@ -426,7 +426,7 @@ class TestKeyValueReadersFuzzed:
     @settings(max_examples=150, deadline=None)
     def test_model(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("model") / "model.tcn"
-        cfg = TcnConfig(n_f=3, n_c=2, kernel_len=2, n_blocks=2, dilations=(1, 2),
+        cfg = TcnConfig(n_f=3, n_c=2, kernel_len=2, dilations=(1, 2),
                         bottleneck_dim=2, seed=5)
         save_model(TcnModel.initialize(cfg), path)
         blob = path.read_bytes()
