@@ -90,24 +90,21 @@ class MotionUpdate:
             raise ValueError(f"ell must be > 0, got {self.ell}")
 
 
-def svd_decompose(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray, BeamformingMatrix]:
-    """SVD (LAPACK, via numpy): returns (U, S, V) with H = U S V*.
+def svd_decompose(h: ChannelMatrix) -> BeamformingMatrix:
+    """V of H = U S V* (LAPACK, via numpy), columns by non-increasing singular value.
 
-    S is the rectangular diagonal matrix (non-negative, non-increasing).
+    V is all that compressed beamforming feedback carries.
     """
-    u, sigma, vh = np.linalg.svd(h.h)
-    s = np.zeros(h.h.shape)
-    np.fill_diagonal(s, sigma)
-    return u, s, BeamformingMatrix(vh.conj().T)
+    _, _, vh = np.linalg.svd(h.h)
+    return BeamformingMatrix(vh.conj().T)
 
 
-def phase_normalize(v: BeamformingMatrix) -> tuple[BeamformingMatrix, tuple[int, ...]]:
+def phase_normalize(v: BeamformingMatrix) -> BeamformingMatrix:
     """Rotate each column so the last-row entry is real and non-negative.
 
-    Returns the normalized matrix and the indices of columns whose last-row
-    entry was zero; those take their phase reference from the last non-zero
-    entry instead (a zero entry is already real, so the compression contract
-    still holds).
+    A column whose last-row entry is zero takes its phase reference from its
+    last non-zero entry instead (a zero entry is already real, so the
+    compression contract still holds).
     """
     mat = v.v
     # (1, n), not (n,): numpy multiplies a (1, 1) by a (1,) in another loop,
@@ -115,12 +112,11 @@ def phase_normalize(v: BeamformingMatrix) -> tuple[BeamformingMatrix, tuple[int,
     z = mat[-1:].copy()
     # abs() of one complex is libm hypot; np.abs over an array may round otherwise
     mags = [abs(x) for x in z[0].tolist()]
-    flagged = [c for c, r in enumerate(mags) if r < 1e-15]
-    for c in flagged:
+    for c in [c for c, r in enumerate(mags) if r < 1e-15]:
         # a unitary column always holds an entry of magnitude >= 1e-15
         z[0, c] = mat[np.flatnonzero(np.abs(mat[:, c]) >= 1e-15)[-1], c]
         mags[c] = abs(z[0, c])
-    return BeamformingMatrix(mat * (z.conj() / mags)), tuple(flagged)
+    return BeamformingMatrix(mat * (z.conj() / mags))
 
 
 @dataclass(frozen=True)
@@ -274,10 +270,8 @@ def reconstructed_v(h: ChannelMatrix, b_phi: int = 0, b_psi: int = 0) -> Beamfor
     compressed beamforming; the SVD may pick any basis of the null space,
     so the AP fills in the remaining columns from the reported angles.
     """
-    _, _, v = svd_decompose(h)
-    v_hat, _ = phase_normalize(v)
-    return decompress(compress(v_hat, b_phi=b_phi, b_psi=b_psi,
-                               n_cols=min(h.n_rx, h.n_tx)))
+    v_hat = phase_normalize(svd_decompose(h))
+    return decompress(compress(v_hat, b_phi=b_phi, b_psi=b_psi, n_cols=min(h.n_rx, h.n_tx)))
 
 
 def predicted_v_change(n_tx: int, m: MotionUpdate, lambda_m: float) -> np.ndarray:

@@ -385,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible-map", help="VIR feasibility raster around one subject")
     common(p)
-    p.add_argument("--beta", type=float, default=50.0)
+    p.add_argument("--beta", type=_finite_float(above=0), default=50.0)
     for flag, default in (("--ap", "0,0"), ("--ue", "3.1,0"), ("--subject", "3.0,0")):
         p.add_argument(flag, type=_floats("X,Y"), default=default, metavar="X,Y")
-    p.add_argument("--subject-speed", type=float, default=1.0)
+    p.add_argument("--subject-speed", type=_finite_float(), default=1.0)
     p.add_argument("--extent", type=_floats("X0:Y0:X1:Y1"), default="-4:-4:4.5:4",
                    metavar="X0:Y0:X1:Y1")
-    p.add_argument("--resolution", type=float, default=0.05)
+    p.add_argument("--resolution", type=_finite_float(above=0), default=0.05)
     p.set_defaults(func=cmd_feasible_map)
 
     p = sub.add_parser("capacity", help="N_max / delta-d_min capacity sweep")
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--spectrogram", help="near-field spectrogram")
     p.add_argument("--baseline-spectrogram")
-    p.add_argument("--true-rate", type=float, default=None, help="actual rate (bpm)")
+    p.add_argument("--true-rate", type=_finite_float(), default=None, help="actual rate (bpm)")
     p.add_argument("--band-lo", type=float, default=0.1)
     p.add_argument("--band-hi", type=float, default=0.7)
     p.set_defaults(func=cmd_eval)
@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register-sim", help="replay a scripted registration sequence")
     common(p)
     p.add_argument("--arrivals", help="CSV script (default: built-in demo sequence)")
-    p.add_argument("--beta", type=float, default=50.0)
-    p.add_argument("--delta-r", type=float, default=0.15)
+    p.add_argument("--beta", type=_finite_float(above=0), default=50.0)
+    p.add_argument("--delta-r", type=_finite_float(above=0), default=0.15)
     p.set_defaults(func=cmd_register_sim)
 
     return parser

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from . import kvtext
 from .capacity import CapacityQuery, n_max_exact
 from .geometry import Mover, Point2D, RadioConfig, vir
+from .sra import SraConfig
 from .traffic import KINDS
 
 MOTION_TYPES = ("respiration", "gesture", "activity")
 
-# Low-pass cut-off per declared motion type (Hz).
-F_CUT_BY_MOTION = {"respiration": 1.0, "gesture": 20.0, "activity": 20.0}
+# Low-pass cut-off per declared motion type (Hz): the pipeline's own settings.
+F_CUT_BY_MOTION = {"respiration": SraConfig().f_cut, "gesture": SraConfig.gesture().f_cut,
+                   "activity": SraConfig.gesture().f_cut}
 
 # Motion intensity (m/s) assumed per type when computing VIRs; the default
 # normalized table treats every user alike.

@@ -4,8 +4,8 @@ Run configs, scene files and the model header are key=value text:
 one ``key=value`` per line, each key at most once; blank lines and ``#``
 comments are skipped.  A value is read and written by the annotation of the
 dataclass field it fills: a float is finite and written ``.9g``, an int or
-str as is, a bool as 0/1, ``tuple[int, ...]`` as ``1,2,4`` and hold
-intervals as ``a:b;c:d``.
+str as is, ``tuple[int, ...]`` as ``1,2,4`` and hold intervals as
+``a:b;c:d``.
 Annotations are compared as text, since every module postpones them.
 Errors name the file (or other source) and the key.
 
@@ -35,12 +35,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _bool(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError("expected 0 or 1")
-    return text == "1"
-
-
 def _holds(text: str) -> tuple[tuple[float, float], ...]:
     return tuple((_finite(a), _finite(b))
                  for a, b in (token.split(":") for token in text.split(";"))) if text else ()
@@ -51,7 +45,6 @@ _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     "float": (_finite, lambda v: f"{v:.9g}"),
     "int": (int, str),
     "str": (str, str),
-    "bool": (_bool, lambda v: str(int(v))),
     "tuple[int, ...]": (lambda text: tuple(int(d) for d in text.split(",")),
                         lambda v: ",".join(str(d) for d in v)),
     "tuple[tuple[float, float], ...]": (
@@ -177,12 +170,12 @@ def read_table(path, lines: Iterable[str], delimiter: str | None = None,
     """The 2-D array ``np.loadtxt`` reads from ``lines``; no values give an empty one.
 
     Every error names ``path``, and ``what`` opens a parse error's reason.
-    NaN is refused, and inf unless ``allow_inf``.
+    NaN is refused, and inf unless ``allow_inf``; ``#`` starts no comment.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")      # an input with no values only warns
-            data = np.loadtxt(lines, delimiter=delimiter, ndmin=2)
+            data = np.loadtxt(lines, delimiter=delimiter, ndmin=2, comments=None)
     except ValueError as exc:    # UnicodeDecodeError included
         raise ValueError(f"{path}: {what}{exc}") from None
     if (np.isnan(data) if allow_inf else ~np.isfinite(data)).any():

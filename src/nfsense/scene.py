@@ -165,11 +165,10 @@ class Scene:
 
 @dataclass(frozen=True)
 class CsiSeries:
-    """Irregularly sampled complex channel gains of one link."""
+    """Irregularly sampled complex channel gains of one link (the caller knows which)."""
 
     timestamps: np.ndarray
     values: np.ndarray
-    link_id: str
 
     def __post_init__(self) -> None:
         t = np.asarray(self.timestamps, dtype=float)
@@ -281,8 +280,7 @@ def render_csi(scene: Scene, link: str, sample_times) -> CsiSeries:
     """Render the complex channel of one AP-UE link at the given times."""
     parts = render_components(scene, link, sample_times)
     total = sum(parts.values())
-    return CsiSeries(timestamps=np.asarray(sample_times, dtype=float),
-                     values=total, link_id=link)
+    return CsiSeries(timestamps=np.asarray(sample_times, dtype=float), values=total)
 
 
 def render_baseline(scene: Scene, sample_times) -> CsiSeries:
@@ -297,21 +295,20 @@ def save_csi_csv(series: CsiSeries, path) -> None:
         fh.write(kvtext.format_table(table, "%.9f,%.12e,%.12e\n"))
 
 
-def load_csi_csv(path, link_id: str = "") -> CsiSeries:
+def load_csi_csv(path) -> CsiSeries:
     """Read a series written by :func:`save_csi_csv`; its first line must be ``t_s,re,im``."""
     with open(path) as fh:
         if fh.readline().strip() != "t_s,re,im":
             raise ValueError(f"{path}: first line must be the header t_s,re,im")
         data = kvtext.read_table(path, fh, ",", what="expected numeric columns t_s,re,im: ")
     if data.size == 0:
-        return CsiSeries(timestamps=np.array([]), values=np.array([], dtype=complex),
-                         link_id=link_id)
+        return CsiSeries(timestamps=np.array([]), values=np.array([], dtype=complex))
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns t_s,re,im, got {data.shape[1]}")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
     # the (re, im) pairs viewed as complex: re + 1j * im would turn -0.0 into 0.0
-    return CsiSeries(timestamps=data[:, 0], link_id=link_id,
+    return CsiSeries(timestamps=data[:, 0],
                      values=np.ascontiguousarray(data[:, 1:]).view(complex).ravel())
 
 

@@ -391,10 +391,9 @@ def extract_label_slices(spec: Spectrogram, cfg: SraConfig) -> list[np.ndarray]:
 
 
 def chop_labels(labels: Sequence[np.ndarray], max_frames: int,
-                stride: int | None = None) -> list[np.ndarray]:
-    """Cut long label slices into fixed-width windows (training convenience)."""
-    if stride is None:
-        stride = max_frames
+                stride: int) -> list[np.ndarray]:
+    """Label slices, each longer than ``max_frames`` cut into windows that wide,
+    one every ``stride`` frames."""
     out: list[np.ndarray] = []
     for lab in labels:
         n = lab.shape[1]
@@ -465,7 +464,7 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
         lines = fh.readlines()
     for i, line in enumerate(lines, 1):
         # the header's float() reads '1_0' and non-ASCII digits, which the table
-        # reader refuses, and the table reader drops a '#' and what follows it
+        # reader refuses; this scan names the line of any of them, or of a '#'
         if "_" in line or "#" in line or not line.isascii():
             raise ValueError(f"{path}: line {i}: '_', '#' or a non-ASCII character")
     rows = [line.split() for line in lines]

@@ -65,6 +65,8 @@ class TcnConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam, clipping and batching settings; the loss is always the full-spectrogram MSE."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -73,7 +75,6 @@ class TrainConfig:
     epochs: int = 30
     grad_clip: float = 5.0
     seed: int = 0
-    masked_loss_only: bool = False
 
     def __post_init__(self) -> None:
         if not (self.lr > 0):
@@ -414,20 +415,18 @@ def _stack_group(pairs, indices: list[int], shape: tuple[int, int], ws: _Workspa
     return xs, ys
 
 
-def loss_and_gradients(model: TcnModel, batch: Sequence[tuple[np.ndarray, np.ndarray]],
-                       masked_loss_only: bool = False, *,
+def loss_and_gradients(model: TcnModel, batch: Sequence[tuple[np.ndarray, np.ndarray]], *,
                        workspace: _Workspace | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-pair MSE over the batch and its gradients.
 
-    The loss covers the entire spectrogram (masked and unmasked columns
-    alike); ``masked_loss_only`` restricts it to sentinel columns of the
-    input, for ablations.  Equal-shape pairs are processed as one stacked
-    forward/backward pass.  ``workspace`` lends the scratch buffers
-    (``train`` passes one for all its steps); by default a fresh one is used.
+    The loss covers the entire spectrogram: the columns the input hides
+    behind the sentinel and those it shows alike.  Equal-shape pairs are
+    processed as one stacked forward/backward pass.  ``workspace`` lends the
+    scratch buffers (``train`` passes one for all its steps); by default a
+    fresh one is used.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    from .sra import NO_DATA_SENTINEL
     ws = workspace or _Workspace(model.dtype)
     grads = model.zeros_like_params()
     total = 0.0
@@ -437,12 +436,7 @@ def loss_and_gradients(model: TcnModel, batch: Sequence[tuple[np.ndarray, np.nda
         xs, ys = _stack_group(batch, indices, shape, ws)
         y, cache = _forward(model, xs, ws)
         diff = np.subtract(y.transpose(1, 0, 2), ys, out=ws.get("diff", ys.shape))
-        if masked_loss_only:
-            cols = np.all(xs == NO_DATA_SENTINEL, axis=0)        # (B, N)
-            diff *= cols[:, None, :]
-            denom = np.maximum(cols.sum(axis=1) * shape[0], 1.0)
-        else:
-            denom = np.full(len(indices), float(shape[0] * shape[1]))
+        denom = np.full(len(indices), float(shape[0] * shape[1]))
         per_pair = (diff * diff).sum(axis=(1, 2)) / denom
         total += float(per_pair.sum()) * inv_b
         scale = (2.0 * inv_b / denom).astype(dtype)
@@ -495,8 +489,7 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
         n_batches = 0
         for lo in range(0, len(order), tcfg.batch_size):
             batch = [train_set[int(i)] for i in order[lo:lo + tcfg.batch_size]]
-            mse, grads = loss_and_gradients(model, batch, tcfg.masked_loss_only,
-                                             workspace=ws)
+            mse, grads = loss_and_gradients(model, batch, workspace=ws)
             if not math.isfinite(mse):
                 raise TrainingDiverged(epoch)
             epoch_loss += mse

@@ -161,7 +161,7 @@ def reconstructed_v(h: ChannelMatrix, b_phi: int = 0, b_psi: int = 0) -> Beamfor
     compressed beamforming; the SVD may pick any basis of the null space,
     so the AP fills in the remaining columns from the reported angles.
     """
-    _, _, v = svd_decompose(h)
+    v = svd_decompose(h)
     v_hat, _ = phase_normalize(v)
     return decompress(compress(v_hat, b_phi=b_phi, b_psi=b_psi,
                                n_cols=min(h.n_rx, h.n_tx)))

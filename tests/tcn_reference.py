@@ -266,7 +266,7 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
         n_batches = 0
         for lo in range(0, len(order), tcfg.batch_size):
             batch = [train_set[int(i)] for i in order[lo:lo + tcfg.batch_size]]
-            mse, grads = loss_and_gradients(model, batch, tcfg.masked_loss_only)
+            mse, grads = loss_and_gradients(model, batch)
             if not math.isfinite(mse):
                 raise TrainingDiverged(epoch)
             epoch_loss += mse

@@ -69,7 +69,6 @@ class TestConfig:
         "tcn.bottleneck_dim": 16,
         "train.lr": 1e-3, "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
         "train.batch_size": 16, "train.epochs": 30, "train.grad_clip": 5.0,
-        "train.masked_loss_only": False,
         "capacity.beta": 50.0, "capacity.delta_r": 0.1, "capacity.k": 2,
         "mask.fraction": 0.3, "mask.mean_run_frames": 8.0,
         "dataset.masks_per_label": 3, "dataset.split_fraction": 0.7,
@@ -78,7 +77,7 @@ class TestConfig:
 
     def test_key_set_and_defaults_pinned(self):
         values = RunConfig().values
-        assert len(values) == 39
+        assert len(values) == 38
         assert values == self.DEFAULTS
         assert {k: type(v) for k, v in values.items()} == \
             {k: type(v) for k, v in self.DEFAULTS.items()}
@@ -94,10 +93,10 @@ class TestConfig:
     def test_file_values_reach_the_builders(self, tmp_path):
         path = tmp_path / "all.cfg"
         path.write_text("sra.n_f=16\ntcn.dilations=1,2\n"
-                        "train.masked_loss_only=1\ntrain.epochs=7\ntraffic.kind=ul_bfi\n")
+                        "train.lr=0.002\ntrain.epochs=7\ntraffic.kind=ul_bfi\n")
         cfg = load_config(path)
         assert cfg.tcn(seed=1) == TcnConfig(n_f=16, dilations=(1, 2), seed=1)
-        assert cfg.train() == TrainConfig(masked_loss_only=True, epochs=7)
+        assert cfg.train() == TrainConfig(lr=0.002, epochs=7)
         assert cfg.traffic().kind == "ul_bfi"
 
     def test_unknown_key_named(self, tmp_path):
@@ -114,7 +113,7 @@ class TestConfig:
         ("sra.f_cut=inf", "sra.f_cut"),
         ("train.lr=-inf", "train.lr"),
         ("train.epochs=2.5", "train.epochs"),
-        ("train.masked_loss_only=2", "train.masked_loss_only"),
+        ("train.masked_loss_only=2", "train.masked_loss_only"),   # not a key
         ("tcn.dilations=1,x", "tcn.dilations"),
         ("sra.f_rs 64", "malformed line"),
     ])
@@ -169,9 +168,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="nope"):
             cfg.set("nope", 1)
 
-    @pytest.mark.parametrize("key", ["tcn.n_blocks", "tcn.activation"])
+    @pytest.mark.parametrize("key", ["tcn.n_blocks", "tcn.activation",
+                                     "train.masked_loss_only"])
     def test_removed_tcn_keys_named(self, tmp_path, capsys, key):
-        # the block count is len(tcn.dilations), and relu is the only activation
+        # the block count is len(tcn.dilations), relu is the only activation,
+        # and training always minimizes the full-spectrogram loss
         out = tmp_path / "cap"
         assert run(["capacity", "--set", f"{key}=4", "--out", out]) == 1
         assert error_line(capsys) == f"error: --set: unknown config key {key!r}"
@@ -254,11 +255,14 @@ class TestFeasibleMapCommand:
 
     @pytest.mark.parametrize("flags, named", [
         (["--extent=-4:-4:inf:4"], "extent must be finite"),
-        (["--resolution", "inf"], "resolution must be finite and > 0"),
     ])
     def test_non_finite_grid_rejected(self, tmp_path, capsys, flags, named):
         assert run(["feasible-map", *flags, "--out", tmp_path / "map"]) == 1
         assert named in capsys.readouterr().err
+
+    def test_still_subject_runs(self, tmp_path):
+        assert run(["feasible-map", "--subject-speed", 0, "--resolution", 1.0,
+                    "--extent=-2:-2:2:2", "--out", tmp_path / "map"]) == 0
 
     @pytest.mark.parametrize("flag, value, metavar", [
         ("--ap", "1", "X,Y (2 numbers)"), ("--ue", "a,b", "X,Y (2 numbers)"),
@@ -414,11 +418,23 @@ class TestSimulatePipeline:
         (["simulate"], "--uniform-rate", "nan"),
         (["simulate", "--duration", 4], "--uniform-rate", "-64"),
         (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "inf"),
-        (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "-1")])
+        (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "-1"),
+        # the model's other numeric flags: finite, and > 0 but for the last two
+        (["feasible-map"], "--resolution", "inf"),
+        (["feasible-map"], "--resolution", "nan"),
+        (["feasible-map"], "--resolution", "0"),
+        (["feasible-map"], "--beta", "nan"),
+        (["register-sim"], "--beta", "nan"),
+        (["register-sim"], "--beta", "-50"),
+        (["register-sim"], "--delta-r", "inf"),
+        (["register-sim"], "--delta-r", "0"),
+        (["feasible-map"], "--subject-speed", "nan"),
+        (["eval", "--spectrogram", "spec.txt"], "--true-rate", "nan")])
     def test_impossible_sampling_rejected_before_writing(self, tmp_path, capsys, argv,
                                                          flag, value):
+        bound = "" if flag in ("--subject-speed", "--true-rate") else " and > 0"
         assert_usage_error(capsys, tmp_path, [*argv, f"{flag}={value}"],
-                           f"argument {flag}: must be finite and > 0, got '{value}'")
+                           f"argument {flag}: must be finite{bound}, got '{value}'")
 
     @pytest.mark.parametrize("traffic, ghost", [
         (["--uniform-rate", 64], True),

@@ -9,6 +9,7 @@ from nfsense.coordinator import (F_CUT_BY_MOTION, MOTION_TYPES, Decision, Regist
                                  Registry)
 from nfsense.capacity import CapacityQuery
 from nfsense.geometry import Mover, Point2D, RadioConfig, vir
+from nfsense.sra import SraConfig
 from nfsense.traffic import KINDS
 
 import capacity_reference
@@ -38,6 +39,10 @@ class TestRegister:
         registry = new_registry()
         assert registry.register(reg("a", 1.41, 0.0, "gesture")).f_cut_hz == 20.0
         assert registry.register(reg("b", 0.0, 1.41, "activity")).f_cut_hz == 20.0
+        # the cut-offs the sensing pipeline filters each motion type with
+        assert F_CUT_BY_MOTION == {"respiration": SraConfig().f_cut,
+                                   "gesture": SraConfig.gesture().f_cut,
+                                   "activity": SraConfig.gesture().f_cut}
 
     def test_four_user_layout_all_admitted(self):
         registry = new_registry()

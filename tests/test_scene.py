@@ -264,14 +264,14 @@ class TestCsiSeries:
     def test_increasing_timestamps_enforced(self):
         with pytest.raises(ValueError):
             CsiSeries(timestamps=np.array([0.0, 0.0]),
-                      values=np.array([1 + 0j, 2 + 0j]), link_id="x")
+                      values=np.array([1 + 0j, 2 + 0j]))
 
     def test_csv_round_trip(self, tmp_path):
         scn = small_scene(noise_std=1e-5, seed=4)
         series = render_csi(scn, "ue0", np.arange(0, 0.5, 1 / 64))
         path = tmp_path / "csi.csv"
         save_csi_csv(series, path)
-        loaded = load_csi_csv(path, link_id="ue0")
+        loaded = load_csi_csv(path)
         assert np.allclose(loaded.timestamps, series.timestamps, atol=1e-9)
         assert np.allclose(loaded.values, series.values, rtol=1e-9)
 
@@ -311,7 +311,7 @@ class TestCsiSeries:
     def test_well_formed_file_loads(self, tmp_path):
         path = tmp_path / "csi.csv"
         path.write_text("\n".join(self.GOOD) + "\n")
-        series = load_csi_csv(path, link_id="x")
+        series = load_csi_csv(path)
         assert series.timestamps.tolist() == [0.0, 0.015625, 0.03125]
         assert series.values[1] == complex(1.1e-05, 2.1e-05)
 

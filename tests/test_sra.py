@@ -23,17 +23,16 @@ from nfsense.sra import (Dataset, ResampledSeries, Slice, SraConfig, Spectrogram
 CONFIGS = [SraConfig(), SraConfig(fft_len=1024, hop=64), SraConfig.gesture()]
 
 
-def series_from_times(times, values=None, link="t"):
+def series_from_times(times, values=None):
     times = np.asarray(times, dtype=float)
     if values is None:
         values = np.exp(1j * np.zeros_like(times))
-    return CsiSeries(timestamps=times, values=values, link_id=link)
+    return CsiSeries(timestamps=times, values=values)
 
 
-def phase_series(times, phases, link="t"):
+def phase_series(times, phases):
     return CsiSeries(timestamps=np.asarray(times, dtype=float),
-                     values=np.exp(1j * np.asarray(phases, dtype=float)),
-                     link_id=link)
+                     values=np.exp(1j * np.asarray(phases, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def sliced_links(draw):
     times = np.unique(times)
     values = np.exp(1j * np.array(draw(st.lists(phases, min_size=times.size,
                                                 max_size=times.size))))
-    return CsiSeries(timestamps=times, values=values, link_id="t"), slices, duration, cfg
+    return CsiSeries(timestamps=times, values=values), slices, duration, cfg
 
 
 def same_resample(series, slices, cfg, duration):

@@ -33,7 +33,7 @@ from nfsense.traffic import SampleTimes, save_sample_times
 SPECIAL = (0.0, -0.0, NO_DATA_SENTINEL, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
            1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308)
 NON_FINITE = (math.inf, -math.inf, math.nan, -math.nan)
-NOT_NUMBERS = ("abc", "1.0.0", "--1", "1e", "e5", "0x10", "nan0", "+-1", "1d5", ".", "-")
+NOT_NUMBERS = ("abc", "1.0.0", "--1", "1e", "e5", "0x10", "nan0", "+-1", "1d5", ".", "-", "#1")
 
 
 def values(non_finite=False):
@@ -110,7 +110,7 @@ def csi_series(draw, cells=finite, min_rows=0):
     t = draw(st.floats(0.0, 1e4)) + np.cumsum(gaps)
     parts = draw(st.lists(cells, min_size=2 * t.size, max_size=2 * t.size))
     re, im = np.array(parts[:t.size], dtype=float), np.array(parts[t.size:], dtype=float)
-    return CsiSeries(timestamps=t, values=re + 1j * im, link_id="x")
+    return CsiSeries(timestamps=t, values=re + 1j * im)
 
 
 cell_sizes = st.floats(1e-300, 1e300)
@@ -168,7 +168,7 @@ class TestTableHelpers:
 class TestEmptyCsiSeries:
     def test_header_only_file_reads_without_a_warning(self, tmp_path):
         path = tmp_path / "e.csv"
-        save_csi_csv(CsiSeries(np.array([]), np.array([]), "e"), path)
+        save_csi_csv(CsiSeries(np.array([]), np.array([])), path)
         assert path.read_text() == "t_s,re,im\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -371,6 +371,29 @@ class TestReadersFuzzed:
 
         damage_file(path, data, 1, values_.shape[0])
         rejected(load_raster, path)
+
+
+class TestHashRefused:
+    """No table has comments: a ``#`` line is an error naming the file, not a
+    line the reader drops."""
+
+    def test_csi_series(self, tmp_path):
+        path = tmp_path / "csi.csv"
+        path.write_text("t_s,re,im\n0.0,1,2\n# 0.5,9,9\n1.0,3,4\n")
+        rejected(load_csi_csv, path)
+
+    def test_raster(self, tmp_path):
+        path = tmp_path / "raster.txt"
+        save_raster(path, np.ones((2, 3)), 0.0, 0.0, 1.0, 1.0)
+        path.write_text(path.read_text() + "# 3 4\n")
+        rejected(load_raster, path)
+
+    def test_dataset_pair(self, tmp_path):
+        y = np.ones((2, 3))
+        save_dataset(Dataset(train=((y, y),), test=()), tmp_path / "ds")
+        path = tmp_path / "ds" / "train" / "0000.y"
+        path.write_text("# 1 2 3\n" + path.read_text())
+        rejected(load_dataset, tmp_path / "ds", named=path)
 
 
 def corrupt(data, blob: bytes, weights_from: int | None = None) -> bytes:
