@@ -71,13 +71,14 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _finite_float(above: float = -math.inf):
-    """argparse type: a finite float, greater than ``above`` if that is given."""
+def _finite_float(above: float = -math.inf, inclusive: bool = False):
+    """argparse type: a finite float, greater than (or, if ``inclusive``, equal to) ``above``."""
     def number(text: str) -> float:
-        if not above < float(text) < math.inf:
-            bound = f" and > {above:g}" if above > -math.inf else ""
+        value = float(text)
+        if not (math.isfinite(value) and (value >= above if inclusive else value > above)):
+            bound = f" and {'>=' if inclusive else '>'} {above:g}" if above > -math.inf else ""
             raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text!r}")
-        return float(text)
+        return value
     return number
 
 
@@ -252,9 +253,7 @@ def cmd_recover(args) -> int:
     model = tcn_mod.load_model(args.model)
     spec = sra_mod.load_spectrogram(args.spectrogram, df_hz=cfg.sra().df_hz)
     recovered = np.clip(tcn_mod.forward(model, spec.data), 0.0, 1.0)
-    out = sra_mod.Spectrogram(data=recovered,
-                              no_data_cols=np.zeros(spec.n_t, dtype=bool),
-                              frame_times=spec.frame_times, df_hz=spec.df_hz)
+    out = dataclasses.replace(spec, data=recovered, no_data_cols=np.zeros(spec.n_t, dtype=bool))
     sra_mod.save_spectrogram(out, _out_path(args, "recovered.txt"))
     print(f"recovered {spec.n_t} frames")
     return 0
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_finite_float(above=0), default=50.0)
     for flag, default in (("--ap", "0,0"), ("--ue", "3.1,0"), ("--subject", "3.0,0")):
         p.add_argument(flag, type=_floats("X,Y"), default=default, metavar="X,Y")
-    p.add_argument("--subject-speed", type=_finite_float(), default=1.0)
+    p.add_argument("--subject-speed", type=_finite_float(0, inclusive=True), default=1.0)
     p.add_argument("--extent", type=_floats("X0:Y0:X1:Y1"), default="-4:-4:4.5:4",
                    metavar="X0:Y0:X1:Y1")
     p.add_argument("--resolution", type=_finite_float(above=0), default=0.05)
@@ -437,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--spectrogram", help="near-field spectrogram")
     p.add_argument("--baseline-spectrogram")
-    p.add_argument("--true-rate", type=_finite_float(), default=None, help="actual rate (bpm)")
+    p.add_argument("--true-rate", type=_finite_float(0, inclusive=True), default=None,
+                   help="actual rate (bpm)")
     p.add_argument("--band-lo", type=float, default=0.1)
     p.add_argument("--band-hi", type=float, default=0.7)
     p.set_defaults(func=cmd_eval)

@@ -3,8 +3,9 @@
 Admission enforces the near-field separation guarantees: a candidate joins
 only if every admitted user (candidate included) keeps a variation-to-
 interference ratio of at least beta at its own UE, and the resulting count
-stays within the exact capacity bound for the occupied radius.  The chosen
-low-pass cut-off is recorded per user from its declared motion type.
+stays within the exact capacity bound for the occupied radius.  The motion
+types and each one's low-pass cut-off come from ``sra.SRA_BY_MOTION``: a
+user declares one of its keys and is recorded with that setting's f_cut.
 """
 
 from __future__ import annotations
@@ -15,25 +16,17 @@ from dataclasses import dataclass, field
 from . import kvtext
 from .capacity import CapacityQuery, n_max_exact
 from .geometry import Mover, Point2D, RadioConfig, vir
-from .sra import SraConfig
+from .sra import SRA_BY_MOTION
 from .traffic import KINDS
 
-MOTION_TYPES = ("respiration", "gesture", "activity")
-
-# Low-pass cut-off per declared motion type (Hz): the pipeline's own settings.
-F_CUT_BY_MOTION = {"respiration": SraConfig().f_cut, "gesture": SraConfig.gesture().f_cut,
-                   "activity": SraConfig.gesture().f_cut}
-
-# Motion intensity (m/s) assumed per type when computing VIRs; the default
-# normalized table treats every user alike.
-DEFAULT_INTENSITIES = {"respiration": 1.0, "gesture": 1.0, "activity": 1.0}
+MOTION_TYPES = tuple(SRA_BY_MOTION)
 
 
 @dataclass(frozen=True)
 class Registration:
     user_id: str
     position: Point2D
-    motion_type: str = "respiration"
+    motion_type: str = MOTION_TYPES[0]
     strategy: str = "ul_csi"
 
     def __post_init__(self) -> None:
@@ -61,7 +54,8 @@ class Registry:
     cfg: RadioConfig
     beta: float
     delta_r: float = 0.1
-    intensities: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_INTENSITIES))
+    # Motion intensity (m/s) per type for the VIRs; a type not listed counts as 1.0.
+    intensities: dict[str, float] = field(default_factory=dict)
     members: dict[str, Registration] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -127,7 +121,7 @@ class Registry:
                             reason=f"capacity: {count_after} users exceed N_max={limit} "
                                    f"at radius {d:.3g} m")
         self.members[reg.user_id] = reg
-        return Decision(admitted=True, f_cut_hz=F_CUT_BY_MOTION[reg.motion_type],
+        return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[reg.motion_type].f_cut,
                         min_vir=worst)
 
     def deregister(self, user_id: str) -> None:
@@ -144,5 +138,5 @@ class Registry:
         kvtext.write_csv(path, ("user_id", "x_m", "y_m", "motion_type", "strategy", "f_cut_hz"),
                          ((reg.user_id, f"{reg.position.x:.6f}", f"{reg.position.y:.6f}",
                            reg.motion_type, reg.strategy,
-                           f"{F_CUT_BY_MOTION[reg.motion_type]:.1f}")
+                           f"{SRA_BY_MOTION[reg.motion_type].f_cut:.1f}")
                           for reg in self.members.values()))

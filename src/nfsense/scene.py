@@ -19,7 +19,7 @@ import numpy as np
 from . import kvtext
 from .geometry import Point2D, RadioConfig, reflection_gain_array
 
-MOTION_KINDS = ("respiration", "gesture_like", "activity_like", "still")
+MOTION_KINDS = ("respiration", "gesture", "activity", "still")
 
 NEAR_FIELD_MAX_M = 0.3
 RESPIRATION_RATE_BOUNDS_BPM = (6.0, 40.0)
@@ -35,9 +35,9 @@ class MotionProfile:
     """Displacement model of one subject's reflecting point.
 
     respiration: sinusoid at ``rate_bpm`` with amplitude ``amplitude_m``,
-    frozen at its entry value inside ``holds`` intervals.  gesture_like /
-    activity_like: seeded band-limited Gaussian-like displacement with RMS
-    speed ``rms_speed`` and bandwidth ``bandwidth_hz``.  still: zero.
+    frozen at its entry value inside ``holds`` intervals.  gesture /
+    activity: seeded band-limited Gaussian-like displacement with RMS speed
+    ``rms_speed`` and bandwidth ``bandwidth_hz``.  still: zero.
     """
 
     kind: str = "still"
@@ -74,16 +74,14 @@ class MotionProfile:
         return cls(kind="still")
 
     @classmethod
-    def gesture_like(cls, rms_speed: float = 0.3, bandwidth_hz: float = 5.0,
-                     seed: int = 0) -> "MotionProfile":
-        return cls(kind="gesture_like", rms_speed=rms_speed,
-                   bandwidth_hz=bandwidth_hz, seed=seed)
+    def gesture(cls, rms_speed: float = 0.3, bandwidth_hz: float = 5.0,
+                seed: int = 0) -> "MotionProfile":
+        return cls(kind="gesture", rms_speed=rms_speed, bandwidth_hz=bandwidth_hz, seed=seed)
 
     @classmethod
-    def activity_like(cls, rms_speed: float = 1.0, bandwidth_hz: float = 15.0,
-                      seed: int = 0) -> "MotionProfile":
-        return cls(kind="activity_like", rms_speed=rms_speed,
-                   bandwidth_hz=bandwidth_hz, seed=seed)
+    def activity(cls, rms_speed: float = 1.0, bandwidth_hz: float = 15.0,
+                 seed: int = 0) -> "MotionProfile":
+        return cls(kind="activity", rms_speed=rms_speed, bandwidth_hz=bandwidth_hz, seed=seed)
 
 
 def _bandlimited_components(profile: MotionProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,8 +41,9 @@ class SraConfig:
 
     Defaults are the respiration setting: 64 Hz resampling, 1 Hz cut-off,
     4 s analysis window (fft_len 256) hopped every 0.25 s, keeping the
-    lowest 32 bins.  Use :meth:`gesture` for the wide-band setting of
-    gestures and activity (20 Hz cut-off, shorter window).
+    lowest 32 bins.  :data:`SRA_BY_MOTION` gives each sensed motion its
+    setting: gestures and activity take the wide band (20 Hz cut-off, 1 s
+    window hopped every 1/16 s).
     """
 
     dt: float = 0.1
@@ -74,9 +75,11 @@ class SraConfig:
     def frame_dt_s(self) -> float:
         return self.hop / self.f_rs
 
-    @classmethod
-    def gesture(cls) -> "SraConfig":
-        return cls(f_cut=20.0, fft_len=64, hop=4)
+
+# The pipeline setting of each sensed motion (every scene motion kind but
+# "still"); its keys are the motion types the coordinator registers.
+_WIDE_BAND = SraConfig(f_cut=20.0, fft_len=64, hop=4)
+SRA_BY_MOTION = {"respiration": SraConfig(), "gesture": _WIDE_BAND, "activity": _WIDE_BAND}
 
 
 @dataclass(frozen=True)

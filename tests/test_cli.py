@@ -13,9 +13,10 @@ import capacity_reference
 from nfsense.bfi import ChannelMatrix, MotionUpdate, bfi_sensitivity_demo
 from nfsense.capacity import (DEFAULT_FIT, FitParams, refit_mirror, refit_radial,
                               write_capacity_csv)
-from nfsense.cli import main
+from nfsense.cli import demo_scene, main
 from nfsense.config import RunConfig, load_config
 from nfsense.geometry import RadioConfig, load_raster
+from nfsense.scene import MotionProfile, save_scene
 from nfsense.sra import Dataset, Spectrogram, SraConfig, save_dataset, save_spectrogram
 from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, load_model, save_model
 from nfsense.traffic import TrafficModel
@@ -312,6 +313,18 @@ class TestSimulatePipeline:
             assert (out / f"times_ue{i}.txt").exists()
         assert (out / "csi_baseline.csv").exists()
 
+    def test_gesture_and_activity_scene(self, tmp_path):
+        demo = demo_scene(seed=1)
+        users = (dataclasses.replace(demo.users[0], motion=MotionProfile.gesture(seed=1)),
+                 dataclasses.replace(demo.users[1], motion=MotionProfile.activity(seed=2)))
+        scene, out = tmp_path / "scene.txt", tmp_path / "sim"
+        save_scene(dataclasses.replace(demo, users=users), scene)
+        assert run(["simulate", "--scene", scene, "--duration", 4, "--uniform-rate", 64,
+                    "--out", out]) == 0
+        assert (out / "scene.txt").read_bytes() == scene.read_bytes()
+        assert sorted(p.name for p in out.glob("csi_*.csv")) == \
+            ["csi_baseline.csv", "csi_ue0.csv", "csi_ue1.csv"]
+
     def test_missing_scene_file(self, tmp_path):
         rc = run(["simulate", "--scene", tmp_path / "ghost.txt", "--out", tmp_path / "x"])
         assert rc == 1
@@ -419,7 +432,7 @@ class TestSimulatePipeline:
         (["simulate", "--duration", 4], "--uniform-rate", "-64"),
         (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "inf"),
         (["build-dataset", "--csi", "csi_ue0.csv"], "--duration", "-1"),
-        # the model's other numeric flags: finite, and > 0 but for the last two
+        # the model's other numeric flags: finite, and > 0 but for the last four
         (["feasible-map"], "--resolution", "inf"),
         (["feasible-map"], "--resolution", "nan"),
         (["feasible-map"], "--resolution", "0"),
@@ -429,10 +442,13 @@ class TestSimulatePipeline:
         (["register-sim"], "--delta-r", "inf"),
         (["register-sim"], "--delta-r", "0"),
         (["feasible-map"], "--subject-speed", "nan"),
-        (["eval", "--spectrogram", "spec.txt"], "--true-rate", "nan")])
+        (["eval", "--spectrogram", "spec.txt"], "--true-rate", "nan"),
+        # a speed or rate may be 0, but not below
+        (["feasible-map"], "--subject-speed", "-1"),
+        (["eval", "--spectrogram", "spec.txt"], "--true-rate", "-1")])
     def test_impossible_sampling_rejected_before_writing(self, tmp_path, capsys, argv,
                                                          flag, value):
-        bound = "" if flag in ("--subject-speed", "--true-rate") else " and > 0"
+        bound = " and >= 0" if flag in ("--subject-speed", "--true-rate") else " and > 0"
         assert_usage_error(capsys, tmp_path, [*argv, f"{flag}={value}"],
                            f"argument {flag}: must be finite{bound}, got '{value}'")
 

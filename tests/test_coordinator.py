@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nfsense.coordinator import (F_CUT_BY_MOTION, MOTION_TYPES, Decision, Registration,
-                                 Registry)
+from nfsense.coordinator import MOTION_TYPES, Decision, Registration, Registry
 from nfsense.capacity import CapacityQuery
 from nfsense.geometry import Mover, Point2D, RadioConfig, vir
-from nfsense.sra import SraConfig
+from nfsense.scene import MOTION_KINDS
+from nfsense.sra import SRA_BY_MOTION
 from nfsense.traffic import KINDS
 
 import capacity_reference
@@ -36,13 +36,28 @@ class TestRegister:
         assert decision.f_cut_hz == 1.0
 
     def test_f_cut_follows_motion_type(self):
-        registry = new_registry()
-        assert registry.register(reg("a", 1.41, 0.0, "gesture")).f_cut_hz == 20.0
-        assert registry.register(reg("b", 0.0, 1.41, "activity")).f_cut_hz == 20.0
         # the cut-offs the sensing pipeline filters each motion type with
-        assert F_CUT_BY_MOTION == {"respiration": SraConfig().f_cut,
-                                   "gesture": SraConfig.gesture().f_cut,
-                                   "activity": SraConfig.gesture().f_cut}
+        assert {m: cfg.f_cut for m, cfg in SRA_BY_MOTION.items()} == \
+            {"respiration": 1.0, "gesture": 20.0, "activity": 20.0}
+        registry = new_registry()
+        for motion, (x, y) in zip(MOTION_TYPES, FIG6_POSITIONS):
+            assert registry.register(reg(motion, x, y, motion)).f_cut_hz == \
+                SRA_BY_MOTION[motion].f_cut
+
+    def test_motion_types_are_the_table_keys(self):
+        # one vocabulary: every scene motion kind but "still" has a pipeline setting
+        assert set(SRA_BY_MOTION) == set(MOTION_KINDS) - {"still"}
+        assert MOTION_TYPES == tuple(SRA_BY_MOTION) == ("respiration", "gesture", "activity")
+
+    def test_unlisted_intensity_counts_as_one(self):
+        listed = Registry(ap=Point2D(0.0, 0.0), cfg=RadioConfig(), beta=50.0, delta_r=0.15,
+                          intensities=dict.fromkeys(MOTION_TYPES, 1.0))
+        default = new_registry()
+        assert default.intensities == {}
+        for i, (x, y) in enumerate(FIG6_POSITIONS):
+            cand = reg(f"u{i}", x, y, MOTION_TYPES[i % len(MOTION_TYPES)])
+            assert default.register(cand) == listed.register(cand)
+        assert default.min_pairwise_vir() == listed.min_pairwise_vir()
 
     def test_four_user_layout_all_admitted(self):
         registry = new_registry()
@@ -144,6 +159,10 @@ class TestValidationAndDump:
             Registration(user_id="", position=Point2D(1, 0))
         with pytest.raises(ValueError):
             Registration(user_id="x", position=Point2D(1, 0), motion_type="dance")
+        # a scene kind with no pipeline setting, and the old scene spelling
+        for motion in ("still", "gesture_like", "activity_like"):
+            with pytest.raises(ValueError, match="motion_type must be one of"):
+                Registration(user_id="x", position=Point2D(1, 0), motion_type=motion)
         with pytest.raises(ValueError):
             Registration(user_id="x", position=Point2D(1, 0), strategy="carrier_pigeon")
 
@@ -192,7 +211,7 @@ def expected_decision(registry, cand):
         return Decision(admitted=False, min_vir=worst,
                         reason=f"capacity: {count_after} users exceed N_max={limit} "
                                f"at radius {registry.ap.distance(cand.position):.3g} m")
-    return Decision(admitted=True, f_cut_hz=F_CUT_BY_MOTION[cand.motion_type], min_vir=worst)
+    return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[cand.motion_type].f_cut, min_vir=worst)
 
 
 class TestMatchesScalarRecomputation:

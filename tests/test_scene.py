@@ -72,16 +72,16 @@ class TestMotionProfile:
         assert displacement(prof, 4.5) == pytest.approx(
             0.005 * math.sin(2 * math.pi * 0.25 * 4.5), rel=1e-12)
 
-    def test_gesture_like_deterministic_per_seed(self):
+    def test_gesture_deterministic_per_seed(self):
         t = np.linspace(0, 5, 200)
-        a = displacement(MotionProfile.gesture_like(seed=7), t)
-        b = displacement(MotionProfile.gesture_like(seed=7), t)
-        c = displacement(MotionProfile.gesture_like(seed=8), t)
+        a = displacement(MotionProfile.gesture(seed=7), t)
+        b = displacement(MotionProfile.gesture(seed=7), t)
+        c = displacement(MotionProfile.gesture(seed=8), t)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_bandlimited_rms_speed(self):
-        prof = MotionProfile.activity_like(rms_speed=1.0, bandwidth_hz=15.0, seed=3)
+        prof = MotionProfile.activity(rms_speed=1.0, bandwidth_hz=15.0, seed=3)
         t = np.arange(0, 60.0, 1 / 256)
         disp = displacement(prof, t)
         vel = np.diff(disp) * 256
@@ -339,6 +339,27 @@ class TestSceneIO:
         a = render_csi(scn, "ue0", times)
         b = render_csi(loaded, "ue0", times)
         assert np.allclose(a.values, b.values, rtol=1e-9)
+
+    def test_gesture_and_activity_bytes_round_trip(self, tmp_path):
+        users = tuple(SceneUser(ue=Point2D(x, 0.15), subject=Point2D(x, 0.0), motion=motion)
+                      for x, motion in ((1.41, MotionProfile.gesture(seed=7)),
+                                        (-1.41, MotionProfile.activity(seed=3))))
+        path = tmp_path / "scene.txt"
+        save_scene(Scene(ap=Point2D(0.0, 0.0), users=users, cfg=RadioConfig()), path)
+        first = path.read_text()
+        assert "user.0.motion.kind=gesture\n" in first
+        assert "user.1.motion.kind=activity\n" in first
+        save_scene(load_scene(path), path)
+        assert path.read_text() == first
+
+    @pytest.mark.parametrize("old", ["gesture_like", "activity_like"])
+    def test_old_motion_spelling_rejected(self, tmp_path, old):
+        path = tmp_path / "scene.txt"
+        save_scene(small_scene(motion=MotionProfile.gesture()), path)
+        path.write_text(path.read_text().replace("kind=gesture", f"kind={old}"))
+        with pytest.raises(ValueError, match=f"got '{old}'") as exc:
+            load_scene(path)
+        assert str(path) in str(exc.value)
 
     def test_holds_keep_full_precision(self, tmp_path):
         # Holds are written at .9g like every other float, not .6g.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import nfsense.sra as sra_module
 import sra_reference
 from nfsense.scene import CsiSeries
-from nfsense.sra import (Dataset, ResampledSeries, Slice, SraConfig, Spectrogram,
+from nfsense.sra import (SRA_BY_MOTION, Dataset, ResampledSeries, Slice, SraConfig, Spectrogram,
                          _hampel, build_dataset, chop_labels,
                          extract_label_slices, load_dataset, load_spectrogram,
                          lowpass_taps, make_mask, minmax_normalize, normalize,
@@ -20,7 +20,7 @@ from nfsense.sra import (Dataset, ResampledSeries, Slice, SraConfig, Spectrogram
                          save_spectrogram, segment, spectrogram,
                          stft_magnitudes)
 
-CONFIGS = [SraConfig(), SraConfig(fft_len=1024, hop=64), SraConfig.gesture()]
+CONFIGS = [SraConfig(), SraConfig(fft_len=1024, hop=64), SRA_BY_MOTION["gesture"]]
 
 
 def series_from_times(times, values=None):
@@ -193,8 +193,10 @@ class TestConfig:
             SraConfig(hop=0)
 
     def test_presets(self):
-        g = SraConfig.gesture()
-        assert g.f_cut == 20.0 and g.fft_len == 64
+        assert SRA_BY_MOTION["respiration"] == SraConfig()
+        for motion in ("gesture", "activity"):
+            g = SRA_BY_MOTION[motion]
+            assert (g.f_cut, g.fft_len, g.hop) == (20.0, 64, 4)
 
 
 class TestSegment:
