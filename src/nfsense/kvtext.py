@@ -95,7 +95,8 @@ def build(cls, kv: dict[str, str], prefix: str, path, required: bool = False,
     """An instance of dataclass ``cls`` read from the keys ``prefix + field``.
 
     Fields in ``supplied`` are not read.  A missing key takes the field's
-    default; it is an error if the field has none or ``required`` is set.
+    default; it is an error if the field has none or ``required`` is set.  A
+    value the dataclass rejects is reported under ``prefix``.
     """
     values = dict(supplied)
     for f in dataclasses.fields(cls):
@@ -110,7 +111,8 @@ def build(cls, kv: dict[str, str], prefix: str, path, required: bool = False,
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ValueError(f"{path}: bad config: {exc}") from None
+        where = f" {prefix.rstrip('.')}" if prefix else ""
+        raise ValueError(f"{path}: bad config{where}: {exc}") from None
 
 
 def lines(prefix: str, obj, names: Iterable[str] | None = None) -> list[str]:

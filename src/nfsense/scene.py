@@ -26,6 +26,8 @@ RESPIRATION_RATE_BOUNDS_BPM = (6.0, 40.0)
 
 # Correlation time of the direct-path dynamic channel.
 _OU_TAU_S = 0.5
+# Span of one prefix-sum block of the OU term, in units of tau: exp(300) ~ 2e130.
+_OU_BLOCK_U = 300.0
 # Number of sinusoids in the band-limited gesture/activity displacement.
 _BANDLIMITED_COMPONENTS = 48
 
@@ -218,25 +220,37 @@ def _ou_track(cfg: RadioConfig, d_ae: float, times: np.ndarray,
               rng: np.random.Generator) -> np.ndarray:
     """Complex Ornstein-Uhlenbeck process with variance eta lambda^2 d^-alpha.
 
-    Decay factors and kicks are arrays; only the recurrence x = x*rho + kick
-    runs per sample, on Python scalars.  ``math.exp`` (libm) is used on
-    purpose: ``np.exp`` may take a SIMD path whose last bit differs.
+    The exact OU transition (Gillespie 1996) is ``x_n = rho_n x_{n-1} + k_n``
+    with ``rho_n = exp(-(t_n - t_{n-1})/tau)`` and a kick of standard deviation
+    ``sigma sqrt(1 - rho_n^2)``.  The decay products telescope to
+    ``exp(-(t_n - t_j)/tau)``, so with ``u = (t - t_b)/tau`` from a block's
+    first instant ``t_b``, ``x_n = exp(-u_n) (carry + cumsum(exp(u_j) k_j))``:
+    one prefix sum per block.  A block spans less than ``_OU_BLOCK_U`` in u, so
+    ``exp(u)`` stays finite; the state crosses into the next block as
+    ``x rho``, and a gap longer than a block makes a block of one sample.
+    ``1 - rho^2`` is taken as ``-expm1(-2 gap/tau)``, which keeps its digits
+    on microsecond gaps where the subtraction would cancel.
     """
     var = cfg.eta * cfg.lambda_m ** 2 * d_ae ** (-cfg.alpha)
     n = times.size
-    if n == 0:
-        return np.empty(0, dtype=complex)
     sigma = math.sqrt(var / 2.0)
     draw = rng.standard_normal((n, 2))
-    rho = np.fromiter(map(math.exp, (-np.diff(times) / _OU_TAU_S).tolist()), float, n - 1)
-    s = sigma * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
-    kick = (s[:, None] * draw[1:]).view(complex)[:, 0]
-    x = complex(sigma * (draw[0, 0] + 1j * draw[0, 1]))
-    out = [x]
-    for r, k in zip(rho.tolist(), kick.tolist()):
-        x = x * r + k
-        out.append(x)
-    return np.array(out)
+    scale = np.empty(n)
+    scale[:1] = sigma
+    scale[1:] = sigma * np.sqrt(-np.expm1(-2.0 / _OU_TAU_S * np.diff(times)))
+    x = scale[:, None] * draw                  # the kicks, then the state
+    i0 = 0
+    while i0 < n:
+        i1 = max(int(np.searchsorted(times, times[i0] + _OU_BLOCK_U * _OU_TAU_S)), i0 + 1)
+        u = (times[i0:i1] - times[i0]) / _OU_TAU_S
+        block = x[i0:i1]
+        block *= np.exp(u)[:, None]
+        if i0:
+            block[0] += x[i0 - 1] * math.exp(-(times[i0] - times[i0 - 1]) / _OU_TAU_S)
+        np.cumsum(block, axis=0, out=block)
+        block *= np.exp(-u)[:, None]
+        i0 = i1
+    return x.view(complex)[:, 0]
 
 
 def _link_rx(scene: Scene, link: str) -> tuple[Point2D, int]:

@@ -165,32 +165,38 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(lengths.sum()) + np.repeat(shift, lengths), lengths
 
 
-def _hampel(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Replace outliers by the rolling median (window 7, 3 scaled MADs), run by run.
+def _hampel(values: np.ndarray, lengths: np.ndarray,
+            at: np.ndarray | None = None) -> np.ndarray:
+    """Outlier-replaced values at indices ``at`` (every index if None), in order.
 
-    ``values`` holds runs of ``lengths`` samples back to back; no window
-    crosses a run.  End windows are truncated: +inf pads each run, and each
-    median is np.median's own formula, the mean of sorted entries (m-1)//2 and
-    m//2 of m real values.  Rows go in blocks of ``_HAMPEL_BLOCK_ROWS``, so
+    ``values`` holds runs of ``lengths`` samples back to back; an outlier is
+    more than 3 scaled MADs off the median of its window of 7, and is replaced
+    by that median.  No window crosses a run: end windows are truncated by
+    padding them with +inf, and each median is np.median's own formula, the
+    mean of sorted entries (m-1)//2 and m//2 of m real values.  Only the
+    windows of ``at`` are built, in blocks of ``_HAMPEL_BLOCK_ROWS`` rows, so
     temporaries do not grow with the link.
     """
     k, lengths = _HAMPEL_HALF_WINDOW, np.asarray(lengths)
-    pos, _ = _ranges(np.zeros_like(lengths), lengths)
-    m = np.minimum(pos + k, np.repeat(lengths, lengths) - 1) - np.maximum(pos - k, 0) + 1
-    at = np.arange(values.size) + (2 * np.repeat(np.arange(lengths.size), lengths) + 1) * k
-    padded = np.full(values.size + 2 * k * lengths.size, np.inf)
-    padded[at] = values
-    out = np.empty(values.size)
-    for r0 in range(0, values.size, _HAMPEL_BLOCK_ROWS):
+    at = np.arange(values.size) if at is None else np.asarray(at)
+    ends = np.cumsum(lengths)
+    run = np.searchsorted(ends, at, side="right")
+    start, stop = ends[run] - lengths[run], ends[run]
+    m = np.minimum(at + k, stop - 1) - np.maximum(at - k, start) + 1
+    padded = np.append(values, np.inf)      # a window entry outside its run reads the +inf
+    out = np.empty(at.size)
+    for r0 in range(0, at.size, _HAMPEL_BLOCK_ROWS):
         rows = slice(r0, r0 + _HAMPEL_BLOCK_ROWS)
-        windows = padded[at[rows, None] + np.arange(-k, k + 1)]
+        idx = at[rows, None] + np.arange(-k, k + 1)
+        inside = (idx >= start[rows, None]) & (idx < stop[rows, None])
+        windows = padded[np.where(inside, idx, values.size)]
         row = np.arange(len(windows))
         lo, hi = (row, (m[rows] - 1) // 2), (row, m[rows] // 2)
         s = np.sort(windows, axis=1)
         med = (s[lo] + s[hi]) / 2
         s = np.sort(np.abs(windows - med[:, None]), axis=1)
         mad = (s[lo] + s[hi]) / 2
-        v = values[rows]
+        v = values[at[rows]]
         out[rows] = np.where(np.abs(v - med) > _HAMPEL_N_SIGMAS * _MAD_TO_SIGMA * mad + 1e-300,
                              med, v)
     return out
@@ -228,6 +234,9 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
     """Resample the unwrapped phase track onto the uniform f_rs grid.
 
     Non-sparse slices: Hampel outlier rejection then linear interpolation.
+    np.interp reads only the two samples around each grid instant, so only
+    those are Hampel-filtered (their windows still see every sample of the
+    slice); at 1 kHz bursts on a 64 Hz grid that is about one in eight.
     Sparse slices: raw samples snapped to their nearest grid instant, all
     other instants tagged no-data and bridged linearly so the low-pass
     filter sees a continuous track.  The slices must be in time order and
@@ -273,7 +282,15 @@ def resample(series: CsiSeries, segmentation: Sequence[Slice], cfg: SraConfig,
         samples, runs = _ranges(first[dense], stop[dense])
         x = np.clip(grid[src[on_grid]], np.repeat(t[first[dense]], count[dense]),
                     np.repeat(t[stop[dense] - 1], count[dense]))
-        put[on_grid] = np.interp(x, t[samples], _hampel(phase[samples], runs))
+        # np.interp reads only the knots j and j + 1 around each instant, so
+        # only those are Hampel-filtered and handed to it
+        ts = t[samples]
+        j = np.searchsorted(ts, x, side="right") - 1
+        read = np.zeros(samples.size, dtype=bool)
+        read[j] = True
+        read[np.minimum(j + 1, samples.size - 1)] = True
+        knots = np.flatnonzero(read)
+        put[on_grid] = np.interp(x, ts[knots], _hampel(phase[samples], runs, knots))
     values[at] = put
     no_data[at] = False
 

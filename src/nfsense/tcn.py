@@ -107,28 +107,6 @@ def _param_spec(cfg: TcnConfig) -> list[tuple[str, tuple[int, ...]]]:
     return spec
 
 
-def param_count(cfg: TcnConfig) -> int:
-    """Closed-form parameter count implied by the config."""
-    l, nf, nc, bd = cfg.kernel_len, cfg.n_f, cfg.n_c, cfg.bottleneck_dim
-    total = 0
-    in_ch = nf
-    for _ in range(cfg.n_blocks):
-        total += nc * l * in_ch + nc          # conv1
-        total += nc * l * nc + nc             # conv2
-        if in_ch != nc:
-            total += nc * in_ch + nc          # residual projection
-        in_ch = nc
-    total += bd * l * nc + bd                 # encoder
-    total += nc * l * bd + nc                 # decoder
-    total += nf * nc + nf                     # output projection
-    return total
-
-
-def block_stack_receptive_field(cfg: TcnConfig) -> int:
-    """History (in frames) visible to one output frame of the block stack."""
-    return 1 + 2 * (cfg.kernel_len - 1) * sum(cfg.dilations)
-
-
 @dataclass
 class TcnModel:
     config: TcnConfig
@@ -562,9 +540,11 @@ def load_model(path) -> TcnModel:
     if len(blob) != 4 * expected:
         raise ValueError(f"{path}: expected {4 * expected} weight bytes "
                          f"({expected} float32), found {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4").astype(float)
-    if not np.isfinite(flat).all():
+    stored = np.frombuffer(blob, dtype="<f4")
+    # before the cast, which warns on a signalling NaN
+    if not np.isfinite(stored).all():
         raise ValueError(f"{path}: non-finite weight")
+    flat = stored.astype(float)
     params: dict[str, np.ndarray] = {}
     pos = 0
     for name, shape in spec:
@@ -572,9 +552,3 @@ def load_model(path) -> TcnModel:
         params[name] = flat[pos:pos + size].reshape(shape).copy()
         pos += size
     return TcnModel(config=cfg, params=params)
-
-
-def snap_to_file_precision(model: TcnModel) -> TcnModel:
-    """Round weights to float32 so save/load round-trips are bitwise exact."""
-    return TcnModel(config=model.config,
-                    params={k: v.astype("<f4").astype(float) for k, v in model.params.items()})

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import sra_reference
 from nfsense.cli import demo_scene
 from nfsense.geometry import Point2D, RadioConfig
-from nfsense.scene import (_OU_TAU_S, MOTION_KINDS, CsiSeries, MotionProfile, Scene, SceneUser,
-                           _ou_track, _reflection_track, displacement, load_csi_csv, load_scene,
-                           render_baseline, render_components, render_csi,
-                           save_csi_csv, save_scene)
+from nfsense.scene import (_OU_BLOCK_U, _OU_TAU_S, MOTION_KINDS, CsiSeries, MotionProfile,
+                           Scene, SceneUser, _ou_track, _reflection_track, displacement,
+                           load_csi_csv, load_scene, render_baseline, render_components,
+                           render_csi, save_csi_csv, save_scene)
 from nfsense.traffic import KINDS, TrafficModel, generate_arrivals
 
 
@@ -228,15 +228,62 @@ class TestRenderCsi:
             render_baseline(scn, np.arange(5) / 64)
 
 
+def ou_longdouble(cfg, d_ae, times, rng):
+    """The OU recurrence of ou_loop in np.longdouble, on the same draws: (n, 2) re, im."""
+    ld = np.longdouble
+    sigma = np.sqrt(ld(cfg.eta) * ld(cfg.lambda_m) ** 2 * ld(d_ae) ** -ld(cfg.alpha) / 2)
+    draw = rng.standard_normal((times.size, 2)).astype(ld)
+    gap = np.diff(times.astype(ld)) / ld(_OU_TAU_S)
+    rho, s = np.exp(-gap), sigma * np.sqrt(-np.expm1(-2 * gap))
+    out = np.empty((times.size, 2), dtype=ld)
+    x = sigma * draw[0]
+    out[0] = x
+    for k in range(1, times.size):
+        x = x * rho[k - 1] + s[k - 1] * draw[k]
+        out[k] = x
+    return out
+
+
+LONG_DOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps == np.finfo(float).eps
+
+
 class TestOuTrackMatchesLoop:
+    """scene._ou_track against the per-sample recurrence.
+
+    The prefix sum rounds differently from ou_loop, so beyond 0 and 1 samples
+    both are held to the recurrence run in np.longdouble on the same draws.
+    """
+
     CFG = small_scene().cfg
+    # max |x - exact| / max |exact|.  On seeds 10-29 (30 s, all three traffic
+    # kinds), seed 11 (120 s) and seeds 10-19 of log-uniform gaps, none used
+    # below, the prefix sum measured at most 1.3e-14 (ou_loop: 6.6e-14) and at
+    # most 1.14 times ou_loop's own error.
+    REL_BOUND = 3e-14
+    LOOP_MULTIPLE = 2.0
 
     def check(self, times, seed=0, d_ae=1.42):
         times = np.asarray(times, dtype=float)
-        got = _ou_track(self.CFG, d_ae, times, np.random.default_rng(seed))
-        want = ou_loop(self.CFG, d_ae, times, np.random.default_rng(seed))
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _ou_track(self.CFG, d_ae, times, rng)
+        want = ou_loop(self.CFG, d_ae, times, loop_rng)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        if times.size <= 1:
+            assert got.tobytes() == want.tobytes()
+            return
+        if LONG_DOUBLE_IS_DOUBLE:
+            pytest.skip("np.longdouble is plain double here: no reference to measure against")
+        exact = ou_longdouble(self.CFG, d_ae, times, np.random.default_rng(seed))
+
+        def rel_error(x):
+            pairs = np.stack([x.real, x.imag], axis=1).astype(np.longdouble)
+            return float(np.max(np.abs(pairs - exact)) / np.max(np.abs(exact)))
+
+        err, loop_err = rel_error(got), rel_error(want)
+        print(f"n={times.size}: prefix sum {err:.2e}, loop {loop_err:.2e}")
+        assert err <= self.REL_BOUND
+        assert err <= self.LOOP_MULTIPLE * max(loop_err, np.finfo(float).eps)
 
     def test_empty_and_single_sample(self):
         self.check([])
@@ -258,6 +305,21 @@ class TestOuTrackMatchesLoop:
         rng = np.random.default_rng(7)
         gaps = np.exp(rng.uniform(np.log(1e-7), np.log(20.0), 4000))
         self.check(np.cumsum(gaps), seed=7)
+
+    def test_block_boundaries(self):
+        span = _OU_BLOCK_U * _OU_TAU_S
+        # a 10 Hz grid over three blocks, and a 1 kHz burst across the first boundary
+        self.check(np.arange(10 * 400 + 1) / 10.0, seed=3)
+        self.check(np.concatenate([[0.0], span - 0.5 + np.arange(1000) / 1000.0]), seed=4)
+
+    def test_gap_longer_than_a_block(self):
+        burst = np.arange(640) / 64.0
+        self.check(np.concatenate([burst, burst + 10.0 + 1.5 * _OU_BLOCK_U * _OU_TAU_S]), seed=5)
+
+    def test_rho_underflows_to_zero(self):
+        assert math.exp(-400.0 / _OU_TAU_S) == 0.0
+        burst = np.arange(64) / 64.0
+        self.check(np.concatenate([burst, burst + 400.0, burst + 800.0]), seed=6)
 
 
 class TestCsiSeries:
@@ -360,6 +422,19 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"got '{old}'") as exc:
             load_scene(path)
         assert str(path) in str(exc.value)
+
+    def test_rejected_value_names_its_user(self, tmp_path):
+        users = tuple(SceneUser(ue=Point2D(x, 0.15), subject=Point2D(x, 0.0),
+                                motion=MotionProfile.gesture(seed=i))
+                      for i, x in enumerate((1.41, -1.41)))
+        path = tmp_path / "scene.txt"
+        save_scene(Scene(ap=Point2D(0.0, 0.0), users=users, cfg=RadioConfig()), path)
+        path.write_text(path.read_text().replace("user.1.motion.kind=gesture",
+                                                 "user.1.motion.kind=gesture_like"))
+        with pytest.raises(ValueError) as exc:
+            load_scene(path)
+        assert str(exc.value).startswith(
+            f"{path}: bad config user.1.motion: kind must be one of {MOTION_KINDS}")
 
     def test_holds_keep_full_precision(self, tmp_path):
         # Holds are written at .9g like every other float, not .6g.

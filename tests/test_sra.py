@@ -407,6 +407,25 @@ class TestResampleMatchesPerSliceReference:
         series = phase_series(t, phase)
         assert same_resample(series, segment(series, self.CFG, 40.0), self.CFG, 40.0)
 
+    BURSTS = np.concatenate([b + np.arange(30) / 1000.0 for b in np.arange(0.0, 2.0, 0.1)])
+
+    @pytest.mark.parametrize("times, slices", [
+        # every other sample on a grid instant
+        (np.arange(0.0, 2.0, 1 / 128), [(0.0, 2.0, True)]),
+        # instant 61/64 on a dense slice's last sample and 62/64 clamped to it,
+        # with a dense slice after it
+        (np.concatenate([np.arange(0.0, 0.945, 0.01), [61 / 64], np.arange(1.0, 2.0, 0.01)]),
+         [(0.0, 0.98, True), (0.98, 2.0, True)]),
+        # 1 kHz bursts on the 64 Hz grid: np.interp reads two of each burst's samples
+        (BURSTS, None),
+    ], ids=["instant-on-sample", "instant-on-last-sample", "1khz-bursts"])
+    def test_knots_np_interp_reads(self, times, slices):
+        i = np.arange(len(times))
+        series = phase_series(times, np.cos(i) + 2.5 * (i % 7 == 3))
+        slices = segment(series, self.CFG, 2.0) if slices is None else [Slice(*s) for s in slices]
+        assert any(s.non_sparse for s in slices)
+        assert same_resample(series, slices, self.CFG, 2.0)
+
     @pytest.mark.parametrize("slices", [
         [(1.0, 2.0, True), (0.0, 1.0, False)],     # out of time order
         [(0.0, 1.2, True), (1.0, 2.0, False)],     # overlapping
@@ -429,6 +448,30 @@ class TestHampelRuns:
         with hampel_blocks(rows):
             got = _hampel(values, lengths)
         assert got.tobytes() == np.concatenate([np.zeros(0), *expected]).tobytes()
+
+    @given(runs=st.lists(st.lists(phases, max_size=12), max_size=6), data=st.data(),
+           rows=st.sampled_from([1, 2, 5, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_subset_matches_full_filter(self, runs, data, rows):
+        values = np.array([v for run in runs for v in run], dtype=float)
+        lengths = np.array([len(run) for run in runs], dtype=int)
+        keep = data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+        at = np.flatnonzero(np.array(keep, dtype=bool))
+        full = np.concatenate([np.zeros(0)] + [sra_reference._hampel(np.array(run, dtype=float))
+                                               for run in runs])
+        with hampel_blocks(rows):
+            assert _hampel(values, lengths, at).tobytes() == full[at].tobytes()
+
+    def test_subset_at_run_edges(self):
+        # runs of 1, 2 and 9 samples, -0.0 beside 0.0, a spike in the long run
+        runs = [[-0.0], [0.0, -0.0], [0.0, -0.0, 0.0, 1.0, 40.0, 1.0, 1.0, -0.0, 0.0]]
+        values = np.array([v for run in runs for v in run])
+        lengths = np.array([len(run) for run in runs])
+        ends = np.cumsum(lengths)
+        at = np.unique(np.concatenate([ends - lengths, ends - 1, [7]]))
+        full = np.concatenate([sra_reference._hampel(np.array(run)) for run in runs])
+        assert _hampel(values, lengths, at).tobytes() == full[at].tobytes()
+        assert _hampel(values, lengths, [7])[0] == 1.0       # the spike is replaced
 
 
 class TestSpectrogram:

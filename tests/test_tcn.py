@@ -2,15 +2,14 @@
 correctness, causality, training behavior, and the weight-file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nfsense.tcn import (EpochStats, TcnConfig, TcnModel, TrainConfig,
-                         TrainingDiverged, block_stack_receptive_field,
-                         evaluate_mse, forward, load_model,
-                         loss_and_gradients, param_count, save_model,
-                         snap_to_file_precision, train, write_history_csv)
+                         TrainingDiverged, evaluate_mse, forward, load_model,
+                         loss_and_gradients, save_model, train, write_history_csv)
 from nfsense.tcn import _conv_f
 
 import tcn_reference as ref
@@ -23,6 +22,34 @@ def dconv(x, w, b, chi):
     """Dilated stride-1 conv of a channel-major (C_in, B, N) array into fresh buffers."""
     (c_in, bsz, n), (c_out, l, _) = x.shape, w.shape
     return _conv_f(x, w, b, chi, 1, np.empty((l, c_in, bsz, n)), np.empty((c_out, bsz, n)))
+
+
+def param_count(cfg: TcnConfig) -> int:
+    """Closed-form parameter count implied by the config."""
+    l, nf, nc, bd = cfg.kernel_len, cfg.n_f, cfg.n_c, cfg.bottleneck_dim
+    total = 0
+    in_ch = nf
+    for _ in range(cfg.n_blocks):
+        total += nc * l * in_ch + nc          # conv1
+        total += nc * l * nc + nc             # conv2
+        if in_ch != nc:
+            total += nc * in_ch + nc          # residual projection
+        in_ch = nc
+    total += bd * l * nc + bd                 # encoder
+    total += nc * l * bd + nc                 # decoder
+    total += nf * nc + nf                     # output projection
+    return total
+
+
+def block_stack_receptive_field(cfg: TcnConfig) -> int:
+    """History (in frames) visible to one output frame of the block stack."""
+    return 1 + 2 * (cfg.kernel_len - 1) * sum(cfg.dilations)
+
+
+def snap_to_file_precision(model: TcnModel) -> TcnModel:
+    """Round weights to float32 so save/load round-trips are bitwise exact."""
+    return TcnModel(config=model.config,
+                    params={k: v.astype("<f4").astype(float) for k, v in model.params.items()})
 
 
 def tiny_model(seed=4):
@@ -453,6 +480,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite") as exc:
             load_model(path)
         assert str(path) in str(exc.value)
+
+    def test_signalling_nan_weight_named_without_warning(self, tmp_path):
+        path = tmp_path / "model.tcn"
+        save_model(tiny_model(), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:-4] = np.array([0x7F800001], dtype="<u4").tobytes()
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite weight") as exc:
+                load_model(path)
+        assert str(exc.value) == f"{path}: non-finite weight"
 
     def test_evaluate_mse_empty_is_nan(self):
         assert math.isnan(evaluate_mse(tiny_model(), ()))
