@@ -489,7 +489,7 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite weight") as exc:
+            with pytest.raises(ValueError) as exc:
                 load_model(path)
         assert str(exc.value) == f"{path}: non-finite weight"
 
