@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .geometry import (FeasibilityMap, Mover, Point2D, RadioConfig,
-                       reflection_gain, variation_power, variation_power_exact,
-                       vir, vir_map)
+                       variation_power, variation_power_exact, vir, vir_map)
 from .capacity import (CapacityQuery, FitParams, capacity_curve, delta_d_min,
                        delta_d_min_exact, mirror_series, n_max, n_max_exact,
                        radial_fit, radial_series)

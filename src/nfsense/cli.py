@@ -200,6 +200,13 @@ def cmd_build_dataset(args) -> int:
     cfg = _load_run_config(args)
     sra_cfg = cfg.sra()
     # every step that can fail runs before the first file is written
+    names: dict[str, str] = {}   # spectrogram name -> the --csi path it comes from
+    for path in args.csi:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in names:
+            raise ValueError(f"--csi {names[name]} and {path} would both write "
+                             f"spectrogram_{name}.txt; give each link its own file name")
+        names[name] = path
     specs = [sra_mod.process_series(scene_mod.load_csi_csv(path), sra_cfg,
                                     duration=args.duration) for path in args.csi]
     labels = [s for spec in specs for s in sra_mod.extract_label_slices(spec, sra_cfg)]
@@ -213,8 +220,7 @@ def cmd_build_dataset(args) -> int:
                                mean_run_frames=cfg["mask.mean_run_frames"],
                                split_fraction=cfg["dataset.split_fraction"],
                                seed=args.seed or 0)
-    for path, spec in zip(args.csi, specs):
-        name = os.path.splitext(os.path.basename(path))[0]
+    for name, spec in zip(names, specs):
         sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
     sra_mod.save_dataset(ds, _out_path(args, "dataset"))
     print(f"dataset: {len(ds.train)} train pairs, {len(ds.test)} test pairs "

@@ -103,23 +103,17 @@ def _check_distances(*distances: float) -> None:
 
 
 def reflection_gain_array(cfg: RadioConfig, d_as, d_se) -> np.ndarray:
-    """Vectorized reflected-path gain; no input validation (renderer hot path)."""
+    """Channel gain of the AP -> subject -> UE single-bounce path, per element.
+
+    amplitude = lambda^2 sqrt(G) / ((4 pi)^2 (d_as d_se)^(alpha/2)),
+    phase = -2 pi (d_as + d_se) / lambda.  No input validation (renderer hot path).
+    """
     d_as = np.asarray(d_as, dtype=float)
     d_se = np.asarray(d_se, dtype=float)
     amp = (cfg.lambda_m ** 2 * math.sqrt(cfg.raw_gain)
            / (FOUR_PI ** 2 * (d_as * d_se) ** (cfg.alpha / 2.0)))
     phase = -2.0 * math.pi * (d_as + d_se) / cfg.lambda_m
     return amp * np.exp(1j * phase)
-
-
-def reflection_gain(cfg: RadioConfig, d_as: float, d_se: float) -> complex:
-    """Channel gain of the AP -> subject -> UE single-bounce path.
-
-    amplitude = lambda^2 sqrt(G) / ((4 pi)^2 (d_as d_se)^(alpha/2)),
-    phase = -2 pi (d_as + d_se) / lambda.
-    """
-    _check_distances(d_as, d_se)
-    return complex(reflection_gain_array(cfg, d_as, d_se))
 
 
 def variation_power(cfg: RadioConfig, d_as: float, d_se: float, v: float) -> float:
@@ -206,6 +200,10 @@ class FeasibilityMap:
         return Point2D(self.x0 + col * self.dx, self.y0 + row * self.dy)
 
 
+def _distance(dx, dy) -> np.ndarray:
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             extent: tuple[float, float, float, float], resolution: float,
             beta: float) -> FeasibilityMap:
@@ -214,8 +212,11 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
     ``extent`` is (x_min, y_min, x_max, y_max); ``resolution`` the cell size.
     Each cell's two :func:`vir` values are array expressions over blocks of
     whole rows, about ``_BLOCK_CELLS`` cells each, so temporaries do not grow
-    with the grid.  They keep the scalar path's distances, order of operations
-    and libm ``pow``; ``np.hypot`` may differ from ``math.hypot`` in the last bit.
+    with the grid.  They keep the scalar path's candidate-UE coordinates and
+    order of operations, but take each distance as ``np.sqrt(dx*dx + dy*dy)``
+    and each power with ``np.power``, where :func:`vir` calls libm ``hypot``
+    and ``pow``; coincidence is tested on squared distances.  Every finite VIR
+    is within 1e-12 relative of :func:`vir`'s.
     """
     if not all(math.isfinite(v) for v in extent):
         raise ValueError(f"extent must be finite, got {extent}")
@@ -236,21 +237,24 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
     ny = int(math.floor((y_max - y_min) / resolution)) + 1
     vir_s, vir_i = np.empty((2, ny, nx))
     ok = np.empty((ny, nx), dtype=bool)
-    pw, alpha = np.float_power, -cfg.alpha
+    pw, alpha, tol2 = np.power, -cfg.alpha, _COINCIDENT_TOL ** 2
     x = x_min + np.arange(nx) * resolution
+    x_a, x_e, x_s = x - ap.x, x - ue.x, x - s.x
+    xx_a, xx_e, xx_s = x_a * x_a, x_e * x_e, x_s * x_s
     rows = max(1, _BLOCK_CELLS // nx)
     for r0 in range(0, ny, rows):
         y = (y_min + np.arange(r0, min(r0 + rows, ny)) * resolution)[:, None]
         vs, vi = vir_s[r0:r0 + rows], vir_i[r0:r0 + rows]
-        d_ai, d_ie = np.hypot(ap.x - x, ap.y - y), np.hypot(x - ue.x, y - ue.y)
-        singular = ((d_ai < _COINCIDENT_TOL) | (d_ie < _COINCIDENT_TOL)
-                    | (np.hypot(x - s.x, y - s.y) < _COINCIDENT_TOL))
+        y_a, y_e, y_s = y - ap.y, y - ue.y, y - s.y
+        dd_ai, dd_ie = xx_a + y_a * y_a, xx_e + y_e * y_e
+        singular = (dd_ai < tol2) | (dd_ie < tol2) | (xx_s + y_s * y_s < tol2)
+        d_ai = np.sqrt(dd_ai)
         with (np.errstate(divide="ignore", invalid="ignore") if singular.any()
               else contextlib.nullcontext()):
-            den_s = p_dynamic + g_s * pw(d_ai * d_ie, alpha)
+            den_s = p_dynamic + g_s * pw(d_ai * np.sqrt(dd_ie), alpha)
             # UE of the candidate sits past it on the line away from the AP.
-            ue_x, ue_y = x + delta_i * ((x - ap.x) / d_ai), y + delta_i * ((y - ap.y) / d_ai)
-            d_se, d_su = np.hypot(x - ue_x, y - ue_y), np.hypot(s.x - ue_x, s.y - ue_y)
+            ue_x, ue_y = x + delta_i * (x_a / d_ai), y + delta_i * (y_a / d_ai)
+            d_se, d_su = _distance(x - ue_x, y - ue_y), _distance(s.x - ue_x, s.y - ue_y)
             # vir() fails when a candidate's UE lands on the candidate
             _check_distances(np.min(d_se, initial=math.inf, where=~singular))
             # A candidate's UE landing on the subject (d_su = 0) takes the
@@ -258,7 +262,7 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             # there; a still subject (v_s = 0) adds no term at any distance.
             with np.errstate(divide="ignore"):   # only d_su = 0 divides by zero here
                 subject_term = g_s * pw(d_as * d_su, alpha) if g_s > 0 else 0.0
-            den_i = (cfg.eta * cfg.lambda_m ** 2 * pw(np.hypot(ap.x - ue_x, ap.y - ue_y), alpha)
+            den_i = (cfg.eta * cfg.lambda_m ** 2 * pw(_distance(ap.x - ue_x, ap.y - ue_y), alpha)
                      + cfg.b + subject_term)
             if not (den_s.all() and den_i.all()):
                 raise ZeroDivisionError("zero interference and zero dynamic power")

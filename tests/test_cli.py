@@ -470,6 +470,22 @@ class TestSimulatePipeline:
                                              else "error: no eligible label slices")
         assert list(out.iterdir()) == []
 
+    def test_build_dataset_refuses_a_repeated_file_name(self, tmp_path, capsys):
+        # two links from different directories would share one spectrogram file
+        sim, other, out = tmp_path / "sim", tmp_path / "other", tmp_path / "ds"
+        assert run(["simulate", "--duration", 12, "--uniform-rate", 64, "--seed", 1,
+                    "--out", sim]) == 0
+        other.mkdir()
+        (other / "csi_ue0.csv").write_bytes((sim / "csi_ue0.csv").read_bytes())
+        csi = [sim / "csi_ue0.csv", sim / "csi_ue1.csv", other / "csi_ue0.csv"]
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["build-dataset", "--csi", *csi, "--duration", 12, "--out", out]) == 1
+        assert error_line(capsys) == (f"error: --csi {csi[0]} and {csi[2]} would both write "
+                                      "spectrogram_csi_ue0.txt; give each link its own "
+                                      "file name")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("given, missing", [("--recovered", "--truth"),
                                                 ("--truth", "--recovered")])
     def test_eval_half_pair_names_the_missing_flag(self, tmp_path, capsys, given, missing):

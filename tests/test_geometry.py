@@ -8,11 +8,17 @@ import pytest
 
 from nfsense import geometry
 from nfsense.geometry import (FeasibilityMap, Mover, Point2D, RadioConfig,
-                              load_raster, reflection_gain, save_raster,
+                              load_raster, reflection_gain_array, save_raster,
                               variation_power, variation_power_exact, vir,
                               vir_map)
 
 FOUR_PI = 4.0 * math.pi
+
+
+def reflection_gain(cfg, d_as, d_se):
+    """One reflected-path gain, with the distance check every scalar path makes."""
+    geometry._check_distances(d_as, d_se)
+    return complex(reflection_gain_array(cfg, d_as, d_se))
 
 
 def normalized_cfg(**kw):
@@ -171,6 +177,11 @@ def scalar_vir_map(cfg, ap, ue, subject, fmap, beta):
     return vs, vi, ok
 
 
+ORACLE_CFGS = pytest.mark.parametrize(
+    "cfg", [RadioConfig(), RadioConfig(alpha=3.0), RadioConfig(eta=0.0, b=0.0)],
+    ids=["default", "alpha3", "eta_b_zero"])
+
+
 class TestVirMap:
     def setup_method(self):
         self.cfg = RadioConfig()  # normalized constants
@@ -250,9 +261,7 @@ class TestVirMap:
         assert np.array_equal(fmap.feasible, ok)
         return fmap
 
-    @pytest.mark.parametrize("cfg", [RadioConfig(), RadioConfig(alpha=3.0),
-                                     RadioConfig(eta=0.0, b=0.0)],
-                             ids=["default", "alpha3", "eta_b_zero"])
+    @ORACLE_CFGS
     @pytest.mark.parametrize("speed", [None, 0.4])   # None: the default 1.3
     def test_grid_points_on_ap_ue_and_subject(self, cfg, speed):
         # beta 2: at alpha 3 a 0.4 subject clears beta 5 nowhere
@@ -265,6 +274,24 @@ class TestVirMap:
         assert np.all(np.isinf(fmap.vir_interferer[singular]))
         assert not fmap.feasible[singular].any()
         assert 0 < fmap.feasible.sum() < fmap.feasible.size - 3
+
+    @ORACLE_CFGS
+    @pytest.mark.parametrize("corner, lower", [(Point2D(1.5, 0.8), "subject"),
+                                               (Point2D(3.0, 1.75), "interferer")])
+    def test_cells_at_the_threshold(self, cfg, corner, lower):
+        # A 41 x 41 patch 4e-10 m across: every VIR in it is within 1e-9
+        # relative of the others, so with beta the median of the lower VIR
+        # the flags split and a last-bit change in vir_map could flip one.
+        res = 1e-11
+        extent = (corner.x, corner.y, corner.x + 40.5 * res, corner.y + 40.5 * res)
+        probe = vir_map(cfg, self.ap, self.ue, self.subject, extent, res, 1.0)
+        vs, vi, _ = scalar_vir_map(cfg, self.ap, self.ue, self.subject, probe, 1.0)
+        low, high = (vs, vi) if lower == "subject" else (vi, vs)
+        beta = float(np.median(low))
+        assert low.shape == (41, 41) and np.all(low < high)
+        assert np.all(np.abs(low / beta - 1) < 1e-9)
+        fmap = self.check_oracle(cfg, self.ap, self.ue, self.subject, extent, res, beta)
+        assert 0 < fmap.feasible.sum() < fmap.feasible.size
 
     def test_row_count_not_a_multiple_of_the_block(self):
         res, nx, ny = 1 / 128, 1000, 11
