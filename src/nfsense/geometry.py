@@ -255,8 +255,13 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             # UE of the candidate sits past it on the line away from the AP.
             ue_x, ue_y = x + delta_i * (x_a / d_ai), y + delta_i * (y_a / d_ai)
             d_se, d_su = _distance(x - ue_x, y - ue_y), _distance(s.x - ue_x, s.y - ue_y)
-            # vir() fails when a candidate's UE lands on the candidate
-            _check_distances(np.min(d_se, initial=math.inf, where=~singular))
+            # delta_i > 0, so a candidate's UE lands on it (d_se = 0) only when
+            # the coordinates are too large to resolve delta_i, where vir() fails
+            if not np.min(d_se, initial=math.inf, where=~singular) > 0:
+                raise ValueError(
+                    f"extent {extent} is too far from the origin: a candidate's mirrored "
+                    f"UE, delta_i = {delta_i:.6g} m past it, rounds onto the candidate; "
+                    "use an extent nearer the origin")
             # A candidate's UE landing on the subject (d_su = 0) takes the
             # d_su -> 0 limit of the subject term: inf, so vir_interferer is 0
             # there; a still subject (v_s = 0) adds no term at any distance.

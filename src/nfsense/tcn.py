@@ -9,6 +9,9 @@ Weights are float32 on disk.  In memory the model's dtype is the compute
 precision: float64 by default (gradient checks), float32 for ``nfsense
 train``.  Activations are channel-major (C, B, N), so each layer over a
 batch is one im2col GEMM, and there is one residual block per dilation.
+In that layout a stride-1 tap of the im2col is the input's flat array
+shifted by the tap's delay, so it is one contiguous copy, and the col2im
+that sums the column gradient back is one contiguous add per tap.
 ``train`` keeps its scratch, evaluation included, in one workspace with a
 single im2col buffer: the backward caches each conv layer's input, not its
 columns, and rebuilds them (the same bits) when it needs them.
@@ -189,15 +192,65 @@ def _taps(l: int, chi: int, stride: int, m: int):
         yield i, m0, stride * m0 - chi * i
 
 
+def _flat(a: np.ndarray, name: str) -> np.ndarray:
+    """The flat view of ``a``, for writes that must reach it: a non-contiguous
+    array would give a copy, so it is rejected."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous, got strides {a.strides}")
+    return a.reshape(-1)
+
+
 def _im2col(x: np.ndarray, l: int, chi: int, stride: int, cols: np.ndarray) -> np.ndarray:
     """Write the causal taps of x (C_in, B, N) into cols (l, C_in, B, M): cols[i, ., ., m]
-    = x[., ., stride*m - chi*i], zero before the start.  Returns (l*C_in, B*M)."""
+    = x[., ., stride*m - chi*i], zero before the start.  Returns (l*C_in, B*M).
+
+    At stride 1 (M = N) tap i is x's flat array shifted by m0 = min(chi*i, N):
+    one contiguous copy, after which the first m0 entries of every (c, b) row,
+    which wrapped in from the row before, are overwritten by the causal zeros.
+    A stride-2 tap is copied through a strided view: with an odd N (``recover``
+    runs 225- and 465-frame spectrograms) its rows do not tile one flat shift.
+    """
     c_in, bsz, _ = x.shape
     m = cols.shape[3]
-    for i, m0, s in _taps(l, chi, stride, m):
-        cols[i, :, :, :m0] = 0.0
-        cols[i, :, :, m0:] = x[:, :, s::stride][:, :, :m - m0]
+    if stride == 1:
+        x_flat, tap_flat = x.reshape(-1), _flat(cols, "cols").reshape(l, -1)
+        for i, m0, _ in _taps(l, chi, stride, m):
+            tap_flat[i, m0:] = x_flat[:x_flat.size - m0]
+            cols[i, :, :, :m0] = 0.0
+    else:
+        for i, m0, s in _taps(l, chi, stride, m):
+            cols[i, :, :, :m0] = 0.0
+            cols[i, :, :, m0:] = x[:, :, s::stride][:, :, :m - m0]
     return cols.reshape(l * c_in, bsz * m)
+
+
+def _col2im(cols: np.ndarray, chi: int, stride: int, dx: np.ndarray) -> np.ndarray:
+    """Sum a column gradient cols (l, C_in, B, M) onto dx (C_in, B, N), the
+    transpose of _im2col: tap by tap in order, onto +0.0, each dx[., ., n] adds
+    cols[i, ., ., m] where stride*m - chi*i = n.  Overwrites cols' causal padding.
+
+    At stride 1, tap 0 writes dx as cols[0] + 0.0 (so -0.0 becomes +0.0, as
+    a zero fill and an add would make it) and every later tap is one contiguous
+    add of its flat array shifted by m0, after its causal padding, which wraps
+    in from the row before, is set to +0.0.  That changes no bit: under
+    round-to-nearest a sum that starts at +0.0 is never -0.0, and adding +0.0
+    to anything else leaves it as it is.
+    """
+    l, _, _, m = cols.shape
+    dx_flat = _flat(dx, "dx")
+    if stride == 1:
+        tap_flat = _flat(cols, "cols").reshape(l, -1)
+        taps = _taps(l, chi, stride, m)
+        next(taps)                               # tap 0 has m0 = 0
+        np.add(cols[0], 0.0, out=dx)
+        for i, m0, _ in taps:
+            cols[i, :, :, :m0] = 0.0
+            dx_flat[:dx_flat.size - m0] += tap_flat[i, m0:]
+    else:
+        dx.fill(0.0)
+        for i, m0, s in _taps(l, chi, stride, m):
+            dx[:, :, s::stride][:, :, :m - m0] += cols[i, :, :, m0:]
+    return dx
 
 
 def _conv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int, stride: int,
@@ -225,12 +278,13 @@ def _conv_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, chi: int, stride: int,
     """Gradients (dx, dw, db) of _conv_f(x, w, ...) from dz (C_out, B, M).
 
     The im2col of x is rebuilt in ``cols`` (l, C_in, B, M), which then holds
-    its gradient.  ``dx`` is an output buffer and may share memory with ``dz``:
-    dz is fully read before dx is written.  With ``dx`` None the input
-    gradient is skipped and returned as None.
+    its gradient, and _col2im sums that onto ``dx``.  ``dx`` is an output
+    buffer and may share memory with ``dz``: dz is fully read before dx is
+    written.  The col2im writes through dx's flat view, so a dx that is not
+    C-contiguous raises ValueError.  With ``dx`` None the input gradient is
+    skipped and returned as None.
     """
     c_out, l, c_in = w.shape
-    m = dz.shape[2]
     dz2 = dz.reshape(c_out, -1)
     cols2 = _im2col(x, l, chi, stride, cols)
     dw = (dz2 @ cols2.T).reshape(w.shape)
@@ -238,10 +292,7 @@ def _conv_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, chi: int, stride: int,
     if dx is None:
         return None, dw, db
     np.matmul(w.reshape(c_out, l * c_in).T, dz2, out=cols2)
-    dx.fill(0.0)
-    for i, m0, s in _taps(l, chi, stride, m):
-        dx[:, :, s::stride][:, :, :m - m0] += cols[i, :, :, m0:]
-    return dx, dw, db
+    return _col2im(cols, chi, stride, dx), dw, db
 
 
 def _proj_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

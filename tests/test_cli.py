@@ -261,6 +261,15 @@ class TestFeasibleMapCommand:
         assert run(["feasible-map", *flags, "--out", tmp_path / "map"]) == 1
         assert named in capsys.readouterr().err
 
+    def test_extent_too_far_for_delta_i_named(self, tmp_path, capsys):
+        # 1e150 m out, each candidate's mirrored UE, 0.1 m past it, rounds onto it
+        assert run(["feasible-map", "--extent=1e150:0:2e150:1e150", "--resolution", 5e149,
+                    "--out", tmp_path / "map"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: extent (1e+150, 0.0, 2e+150, 1e+150) is too far")
+        assert "delta_i = 0.1 m" in err and "rounds onto the candidate" in err
+        assert not (tmp_path / "map").exists()
+
     def test_still_subject_runs(self, tmp_path):
         assert run(["feasible-map", "--subject-speed", 0, "--resolution", 1.0,
                     "--extent=-2:-2:2:2", "--out", tmp_path / "map"]) == 0

@@ -10,7 +10,7 @@ import pytest
 from nfsense.tcn import (EpochStats, TcnConfig, TcnModel, TrainConfig,
                          TrainingDiverged, evaluate_mse, forward, load_model,
                          loss_and_gradients, save_model, train, write_history_csv)
-from nfsense.tcn import _conv_f
+from nfsense.tcn import _col2im, _conv_b, _conv_f, _im2col
 
 import tcn_reference as ref
 
@@ -132,6 +132,109 @@ class TestDilatedConv:
         w = np.random.default_rng(9).standard_normal((4, 3, 2))
         z = dconv(np.zeros((2, 1, 8)), w, np.zeros(4), 1)
         assert np.all(z == 0.0)
+
+
+def _im2col_per_tap(x, l, chi, stride, m):
+    """cols[i, ., ., m'] = x[., ., stride*m' - chi*i], zero before the start, tap by tap
+    through strided views."""
+    cols = np.empty((l,) + x.shape[:2] + (m,), x.dtype)
+    for i in range(l):
+        m0 = min(-(-chi * i // stride), m)
+        cols[i, :, :, :m0] = 0.0
+        cols[i, :, :, m0:] = x[:, :, stride * m0 - chi * i::stride][:, :, :m - m0]
+    return cols
+
+
+def _col2im_per_tap(cols, chi, stride, n):
+    """The transpose of _im2col_per_tap: a zero fill, then one strided add per tap."""
+    l, c_in, bsz, m = cols.shape
+    dx = np.zeros((c_in, bsz, n), cols.dtype)
+    for i in range(l):
+        m0 = min(-(-chi * i // stride), m)
+        dx[:, :, stride * m0 - chi * i::stride][:, :, :m - m0] += cols[i, :, :, m0:]
+    return dx
+
+
+# (C_in, B, N, kernel_len, dilation, stride)
+COPY_SHAPES = [
+    (3, 2, 37, 2, 128, 1),     # tap 1 lies wholly in the causal padding
+    (4, 1, 37, 5, 16, 1),      # odd N, B = 1, taps 3 and 4 all padding
+    (5, 3, 128, 5, 8, 1),
+    (2, 1, 1, 3, 1, 1),        # one frame
+    (3, 2, 37, 3, 1, 2),       # stride 2 on odd N
+    (2, 1, 225, 5, 1, 2),      # the 225-frame width recover runs
+    (4, 3, 64, 5, 1, 2),
+]
+
+
+class TestCopySteps:
+    """_im2col and _col2im alone, with no GEMM between, against per-tap
+    strided copies, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", COPY_SHAPES)
+    def test_im2col(self, dtype, shape):
+        c_in, bsz, n, l, chi, stride = shape
+        rng = np.random.default_rng(n + l)
+        m = -(-n // stride)
+        x = rng.standard_normal((c_in, bsz, n)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        expected = _im2col_per_tap(x, l, chi, stride, m)
+        for inp in (x, np.asfortranarray(x)):        # a non-contiguous input is read, not written
+            cols = np.full((l, c_in, bsz, m), np.nan, dtype)
+            got = _im2col(inp, l, chi, stride, cols)
+            assert got.shape == (l * c_in, bsz * m) and np.shares_memory(got, cols)
+            assert _bits_equal(cols, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", COPY_SHAPES)
+    def test_col2im_keeps_signed_zeros(self, dtype, shape):
+        c_in, bsz, n, l, chi, stride = shape
+        rng = np.random.default_rng(n * l)
+        m = -(-n // stride)
+        base = rng.standard_normal((l, c_in, bsz, m)).astype(dtype)
+        base[rng.random(base.shape) < 0.2] = -0.0
+        for neg_taps in ([], [0], [l - 1], list(range(l))):   # taps that are -0.0 everywhere
+            g = base.copy()
+            g[neg_taps] = -0.0
+            # the causal padding holds values that are never read
+            for i in range(l):
+                g[i, :, :, :min(-(-chi * i // stride), m)] = np.nan
+            expected = _col2im_per_tap(g, chi, stride, n)
+            dx = np.full((c_in, bsz, n), np.nan, dtype)
+            assert _col2im(g.copy(), chi, stride, dx) is dx
+            assert _bits_equal(dx, expected), neg_taps
+        # every tap -0.0: the sum is +0.0 everywhere, as a zero fill then adds gives
+        assert not np.signbit(dx).any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dx_sharing_dz_memory_matches_separate_buffers(self, stride):
+        rng = np.random.default_rng(23 + stride)
+        c, bsz, n, l, chi = 6, 3, 37, 3, 4
+        m = -(-n // stride)
+        x = rng.standard_normal((c, bsz, n))
+        w = rng.standard_normal((c, l, c))
+        dz = rng.standard_normal((c, bsz, m))
+        cols = np.empty((l, c, bsz, m))
+        dx, dw, db = _conv_b(dz.copy(), x, w, chi, stride, cols, np.empty_like(x))
+        # dz is the leading part of the buffer dx fills, as in the workspace
+        buf = np.empty(x.size)
+        dz_shared = buf[:dz.size].reshape(dz.shape)
+        dz_shared[...] = dz
+        got = _conv_b(dz_shared, x, w, chi, stride, cols, buf.reshape(x.shape))
+        for a, b in zip(got, (dx, dw, db)):
+            assert _bits_equal(a, b)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_non_contiguous_dx_rejected(self, stride):
+        rng = np.random.default_rng(24)
+        c, bsz, n, l = 2, 2, 9, 3
+        m = -(-n // stride)
+        x = rng.standard_normal((c, bsz, n))
+        dx = np.empty((c, bsz, 2 * n))[:, :, ::2]
+        with pytest.raises(ValueError, match="dx must be C-contiguous"):
+            _conv_b(rng.standard_normal((c, bsz, m)), x, rng.standard_normal((c, l, c)), 1,
+                    stride, np.empty((l, c, bsz, m)), dx)
 
 
 class TestForward:
