@@ -240,8 +240,10 @@ def cmd_train(args) -> int:
     if not ds.test:
         print(f"warning: empty test split, so test_mse reads nan: {advice}", file=sys.stderr)
     seed = args.seed or 0
-    # float32: the weight file is float32 anyway and training is ~1.85x faster
-    model = tcn_mod.TcnModel.initialize(cfg.tcn(seed=seed), dtype=np.float32)
+    # the model reads the dataset's rows; float32: the weight file is float32
+    # anyway and training is ~1.85x faster
+    model = tcn_mod.TcnModel.initialize(
+        dataclasses.replace(cfg.tcn(seed=seed), n_f=ds.train[0][0].shape[0]), dtype=np.float32)
     tcfg = cfg.train(seed=seed)
     model, history = tcn_mod.train(model, ds.train, ds.test, tcfg)
     tcn_mod.save_model(model, _out_path(args, "model.tcn"))
@@ -255,9 +257,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    cfg = _load_run_config(args)
     model = tcn_mod.load_model(args.model)
-    spec = sra_mod.load_spectrogram(args.spectrogram, df_hz=cfg.sra().df_hz)
+    spec = sra_mod.load_spectrogram(args.spectrogram)
     recovered = np.clip(tcn_mod.forward(model, spec.data), 0.0, 1.0)
     out = dataclasses.replace(spec, data=recovered, no_data_cols=np.zeros(spec.n_t, dtype=bool))
     sra_mod.save_spectrogram(out, _out_path(args, "recovered.txt"))
@@ -266,9 +267,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
     rows: list[tuple[str, str]] = []
-    df = cfg.sra().df_hz
     band = (args.band_lo, args.band_hi)
     if not -math.inf < band[0] < band[1] < math.inf:
         raise ValueError(f"--band-lo {band[0]:g} and --band-hi {band[1]:g} must be finite, "
@@ -277,13 +276,13 @@ def cmd_eval(args) -> int:
         missing = "--truth" if args.recovered else "--recovered"
         raise ValueError(f"{missing} is missing: --recovered and --truth go together")
     if args.recovered:
-        rec = sra_mod.load_spectrogram(args.recovered, df_hz=df)
-        tru = sra_mod.load_spectrogram(args.truth, df_hz=df)
+        rec = sra_mod.load_spectrogram(args.recovered)
+        tru = sra_mod.load_spectrogram(args.truth)
         rows.append(("recovery_mse", f"{met.recovery_mse(rec, tru):.9e}"))
     for label, path in (("near", args.spectrogram), ("baseline", args.baseline_spectrogram)):
         if not path:
             continue
-        spec = sra_mod.load_spectrogram(path, df_hz=df)
+        spec = sra_mod.load_spectrogram(path)
         est = met.estimate_rate(spec, band)
         rows.append((f"{label}_rate_bpm", f"{est.bpm:.4f}"))
         rows.append((f"{label}_rate_confidence", f"{est.confidence:.4f}"))

@@ -23,7 +23,7 @@ _SECTIONS = {"radio": RadioConfig, "traffic": TrafficModel, "sra": SraConfig,
              "tcn": TcnConfig, "train": TrainConfig}
 
 # Module-config fields that are not keys: the builders supply every seed and
-# tcn.n_f (it is sra.n_f).
+# tcn.n_f (sra.n_f here; `nfsense train` takes it from the dataset).
 _SUPPLIED = {"tcn.n_f"}
 
 # Keys only the CLI reads, with their defaults.

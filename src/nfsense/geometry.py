@@ -204,6 +204,9 @@ def _distance(dx, dy) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+# Past about 1e154 m squared distances overflow to inf (and their powers to the
+# 0 of a term that far); the d_se check below then names the extent instead.
+@np.errstate(over="ignore")
 def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             extent: tuple[float, float, float, float], resolution: float,
             beta: float) -> FeasibilityMap:

@@ -82,19 +82,11 @@ def spectral_entropy(spec: Spectrogram) -> float:
     valid = ~spec.no_data_cols
     if not valid.any():
         raise ValueError("no data: every spectrogram column carries the sentinel")
-    cols = spec.data[:, valid]
-    n_f = cols.shape[0]
-    total = 0.0
-    for c in range(cols.shape[1]):
-        col = np.clip(cols[:, c], 0.0, None)
-        s = col.sum()
-        if s <= 0.0:
-            total += math.log2(n_f)
-            continue
-        p = col / s
-        nz = p > 0
-        total += float(-(p[nz] * np.log2(p[nz])).sum())
-    return total / cols.shape[1]
+    cols = np.clip(spec.data[:, valid], 0.0, None)
+    s = cols.sum(axis=0)
+    p = cols / np.where(s > 0.0, s, 1.0)
+    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=0)
+    return float(np.where(s > 0.0, h, math.log2(cols.shape[0])).mean())
 
 
 def window_stds(track: np.ndarray, rate_hz: float, window_s: float = 0.1) -> np.ndarray:
@@ -104,14 +96,10 @@ def window_stds(track: np.ndarray, rate_hz: float, window_s: float = 0.1) -> np.
     if w < 2 or track.size < w:
         raise ValueError(f"track of {track.size} samples is shorter than one "
                          f"{window_s} s window ({w} samples)")
-    n_win = track.size // w
-    t = np.arange(w, dtype=float)
-    out = np.empty(n_win)
-    for i in range(n_win):
-        seg = track[i * w:(i + 1) * w]
-        coef = np.polyfit(t, seg, 1)
-        out[i] = float(np.std(seg - np.polyval(coef, t)))
-    return out
+    windows = track[:track.size // w * w].reshape(-1, w)
+    # t is centred, so a window's least-squares slope is window @ t / (t @ t)
+    t = np.arange(w) - (w - 1) / 2.0
+    return np.std(windows - np.outer(windows @ t / (t @ t), t), axis=1)
 
 
 def welch_psd(track: np.ndarray, rate_hz: float, segment_len: int = 256) -> tuple[np.ndarray, np.ndarray]:

@@ -104,22 +104,27 @@ class ResampledSeries:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """N_F x N_T matrix in [-1, 1]; no-data columns hold the -1 sentinel."""
+    """N_F x N_T matrix in [-1, 1]; no-data columns hold the -1 sentinel.
+
+    It carries its own axes, in memory and in its file: frame j is centred
+    ``t0_s + j * frame_dt_s`` seconds into the series and row k is
+    ``k * df_hz`` Hz.
+    """
 
     data: np.ndarray
     no_data_cols: np.ndarray
-    frame_times: np.ndarray
-    df_hz: float = 0.25
+    t0_s: float
+    frame_dt_s: float
+    df_hz: float
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "no_data_cols", np.asarray(self.no_data_cols, dtype=bool))
-        object.__setattr__(self, "frame_times", np.asarray(self.frame_times, dtype=float))
         if d.ndim != 2:
             raise ValueError(f"spectrogram must be 2-D, got shape {d.shape}")
-        if len(self.no_data_cols) != d.shape[1] or len(self.frame_times) != d.shape[1]:
-            raise ValueError("column flags/times must match the number of frames")
+        if len(self.no_data_cols) != d.shape[1]:
+            raise ValueError("column flags must match the number of frames")
 
     @property
     def n_f(self) -> int:
@@ -321,16 +326,14 @@ def minmax_normalize(raw: np.ndarray, flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize(raw: np.ndarray, flags: np.ndarray, frame_times=None,
-              df_hz: float = 0.25) -> Spectrogram:
-    """Spectrogram assembly from raw magnitudes and frame flags."""
+def normalize(raw: np.ndarray, flags: np.ndarray, t0_s: float, frame_dt_s: float,
+              df_hz: float) -> Spectrogram:
+    """Spectrogram assembly from raw magnitudes, frame flags and the two axes."""
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("magnitudes must be finite")
-    if frame_times is None:
-        frame_times = np.arange(raw.shape[1], dtype=float)
     return Spectrogram(data=minmax_normalize(raw, flags), no_data_cols=flags,
-                       frame_times=frame_times, df_hz=df_hz)
+                       t0_s=t0_s, frame_dt_s=frame_dt_s, df_hz=df_hz)
 
 
 def _hann_frames(values: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +344,8 @@ def _hann_frames(values: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarr
     return np.multiply(frames, window, out=frames), window
 
 
-def stft_magnitudes(rs: ResampledSeries, cfg: SraConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hann-window STFT magnitudes (pre-normalization) plus frame flags/times.
+def stft_magnitudes(rs: ResampledSeries, cfg: SraConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-window STFT magnitudes (pre-normalization) plus frame flags.
 
     The per-frame mean is removed before windowing so that phase offsets and
     slow drift do not bury the motion bins under DC.
@@ -353,15 +356,13 @@ def stft_magnitudes(rs: ResampledSeries, cfg: SraConfig) -> tuple[np.ndarray, np
     frames, _ = _hann_frames(rs.values, cfg.fft_len, cfg.hop)
     mags = np.ascontiguousarray(np.abs(np.fft.rfft(frames, axis=1)[:, :cfg.n_f]).T)
     no_data = sliding_window_view(rs.no_data, cfg.fft_len)[::cfg.hop]
-    flags = no_data.mean(axis=1) > _FRAME_NO_DATA_FRACTION
-    times = (np.arange(0, n - cfg.fft_len + 1, cfg.hop) + cfg.fft_len / 2.0) / cfg.f_rs
-    return mags, flags, times
+    return mags, no_data.mean(axis=1) > _FRAME_NO_DATA_FRACTION
 
 
 def spectrogram(rs: ResampledSeries, cfg: SraConfig) -> Spectrogram:
     """Transformation + normalization steps applied to a resampled series."""
-    mags, flags, times = stft_magnitudes(rs, cfg)
-    return normalize(mags, flags, frame_times=times, df_hz=cfg.df_hz)
+    mags, flags = stft_magnitudes(rs, cfg)
+    return normalize(mags, flags, cfg.fft_len / 2 / cfg.f_rs, cfg.frame_dt_s, cfg.df_hz)
 
 
 def process_series(series: CsiSeries, cfg: SraConfig,
@@ -464,21 +465,21 @@ def build_dataset(labels: Sequence[np.ndarray], masks_per_label: int,
 
 
 def save_spectrogram(spec: Spectrogram, path) -> None:
-    """Text format: header ``N_F N_T t0_s frame_dt_s``, rows, then flag row."""
-    frame_dt = float(spec.frame_times[1] - spec.frame_times[0]) if spec.n_t > 1 else 0.0
-    t0 = float(spec.frame_times[0]) if spec.n_t else 0.0
+    """Text format: header ``N_F N_T t0_s frame_dt_s df_hz``, rows, then flag row;
+    ``df_hz`` is written as its repr, so it reads back as the same double."""
     kvtext.check_text_range(path, spec.data)
     with open(path, "w") as fh:
-        fh.write(f"{spec.n_f} {spec.n_t} {t0:.9f} {frame_dt:.9f}\n")
+        fh.write(f"{spec.n_f} {spec.n_t} {spec.t0_s:.9f} {spec.frame_dt_s:.9f} "
+                 f"{float(spec.df_hz)!r}\n")
         fh.write(kvtext.format_table(spec.data, " ".join(["%.9e"] * spec.n_t) + "\n"))
         fh.write(" ".join(np.where(spec.no_data_cols, "1", "0").tolist()) + "\n")
 
 
-def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
-    """Read a spectrogram written by :func:`save_spectrogram`.
+def load_spectrogram(path) -> Spectrogram:
+    """Read a spectrogram written by :func:`save_spectrogram`, axes included.
 
-    The file format does not carry the frequency axis; pass the config's
-    ``df_hz`` when a real frequency mapping is needed.
+    A header of four fields is the older format, which lacks ``df_hz``: it
+    is rejected, and the file must be rebuilt with ``nfsense build-dataset``.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -488,13 +489,18 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
         if "_" in line or "#" in line or not line.isascii():
             raise ValueError(f"{path}: line {i}: '_', '#' or a non-ASCII character")
     rows = [line.split() for line in lines]
+    if rows and len(rows[0]) == 4:
+        raise ValueError(f"{path}: header 'N_F N_T t0_s frame_dt_s' lacks df_hz (an older "
+                         "format); rebuild the file with nfsense build-dataset")
     try:
-        n_f, n_t, t0, frame_dt = rows[0]
-        n_f, n_t, t0, frame_dt = int(n_f), int(n_t), float(t0), float(frame_dt)
-        if min(n_f, n_t) < 0 or not (math.isfinite(t0) and math.isfinite(frame_dt)):
+        n_f, n_t = int(rows[0][0]), int(rows[0][1])
+        t0, frame_dt, df_hz = (float(v) for v in rows[0][2:])
+        if min(n_f, n_t) < 0 or not (math.isfinite(t0) and math.isfinite(frame_dt)
+                                     and 0 < df_hz < math.inf):
             raise ValueError
     except (IndexError, ValueError):
-        raise ValueError(f"{path}: header must read 'N_F N_T t0_s frame_dt_s'") from None
+        raise ValueError(f"{path}: header must read 'N_F N_T t0_s frame_dt_s df_hz', "
+                         "with df_hz > 0") from None
     if len(rows) < n_f + 2:
         raise ValueError(f"{path}: expected {n_f} data rows and a flag row")
     for i, row in enumerate(rows[1:n_f + 2], start=2):
@@ -506,9 +512,8 @@ def load_spectrogram(path, df_hz: float = 0.25) -> Spectrogram:
         if row:
             raise ValueError(f"{path}: line {i}: text after the flag row")
     data = kvtext.read_table(path, lines[1:n_f + 1]).reshape(n_f, n_t)
-    flags = np.array(rows[n_f + 1]) == "1"
-    times = t0 + np.arange(n_t) * frame_dt
-    return Spectrogram(data=data, no_data_cols=flags, frame_times=times, df_hz=df_hz)
+    return Spectrogram(data=data, no_data_cols=np.array(rows[n_f + 1]) == "1",
+                       t0_s=t0, frame_dt_s=frame_dt, df_hz=df_hz)
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:

@@ -324,7 +324,7 @@ class TestCriterion5Separability:
                 hold_spec = sra.process_series(series[user.user_id], HOLD_CFG, duration)
                 margin = HOLD_CFG.fft_len / HOLD_CFG.f_rs / 2
                 energy = met.band_energy(hold_spec, (0.1, 0.7))
-                t = hold_spec.frame_times
+                t = hold_spec.t0_s + np.arange(hold_spec.n_t) * hold_spec.frame_dt_s
                 inside = (t > hold[0] + margin) & (t < hold[1] - margin)
                 outside = (t < hold[0] - margin) | (t > hold[1] + margin)
                 drop_db = 10 * math.log10(energy[outside].mean()

@@ -5,6 +5,7 @@ import filecmp
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def run(args):
 def write_spectrogram(path):
     data = np.random.default_rng(0).uniform(-1.0, 1.0, (32, 16))
     save_spectrogram(Spectrogram(data=data, no_data_cols=np.zeros(16, dtype=bool),
-                                 frame_times=np.arange(16) * 0.25), path)
+                                 t0_s=0.0, frame_dt_s=0.25, df_hz=0.25), path)
     return path
 
 
@@ -270,6 +271,17 @@ class TestFeasibleMapCommand:
         assert "delta_i = 0.1 m" in err and "rounds onto the candidate" in err
         assert not (tmp_path / "map").exists()
 
+    def test_overflowing_extent_prints_only_the_error(self, tmp_path, capsys):
+        # past about 1e154 m the squared distances overflow; no numpy warning
+        # may come before the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["feasible-map", "--extent=1e200:0:1.5e200:1e200",
+                        "--resolution", 5e199, "--out", tmp_path / "map"]) == 1
+        assert error_line(capsys).startswith(
+            "error: extent (1e+200, 0.0, 1.5e+200, 1e+200) is too far")
+        assert not (tmp_path / "map").exists()
+
     def test_still_subject_runs(self, tmp_path):
         assert run(["feasible-map", "--subject-speed", 0, "--resolution", 1.0,
                     "--extent=-2:-2:2:2", "--out", tmp_path / "map"]) == 0
@@ -365,6 +377,21 @@ class TestSimulatePipeline:
         text = (out / "metrics.csv").read_text()
         assert "recovery_mse,0.0" in text
         assert "near_rate_bpm" in text
+
+    def test_eval_reads_the_bin_width_from_the_file(self, tmp_path, capsys):
+        # 16 s windows give 0.0625 Hz bins; eval, given no --set, must read
+        # them from the file, not the default config's 0.25 Hz
+        out = tmp_path / "wide"
+        assert run(["simulate", "--duration", 60, "--uniform-rate", 64, "--seed", 1,
+                    "--out", out]) == 0
+        assert run(["build-dataset", "--csi", out / "csi_ue0.csv", "--duration", 60,
+                    "--set", "sra.fft_len=1024", "--set", "sra.hop=64", "--seed", 1,
+                    "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--spectrogram", out / "spectrogram_csi_ue0.txt",
+                    "--true-rate", 12, "--out", out / "ev"]) == 0
+        rows = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert float(rows["near_rate_error_bpm"]) < 1.0
 
     def test_max_label_frames_flag_is_the_key(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -528,6 +555,15 @@ class TestSimulatePipeline:
         spec = write_spectrogram(tmp_path / "spec.txt")
         assert run(["recover", "--model", tmp_path / "tr" / "model.tcn",
                     "--spectrogram", spec, "--out", tmp_path / "rec"]) == 0
+
+    def test_train_takes_n_f_from_the_dataset(self, tmp_path):
+        # 16-row pairs, as build-dataset --set sra.n_f=16 writes them, and no --set
+        ds = tmp_path / "ds"
+        pair = (np.full((16, 16), -1.0), np.full((16, 16), 0.5))
+        save_dataset(Dataset(train=(pair,), test=(pair,)), ds)
+        assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.n_c=8",
+                    "--set", "tcn.bottleneck_dim=4", "--out", tmp_path / "tr"]) == 0
+        assert load_model(tmp_path / "tr" / "model.tcn").config.n_f == 16
 
     def test_train_missing_dataset(self, tmp_path):
         assert run(["train", "--dataset", tmp_path / "none", "--out", tmp_path]) == 1

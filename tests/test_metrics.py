@@ -32,8 +32,7 @@ def make_spec(data, flags=None, df_hz=0.25):
     data = np.asarray(data, dtype=float)
     if flags is None:
         flags = np.zeros(data.shape[1], dtype=bool)
-    return Spectrogram(data=data, no_data_cols=flags,
-                       frame_times=np.arange(data.shape[1]) * 0.25, df_hz=df_hz)
+    return Spectrogram(data=data, no_data_cols=flags, t0_s=0.0, frame_dt_s=0.25, df_hz=df_hz)
 
 
 def tone_spec(freq_hz, n_f=32, n_t=40, df_hz=0.0625, width=0.8):

@@ -151,9 +151,13 @@ class TestArrayFormsMatchLoops:
             no_data[:cfg.fft_len] = np.arange(cfg.fft_len) < cfg.fft_len // 2  # frame 0: exactly half
             rs = ResampledSeries(values=np.cumsum(rng.standard_normal(n)), no_data=no_data)
             got, want = stft_magnitudes(rs, cfg), stft_loop(rs, cfg)
-            for a, b in zip(got, want):
+            assert len(got) == 2
+            for a, b in zip(got, want[:2]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert got[0].flags.c_contiguous  # downstream row sums depend on the layout
+            spec = spectrogram(rs, cfg)       # the frame times are the spectrogram's axis
+            assert np.array_equal(spec.t0_s + np.arange(spec.n_t) * spec.frame_dt_s, want[2])
+            assert spec.df_hz == cfg.df_hz
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "long", "gesture"])
     def test_segment_runs_touching_the_last_window(self, cfg):
@@ -174,8 +178,8 @@ class TestArrayFormsMatchLoops:
             for a, b in runs:
                 flags[a:b] = False
             data = np.random.default_rng(n_t).uniform(0, 1, (cfg.n_f, n_t))
-            spec = Spectrogram(data=data, no_data_cols=flags,
-                               frame_times=np.arange(n_t) * cfg.frame_dt_s)
+            spec = Spectrogram(data=data, no_data_cols=flags, t0_s=0.0,
+                               frame_dt_s=cfg.frame_dt_s, df_hz=cfg.df_hz)
             got, want = extract_label_slices(spec, cfg), label_slices_loop(spec, cfg)
             assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
             assert [g.shape[1] for g in got] == [m, m + 7]
@@ -563,7 +567,7 @@ class TestNormalize:
         rng = np.random.default_rng(seed)
         raw = rng.normal(0, 10, size=(6, 9))
         flags = rng.random(9) < 0.3
-        spec = normalize(raw, flags)
+        spec = normalize(raw, flags, 2.0, 0.25, 0.25)
         assert spec.data.min() >= -1.0 and spec.data.max() <= 1.0
         if (~flags).any():
             assert spec.data[:, ~flags].min() >= 0.0
@@ -701,8 +705,8 @@ class TestLabelSlices:
         flags[30:40] = True  # a sentinel run splits the spectrogram
         data[:, flags] = -1.0
         from nfsense.sra import Spectrogram
-        spec = Spectrogram(data=data, no_data_cols=flags,
-                           frame_times=np.arange(n_t) * cfg.frame_dt_s, df_hz=cfg.df_hz)
+        spec = Spectrogram(data=data, no_data_cols=flags, t0_s=0.0,
+                           frame_dt_s=cfg.frame_dt_s, df_hz=cfg.df_hz)
         labels = extract_label_slices(spec, cfg)
         assert [lab.shape[1] for lab in labels] == [30, 60]
         chopped = chop_labels(labels, 25, 20)
@@ -712,8 +716,8 @@ class TestLabelSlices:
         cfg = SraConfig()  # min 4 s = 16 frames at 0.25 s
         data = np.zeros((cfg.n_f, 10))
         from nfsense.sra import Spectrogram
-        spec = Spectrogram(data=data, no_data_cols=np.zeros(10, dtype=bool),
-                           frame_times=np.arange(10) * cfg.frame_dt_s)
+        spec = Spectrogram(data=data, no_data_cols=np.zeros(10, dtype=bool), t0_s=0.0,
+                           frame_dt_s=cfg.frame_dt_s, df_hz=cfg.df_hz)
         assert extract_label_slices(spec, cfg) == []
 
 
@@ -726,23 +730,43 @@ class TestSpectrogramIO:
         flags = rng.random(n_t) < 0.3
         data[:, flags] = -1.0
         from nfsense.sra import Spectrogram
-        spec = Spectrogram(data=data, no_data_cols=flags,
-                           frame_times=2.0 + np.arange(n_t) * 0.25, df_hz=cfg.df_hz)
+        spec = Spectrogram(data=data, no_data_cols=flags, t0_s=2.0, frame_dt_s=0.25,
+                           df_hz=cfg.df_hz)
         path = tmp_path / "spec.txt"
         save_spectrogram(spec, path)
-        loaded = load_spectrogram(path, df_hz=cfg.df_hz)
+        loaded = load_spectrogram(path)
         assert np.allclose(loaded.data, spec.data, atol=1e-8)
         assert np.array_equal(loaded.no_data_cols, spec.no_data_cols)
-        assert np.allclose(loaded.frame_times, spec.frame_times, atol=1e-8)
+        assert (loaded.t0_s, loaded.frame_dt_s, loaded.df_hz) == (2.0, 0.25, cfg.df_hz)
         header = path.read_text().splitlines()[0].split()
         assert header[0] == str(cfg.n_f) and header[1] == str(n_t)
 
-    GOOD = ["2 3 0.0 0.25", "0.1 0.2 0.3", "0.4 0.5 0.6", "0 1 0"]
+    def test_non_dyadic_axes_round_trip_byte_identical(self, tmp_path):
+        # 64 Hz over 96 samples: df_hz = 2/3 Hz, which no short decimal holds
+        cfg = SraConfig(fft_len=96, hop=7)
+        n = 4 * cfg.fft_len
+        values = np.sin(2 * np.pi * 3.0 * np.arange(n) / cfg.f_rs)
+        spec = spectrogram(ResampledSeries(values=values, no_data=np.zeros(n, dtype=bool)), cfg)
+        first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+        save_spectrogram(spec, first)
+        loaded = load_spectrogram(first)
+        save_spectrogram(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+        assert loaded.df_hz == spec.df_hz == 64.0 / 96
+        assert loaded.frame_dt_s == pytest.approx(7 / 64.0, abs=1e-9)
+
+    GOOD = ["2 3 0.0 0.25 0.25", "0.1 0.2 0.3", "0.4 0.5 0.6", "0 1 0"]
 
     @pytest.mark.parametrize("line, text, match", [
         (0, "2 3 0.0", "header"),                  # three header fields
+        (0, "2 3 0.0 0.25 0.25 1", "header"),      # six
+        (0, "2 3 0.0 0.25", "lacks df_hz.*build-dataset"),   # four: the older format
         (0, "2 x 0.0 0.25", "header"),
         (0, "2 3 nan 0.25", "header"),
+        (0, "2 x 0.0 0.25 0.25", "header"),
+        (0, "2 3 nan 0.25 0.25", "header"),
+        (0, "2 3 0.0 0.25 0", "df_hz > 0"),
+        (0, "2 3 0.0 0.25 inf", "df_hz > 0"),
         (2, "0.4 0.5", "line 3 has 2 values"),     # short data row
         (3, None, "expected 2 data rows and a flag row"),  # flag row missing
         (3, "0 1", "line 4 has 2 values"),         # short flag row

@@ -98,9 +98,10 @@ def spectrograms(draw, cells=values(), min_side=0):
     n_t = data.shape[1]
     t0 = draw(st.floats(0.0, 1e4))
     frame_dt = draw(st.floats(1e-3, 10.0))
+    df_hz = draw(st.floats(1e-6, 1e3))
     flags = draw(st.lists(st.booleans(), min_size=n_t, max_size=n_t))
     return Spectrogram(data=data, no_data_cols=np.array(flags, dtype=bool),
-                       frame_times=t0 + np.arange(n_t) * frame_dt)
+                       t0_s=t0, frame_dt_s=frame_dt, df_hz=df_hz)
 
 
 @st.composite
@@ -183,7 +184,8 @@ class TestTextMax:
         a = np.array([[0.5, -1.7976931348623157e308]])
         refused(lambda: save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds"),
                 tmp_path / "ds", named=re.escape(str(tmp_path / "ds" / "train" / "0000.x")))
-        spec = Spectrogram(data=a, no_data_cols=np.zeros(2), frame_times=np.arange(2.0))
+        spec = Spectrogram(data=a, no_data_cols=np.zeros(2), t0_s=0.0, frame_dt_s=1.0,
+                           df_hz=0.25)
         refused(lambda: save_spectrogram(spec, tmp_path / "s.txt"), tmp_path / "s.txt")
         refused(lambda: save_raster(tmp_path / "r.txt", a, 0.0, 0.0, 1.0, 1.0), tmp_path / "r.txt")
         refused(lambda: save_raster(tmp_path / "r.txt", np.ones((1, 1)), TEXT_MAX, 0.0, 1.0, 1.0),
@@ -193,8 +195,8 @@ class TestTextMax:
         a = np.array([[self.BELOW, -self.BELOW]])
         save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds")
         assert np.isfinite(load_dataset(tmp_path / "ds").train[0][0]).all()
-        save_spectrogram(Spectrogram(data=a, no_data_cols=np.zeros(2),
-                                     frame_times=np.arange(2.0)), tmp_path / "s.txt")
+        save_spectrogram(Spectrogram(data=a, no_data_cols=np.zeros(2), t0_s=0.0,
+                                     frame_dt_s=1.0, df_hz=0.25), tmp_path / "s.txt")
         assert np.isfinite(load_spectrogram(tmp_path / "s.txt").data).all()
         save_raster(tmp_path / "r.txt", np.array([[self.BELOW, math.inf]]), 0.0, 0.0, 1.0, 1.0)
         assert load_raster(tmp_path / "r.txt")[0].tolist() == [[1.797693134e308, math.inf]]
@@ -221,11 +223,12 @@ class TestWritersMatchReference:
     @given(spec=spectrograms(values(non_finite=True)))
     @settings(max_examples=60, deadline=None)
     @example(spec=Spectrogram(data=np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0]]),
-                              no_data_cols=np.array([0, 0, 1]), frame_times=np.arange(3.0)))
-    @example(spec=Spectrogram(data=np.zeros((0, 2)), no_data_cols=np.zeros(2),
-                              frame_times=np.arange(2.0)))
-    @example(spec=Spectrogram(data=np.zeros((2, 0)), no_data_cols=np.zeros(0),
-                              frame_times=np.zeros(0)))
+                              no_data_cols=np.array([0, 0, 1]), t0_s=0.0, frame_dt_s=1.0,
+                              df_hz=0.25))
+    @example(spec=Spectrogram(data=np.zeros((0, 2)), no_data_cols=np.zeros(2), t0_s=0.0,
+                              frame_dt_s=1.0, df_hz=0.25))
+    @example(spec=Spectrogram(data=np.zeros((2, 0)), no_data_cols=np.zeros(0), t0_s=0.0,
+                              frame_dt_s=0.0, df_hz=0.25))
     def test_spectrogram(self, tmp_path_factory, spec):
         d = tmp_path_factory.mktemp("spec")
         if too_large(spec.data):

@@ -4,7 +4,8 @@
 ``save_dataset`` and ``save_raster`` below are the implementations the
 package used before its writers formatted each distinct value once, copied
 verbatim: ``np.savetxt`` for dataset pairs and per-row f-string loops for
-the rest.  ``tests/test_textio.py`` checks the package against them byte for
+the rest.  The spectrogram header alone is the current one, which carries
+``df_hz``.  ``tests/test_textio.py`` checks the package against them byte for
 byte.
 """
 
@@ -30,11 +31,10 @@ def save_sample_times(st, path) -> None:
 
 
 def save_spectrogram(spec, path) -> None:
-    """Text format: header ``N_F N_T t0_s frame_dt_s``, rows, then flag row."""
-    frame_dt = float(spec.frame_times[1] - spec.frame_times[0]) if spec.n_t > 1 else 0.0
-    t0 = float(spec.frame_times[0]) if spec.n_t else 0.0
+    """Text format: header ``N_F N_T t0_s frame_dt_s df_hz``, rows, then flag row."""
     with open(path, "w") as fh:
-        fh.write(f"{spec.n_f} {spec.n_t} {t0:.9f} {frame_dt:.9f}\n")
+        fh.write(f"{spec.n_f} {spec.n_t} {spec.t0_s:.9f} {spec.frame_dt_s:.9f} "
+                 f"{float(spec.df_hz)!r}\n")
         for row in spec.data:
             fh.write(" ".join(f"{v:.9e}" for v in row) + "\n")
         fh.write(" ".join("1" if f else "0" for f in spec.no_data_cols) + "\n")
