@@ -380,15 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       type=_key_value,
+
+    def configured(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", type=_key_value,
                        help="override one config key")
 
     p = sub.add_parser("feasible-map", help="VIR feasibility raster around one subject")
-    common(p)
+    configured(p)
     p.add_argument("--beta", type=_finite_float(above=0), default=50.0)
     for flag, default in (("--ap", "0,0"), ("--ue", "3.1,0"), ("--subject", "3.0,0")):
         p.add_argument(flag, type=_floats("X,Y"), default=default, metavar="X,Y")
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_feasible_map)
 
     p = sub.add_parser("capacity", help="N_max / delta-d_min capacity sweep")
-    common(p)
+    configured(p)
     for flag, key in (("--alpha", "radio.alpha"), ("--beta", "capacity.beta"),
                       ("--delta-r", "capacity.delta_r"), ("--k", "capacity.k")):
         _set_alias(p, flag, key)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("simulate", help="render per-link CSI under bursty traffic")
-    common(p)
+    configured(p)
     p.add_argument("--scene", help="scene description file (default: built-in 4-user demo)")
     p.add_argument("--duration", type=_finite_float(above=0), default=60.0)
     _set_alias(p, "--traffic-kind", "traffic.kind", TRAFFIC_FLAG_TO_KIND)
@@ -417,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("build-dataset", help="pipeline CSI files into training pairs")
-    common(p)
+    configured(p)
     p.add_argument("--csi", nargs="+", required=True, help="CSI CSV files")
     p.add_argument("--duration", type=_finite_float(above=0), default=None)
     _set_alias(p, "--max-label-frames", "dataset.max_label_frames")
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train the recovery autoencoder")
-    common(p)
+    configured(p)
     p.add_argument("--dataset", required=True, help="dataset directory (train/, test/)")
     _set_alias(p, "--epochs", "train.epochs")
     p.set_defaults(func=cmd_train)
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bfi_demo)
 
     p = sub.add_parser("register-sim", help="replay a scripted registration sequence")
-    common(p)
+    configured(p)
     p.add_argument("--arrivals", help="CSV script (default: built-in demo sequence)")
     p.add_argument("--beta", type=_finite_float(above=0), default=50.0)
     p.add_argument("--delta-r", type=_finite_float(above=0), default=0.15)

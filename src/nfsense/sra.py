@@ -476,11 +476,7 @@ def save_spectrogram(spec: Spectrogram, path) -> None:
 
 
 def load_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram written by :func:`save_spectrogram`, axes included.
-
-    A header of four fields is the older format, which lacks ``df_hz``: it
-    is rejected, and the file must be rebuilt with ``nfsense build-dataset``.
-    """
+    """Read a spectrogram written by :func:`save_spectrogram`, axes included."""
     with open(path) as fh:
         lines = fh.readlines()
     for i, line in enumerate(lines, 1):
@@ -489,9 +485,6 @@ def load_spectrogram(path) -> Spectrogram:
         if "_" in line or "#" in line or not line.isascii():
             raise ValueError(f"{path}: line {i}: '_', '#' or a non-ASCII character")
     rows = [line.split() for line in lines]
-    if rows and len(rows[0]) == 4:
-        raise ValueError(f"{path}: header 'N_F N_T t0_s frame_dt_s' lacks df_hz (an older "
-                         "format); rebuild the file with nfsense build-dataset")
     try:
         n_f, n_t = int(rows[0][0]), int(rows[0][1])
         t0, frame_dt, df_hz = (float(v) for v in rows[0][2:])
@@ -499,8 +492,9 @@ def load_spectrogram(path) -> Spectrogram:
                                      and 0 < df_hz < math.inf):
             raise ValueError
     except (IndexError, ValueError):
-        raise ValueError(f"{path}: header must read 'N_F N_T t0_s frame_dt_s df_hz', "
-                         "with df_hz > 0") from None
+        raise ValueError(f"{path}: header must read 'N_F N_T t0_s frame_dt_s df_hz', with "
+                         "df_hz > 0; a header that lacks df_hz is the older format: "
+                         "rebuild the file with nfsense build-dataset") from None
     if len(rows) < n_f + 2:
         raise ValueError(f"{path}: expected {n_f} data rows and a flag row")
     for i, row in enumerate(rows[1:n_f + 2], start=2):

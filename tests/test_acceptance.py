@@ -427,7 +427,6 @@ class TestCriterion9Determinism:
                         str(tmp_path / "train-a" / "model.tcn"),
                         "--spectrogram", str(spec_file), "--seed", "4"],
             "eval": ["eval", "--spectrogram", str(spec_file),
-                     "--set", "sra.fft_len=64", "--set", "sra.hop=8",
                      "--band-lo", "0.5", "--band-hi", "4.0",
                      "--true-rate", "12", "--seed", "4"],
         }

@@ -393,6 +393,15 @@ class TestSimulatePipeline:
         rows = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         assert float(rows["near_rate_error_bpm"]) < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--model", "model.tcn", "--spectrogram", "spec.txt"],
+        ["eval", "--spectrogram", "spec.txt"],
+        ["bfi-demo"]])
+    @pytest.mark.parametrize("flag", ["--config=run.cfg", "--set=no.such_key=1"])
+    def test_config_flags_refused_where_nothing_reads_them(self, tmp_path, capsys, argv,
+                                                           flag):
+        assert_usage_error(capsys, tmp_path, [*argv, flag], "unrecognized arguments")
+
     def test_max_label_frames_flag_is_the_key(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         assert run(["simulate", "--duration", 120, "--uniform-rate", 64, "--out", sim]) == 0
