@@ -219,9 +219,16 @@ def cmd_build_dataset(args) -> int:
                                mask_fraction=cfg["mask.fraction"],
                                mean_run_frames=cfg["mask.mean_run_frames"],
                                split_fraction=cfg["dataset.split_fraction"],
-                               seed=args.seed or 0)
+                               seed=args.seed or 0) if labels else None
     for name, spec in zip(names, specs):
         sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
+    if ds is None:
+        longest = max((b - a for spec in specs
+                       for a, b, dense in sra_mod.runs(~spec.no_data_cols) if dense), default=0)
+        print(f"no dataset written: the longest dense run is {longest} frames, and a label "
+              f"slice needs {sra_cfg.min_label_frames} (sra.min_label_slice_s = "
+              f"{sra_cfg.min_label_slice_s:g} s)")
+        return 0
     sra_mod.save_dataset(ds, _out_path(args, "dataset"))
     print(f"dataset: {len(ds.train)} train pairs, {len(ds.test)} test pairs "
           f"from {len(labels)} label slices")
@@ -379,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-field Wi-Fi multi-person sensing simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    def common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--out", default="out", help="output directory")
 
     def configured(p: argparse.ArgumentParser) -> None:
@@ -432,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recover", help="run a frozen model over a sparse spectrogram")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--spectrogram", required=True)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("eval", help="recovery/rate/entropy metrics")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--recovered")
     p.add_argument("--truth")
     p.add_argument("--spectrogram", help="near-field spectrogram")

@@ -205,7 +205,7 @@ def _distance(dx, dy) -> np.ndarray:
 
 
 # Past about 1e154 m squared distances overflow to inf (and their powers to the
-# 0 of a term that far); the d_se check below then names the extent instead.
+# 0 of a term that far); the d_se check below then names the extent or the AP.
 @np.errstate(over="ignore")
 def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             extent: tuple[float, float, float, float], resolution: float,
@@ -261,10 +261,12 @@ def vir_map(cfg: RadioConfig, ap: Point2D, ue: Point2D, subject: Mover,
             # delta_i > 0, so a candidate's UE lands on it (d_se = 0) only when
             # the coordinates are too large to resolve delta_i, where vir() fails
             if not np.min(d_se, initial=math.inf, where=~singular) > 0:
+                far = (f"AP {(ap.x, ap.y)}" if max(abs(ap.x), abs(ap.y)) > max(map(abs, extent))
+                       else f"extent {extent}")
                 raise ValueError(
-                    f"extent {extent} is too far from the origin: a candidate's mirrored "
+                    f"{far} is too far from the origin: a candidate's mirrored "
                     f"UE, delta_i = {delta_i:.6g} m past it, rounds onto the candidate; "
-                    "use an extent nearer the origin")
+                    f"use an {far.split()[0]} nearer the origin")
             # A candidate's UE landing on the subject (d_su = 0) takes the
             # d_su -> 0 limit of the subject term: inf, so vir_interferer is 0
             # there; a still subject (v_s = 0) adds no term at any distance.

@@ -9,13 +9,11 @@ str as is, ``tuple[int, ...]`` as ``1,2,4`` and hold intervals as
 Annotations are compared as text, since every module postpones them.
 Errors name the file (or other source) and the key.
 
-Numeric tables (CSI series, sample times, spectrograms, rasters) are
-written by :func:`format_table`, one ``%`` over all values.  Dataset pairs,
-whose masked copies repeat their label's values, are written by
-:func:`format_rows`, which converts each distinct value once.  The CSI,
-dataset-pair, raster and spectrogram readers parse their values with
-:func:`read_table`.  The CSV outputs are written by :func:`write_csv`, and
-the registration script is read by :func:`parse_csv`.
+Numeric tables (CSI series, sample times, spectrograms, rasters, dataset
+labels) are written by :func:`format_table`, one ``%`` over all values, and
+their readers parse the values with :func:`read_table`.  The CSV outputs
+are written by :func:`write_csv`, and the registration script is read by
+:func:`parse_csv`.
 """
 
 from __future__ import annotations
@@ -144,27 +142,6 @@ def format_table(a: np.ndarray, row_fmt: str) -> str:
     ``np.savetxt`` and of ``f"{v:...}"`` on numpy scalars.
     """
     return row_fmt * len(a) % tuple(np.ravel(a).tolist())
-
-
-def format_rows(arrays: Sequence[np.ndarray], fmt: str) -> list[str]:
-    """The text of each 2-D array: a line per row of ``fmt % v`` values joined by spaces.
-
-    Each distinct value of all the arrays is converted once, told apart by
-    its bits, so -0.0 stays -0.0.  This pays only for arrays that share
-    values, such as the masked copies of one label; ``format_table``, one
-    ``%`` over every value, is faster on arrays whose values seldom repeat.
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    words = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
-    texts, start = [], 0
-    for a in arrays:
-        rows, cols = a.shape
-        w = words[inverse[start:start + a.size]].tolist()
-        texts.append("".join(" ".join(w[i * cols:(i + 1) * cols]) + "\n" for i in range(rows)))
-        start += a.size
-    return texts
 
 
 def read_table(path, lines: Iterable[str], delimiter: str | None = None,

@@ -5,15 +5,17 @@ Four steps: segmentation into sparse/non-sparse slices, resampling onto a
 uniform grid with no-data tagging, short-time Fourier transformation, and
 min-max normalization with a -1 sentinel written into no-data columns.
 The mask generator reproduces the bursty missing-column patterns of real
-traffic so that masked copies of dense slices can serve as training inputs.
+traffic.  A dataset stores each dense label slice once, with one such mask
+per training input; the input is the label with the masked columns set to
+the sentinel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +76,10 @@ class SraConfig:
     @property
     def frame_dt_s(self) -> float:
         return self.hop / self.f_rs
+
+    @property
+    def min_label_frames(self) -> int:
+        return int(math.ceil(self.min_label_slice_s / self.frame_dt_s))
 
 
 # The pipeline setting of each sensed motion (every scene motion kind but
@@ -154,10 +160,10 @@ def segment(series: CsiSeries, cfg: SraConfig, duration: float | None = None) ->
     idx = np.minimum((t / cfg.dt).astype(int), n_win - 1)
     counts = np.bincount(idx[(t >= 0) & (t <= duration)], minlength=n_win)
     return [Slice(a * cfg.dt, duration if b == n_win else b * cfg.dt, v)
-            for a, b, v in _runs(counts > cfg.n_nsp)]
+            for a, b, v in runs(counts > cfg.n_nsp)]
 
 
-def _runs(flags: np.ndarray) -> list[tuple[int, int, bool]]:
+def runs(flags: np.ndarray) -> list[tuple[int, int, bool]]:
     """(start, stop, value) of each maximal run of equal entries."""
     cuts = [0, *(np.flatnonzero(np.diff(flags)) + 1).tolist(), len(flags)]
     return [(a, b, bool(flags[a])) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
@@ -406,9 +412,8 @@ def make_mask(n_frames: int, target_missing_fraction: float,
 
 def extract_label_slices(spec: Spectrogram, cfg: SraConfig) -> list[np.ndarray]:
     """Dense (no-sentinel) column runs long enough to serve as labels."""
-    min_frames = int(math.ceil(cfg.min_label_slice_s / cfg.frame_dt_s))
-    return [spec.data[:, a:b].copy() for a, b, good in _runs(~spec.no_data_cols)
-            if good and b - a >= min_frames]
+    return [spec.data[:, a:b].copy() for a, b, good in runs(~spec.no_data_cols)
+            if good and b - a >= cfg.min_label_frames]
 
 
 def chop_labels(labels: Sequence[np.ndarray], max_frames: int,
@@ -428,8 +433,20 @@ def chop_labels(labels: Sequence[np.ndarray], max_frames: int,
 
 @dataclass(frozen=True)
 class Dataset:
-    train: tuple[tuple[np.ndarray, np.ndarray], ...]
-    test: tuple[tuple[np.ndarray, np.ndarray], ...]
+    """A ``(label, masks)`` per label slice: an N_F x N_T label and an (M, N_T)
+    bool array, True where masked copy j hides a column.  ``train`` and
+    ``test`` are the (input, label) pairs, label-major, then mask-minor; an
+    input is its label with the hidden columns set to the -1 sentinel."""
+
+    train_labels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    test_labels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    train = cached_property(lambda self: _pairs(self.train_labels))
+    test = cached_property(lambda self: _pairs(self.test_labels))
+
+
+def _pairs(labels) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple((np.where(mask, NO_DATA_SENTINEL, label), label)
+                 for label, masks in labels for mask in masks)
 
 
 def build_dataset(labels: Sequence[np.ndarray], masks_per_label: int,
@@ -438,9 +455,8 @@ def build_dataset(labels: Sequence[np.ndarray], masks_per_label: int,
     """Masked-copy dataset from dense label slices.
 
     Slices are shuffled and split first (so augmented copies of one slice
-    never straddle the train/test boundary), then each slice is reused
-    ``masks_per_label`` times with fresh bursty masks; masked columns are
-    overwritten with the -1 sentinel.
+    never straddle the train/test boundary), then each slice gets
+    ``masks_per_label`` fresh bursty masks.
     """
     labels = list(labels)
     if not labels:
@@ -449,19 +465,11 @@ def build_dataset(labels: Sequence[np.ndarray], masks_per_label: int,
         raise ValueError(f"masks_per_label must be >= 1, got {masks_per_label}")
     order = np.random.default_rng(np.random.SeedSequence((seed, 0))).permutation(len(labels))
     n_train = int(round(split_fraction * len(labels)))
-    picks = {"train": order[:n_train], "test": order[n_train:]}
-
-    sets: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {"train": [], "test": []}
-    for name, indices in picks.items():
-        for idx in indices:
-            label = labels[int(idx)]
-            for j in range(masks_per_label):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, 1, int(idx), j)))
-                mask = make_mask(label.shape[1], mask_fraction, mean_run_frames, rng)
-                masked = label.copy()
-                masked[:, mask] = NO_DATA_SENTINEL
-                sets[name].append((masked, label.copy()))
-    return Dataset(train=tuple(sets["train"]), test=tuple(sets["test"]))
+    picked = [(labels[i], np.array([
+        make_mask(labels[i].shape[1], mask_fraction, mean_run_frames,
+                  np.random.default_rng(np.random.SeedSequence((seed, 1, i, j))))
+        for j in range(masks_per_label)])) for i in order.tolist()]
+    return Dataset(tuple(picked[:n_train]), tuple(picked[n_train:]))
 
 
 def save_spectrogram(spec: Spectrogram, path) -> None:
@@ -511,61 +519,63 @@ def load_spectrogram(path) -> Spectrogram:
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
-    """Numbered pair files NNNN.x / NNNN.y under train/ and test/ subdirs.
-
-    Each file holds its 2-D array, a row per line of ``%.9e`` values.  The
-    masked copies of one label sit next to each other and hold only its
-    values and the sentinel, so each run of pairs with one target is
-    formatted in one call, which converts each value once.
-    """
-    for name, pairs in (("train", ds.train), ("test", ds.test)):
-        for i, pair in enumerate(pairs):
-            for suffix, a in zip((".x", ".y"), pair):
-                kvtext.check_text_range(os.path.join(out_dir, name, f"{i:04d}{suffix}"), a)
-    for name, pairs in (("train", ds.train), ("test", ds.test)):
+    """Per label slice k of train/ and test/, ``KKKK.y`` holds the label, a row
+    per line of ``%.9e`` values, and ``KKKK.JJJJ.x`` the mask of its masked
+    copy j, one line of N_T 0/1 tokens (1 = hidden)."""
+    splits = {"train": ds.train_labels, "test": ds.test_labels}
+    for name, labels in splits.items():
+        for k, (label, _) in enumerate(labels):
+            kvtext.check_text_range(os.path.join(out_dir, name, f"{k:04d}.y"), label)
+    for name, labels in splits.items():
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)
-        for _, run in itertools.groupby(enumerate(pairs), lambda item: item[1][1].tobytes()):
-            run = list(run)
-            files = [f"{i:04d}{suffix}" for i, _ in run for suffix in (".x", ".y")]
-            texts = kvtext.format_rows([a for _, pair in run for a in pair], "%.9e")
-            for file, text in zip(files, texts):
-                with open(os.path.join(sub, file), "w") as fh:
-                    fh.write(text)
-
-
-def _load_pair_file(path) -> np.ndarray:
-    """One array of a dataset pair; a ValueError names the file if it is unusable."""
-    with open(path) as fh:
-        data = kvtext.read_table(path, fh)
-    if data.size == 0:
-        raise ValueError(f"{path}: holds no values")
-    return data
+        for k, (label, masks) in enumerate(labels):
+            with open(os.path.join(sub, f"{k:04d}.y"), "w") as fh:
+                fh.write(kvtext.format_table(label, " ".join(["%.9e"] * label.shape[1]) + "\n"))
+            for j, mask in enumerate(masks):
+                with open(os.path.join(sub, f"{k:04d}.{j:04d}.x"), "w") as fh:
+                    fh.write(" ".join(np.where(mask, "1", "0").tolist()) + "\n")
 
 
 def load_dataset(out_dir) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`.
-
-    Every ``.x`` input needs a ``.y`` target of the same shape; a missing
-    partner, a shape mismatch, a ragged or non-numeric file or a non-finite
-    value raises a ValueError that names the file.  A missing ``out_dir``
-    raises FileNotFoundError, and a file NotADirectoryError.
-    """
+    """Read a dataset written by :func:`save_dataset`; a ValueError names any
+    file that does not read as one (a label with other rows than the first,
+    a mask without its label or a label without a mask included).  A missing
+    ``out_dir`` raises FileNotFoundError, and a file NotADirectoryError."""
     os.listdir(out_dir)
-    sets = {}
+    splits, first = [], None
     for name in ("train", "test"):
         sub = os.path.join(out_dir, name)
-        pairs = []
-        if os.path.isdir(sub):
-            xs = sorted(f for f in os.listdir(sub) if f.endswith(".x"))
-            for xf in xs:
-                xp, yp = os.path.join(sub, xf), os.path.join(sub, xf[:-2] + ".y")
-                if not os.path.isfile(yp):
-                    raise ValueError(f"{yp}: missing, but its input {xf} exists")
-                x, y = _load_pair_file(xp), _load_pair_file(yp)
-                if x.shape != y.shape:
-                    raise ValueError(f"{yp}: shape {y.shape} differs from {x.shape} of its "
-                                     f"input {xp}")
-                pairs.append((x, y))
-        sets[name] = tuple(pairs)
-    return Dataset(train=sets["train"], test=sets["test"])
+        files = sorted(os.listdir(sub)) if os.path.isdir(sub) else []
+        labels: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+        for f in (f for f in files if f.endswith(".y")):
+            path = os.path.join(sub, f)
+            with open(path) as fh:
+                lines = fh.readlines()
+            label = kvtext.read_table(path, lines)
+            if label.size == 0 or len(label) != len(lines):
+                raise ValueError(f"{path}: holds no values or a blank line")
+            first = first or (path, len(label))
+            if len(label) != first[1]:
+                raise ValueError(f"{path}: {len(label)} rows, expected {first[1]} as in "
+                                 f"{first[0]}")
+            labels[f[:-2]] = label, []
+        for f in (f for f in files if f.endswith(".x")):
+            path, key = os.path.join(sub, f), f.split(".")[0]
+            label_path = os.path.join(sub, f"{key}.y")
+            if key not in labels:
+                raise ValueError(f"{path}: its label {label_path} is missing")
+            label, masks = labels[key]
+            with open(path, errors="replace") as fh:
+                lines = fh.read().splitlines()
+            tokens = lines[0].split() if len(lines) == 1 else []
+            if len(tokens) != label.shape[1] or set(tokens) - {"0", "1"}:
+                raise ValueError(f"{path}: must be one line of {label.shape[1]} 0/1 tokens, one "
+                                 f"per column of {label_path}; a table here is the older pair "
+                                 "format: rebuild the dataset with nfsense build-dataset")
+            masks.append(np.array(tokens) == "1")
+        for key, (_, masks) in labels.items():
+            if not masks:
+                raise ValueError(f"{os.path.join(sub, key)}.y: no {key}.JJJJ.x mask names it")
+        splits.append(tuple((label, np.array(masks)) for label, masks in labels.values()))
+    return Dataset(*splits)

@@ -34,6 +34,11 @@ def write_spectrogram(path):
     return path
 
 
+def hidden_label(n_f=32):
+    """A 0.5 label of 16 frames and the one mask of its input, which hides every frame."""
+    return np.full((n_f, 16), 0.5), np.ones((1, 16), dtype=bool)
+
+
 def tree_bytes(root):
     """Every file under ``root`` by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -271,6 +276,16 @@ class TestFeasibleMapCommand:
         assert "delta_i = 0.1 m" in err and "rounds onto the candidate" in err
         assert not (tmp_path / "map").exists()
 
+    def test_far_ap_named(self, tmp_path, capsys):
+        # every candidate's squared distance to the AP overflows, so the
+        # direction that places its mirrored UE is 0: the AP is to blame
+        assert run(["feasible-map", "--ap=1e200,0", "--resolution", 0.5,
+                    "--out", tmp_path / "map"]) == 1
+        line = error_line(capsys)
+        assert line.startswith("error: AP (1e+200, 0.0) is too far from the origin")
+        assert line.endswith("use an AP nearer the origin")
+        assert not (tmp_path / "map").exists()
+
     def test_overflowing_extent_prints_only_the_error(self, tmp_path, capsys):
         # past about 1e154 m the squared distances overflow; no numpy warning
         # may come before the error line
@@ -360,7 +375,7 @@ class TestSimulatePipeline:
                     "--set", "dataset.label_stride=24",
                     "--set", "dataset.masks_per_label=1",
                     "--seed", 2, "--out", out]) == 0
-        assert (out / "dataset" / "train" / "0000.x").exists()
+        assert (out / "dataset" / "train" / "0000.0000.x").exists()
         assert run(["train", "--dataset", out / "dataset", "--epochs", 1,
                     "--set", "tcn.n_c=8", "--set", "tcn.bottleneck_dim=4",
                     "--set", "train.batch_size=4",
@@ -393,11 +408,14 @@ class TestSimulatePipeline:
         rows = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         assert float(rows["near_rate_error_bpm"]) < 1.0
 
-    @pytest.mark.parametrize("argv", [
-        ["recover", "--model", "model.tcn", "--spectrogram", "spec.txt"],
-        ["eval", "--spectrogram", "spec.txt"],
-        ["bfi-demo"]])
-    @pytest.mark.parametrize("flag", ["--config=run.cfg", "--set=no.such_key=1"])
+    # bfi-demo reads its --seed; recover and eval read none
+    REFUSED = [(argv, flag) for flag in ("--config=run.cfg", "--set=no.such_key=1", "--seed=1")
+               for argv in (["recover", "--model", "model.tcn", "--spectrogram", "spec.txt"],
+                            ["eval", "--spectrogram", "spec.txt"], ["bfi-demo"])
+               if not (flag == "--seed=1" and argv == ["bfi-demo"])]
+
+    @pytest.mark.parametrize("argv, flag", REFUSED,
+                             ids=[f"{flag}-argv{i % 3}" for i, (_, flag) in enumerate(REFUSED)])
     def test_config_flags_refused_where_nothing_reads_them(self, tmp_path, capsys, argv,
                                                            flag):
         assert_usage_error(capsys, tmp_path, [*argv, flag], "unrecognized arguments")
@@ -499,7 +517,8 @@ class TestSimulatePipeline:
 
     @pytest.mark.parametrize("traffic, ghost", [
         (["--uniform-rate", 64], True),
-        # a short bursty link has no slice long enough to be a label
+        # a short bursty link has no slice long enough to be a label: its
+        # spectrogram is written and the dataset is not
         (["--traffic-kind", "dl-csi"], False)])
     def test_build_dataset_writes_nothing_when_it_fails(self, tmp_path, capsys,
                                                         traffic, ghost):
@@ -510,10 +529,17 @@ class TestSimulatePipeline:
             csi.append(tmp_path / "ghost.csv")
         out.mkdir()
         capsys.readouterr()
-        assert run(["build-dataset", "--csi", *csi, "--duration", 4, "--out", out]) == 1
-        assert error_line(capsys).startswith(f"error: {csi[1]}: " if ghost
-                                             else "error: no eligible label slices")
-        assert list(out.iterdir()) == []
+        rc = run(["build-dataset", "--csi", *csi, "--duration", 4, "--out", out])
+        if ghost:
+            assert rc == 1
+            assert error_line(capsys).startswith(f"error: {csi[1]}: ")
+            assert list(out.iterdir()) == []
+        else:
+            assert rc == 0
+            assert capsys.readouterr().out == (
+                "no dataset written: the longest dense run is 0 frames, and a label slice "
+                "needs 16 (sra.min_label_slice_s = 4 s)\n")
+            assert [p.name for p in out.iterdir()] == ["spectrogram_csi_ue0.txt"]
 
     def test_build_dataset_refuses_a_repeated_file_name(self, tmp_path, capsys):
         # two links from different directories would share one spectrogram file
@@ -552,8 +578,7 @@ class TestSimulatePipeline:
 
     def test_train_block_count_follows_dilations(self, tmp_path):
         ds = tmp_path / "ds"
-        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
-        save_dataset(Dataset(train=(pair,), test=(pair,)), ds)
+        save_dataset(Dataset(train_labels=(hidden_label(),), test_labels=(hidden_label(),)), ds)
         assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.dilations=1,2",
                     "--set", "tcn.n_c=8", "--set", "tcn.bottleneck_dim=4",
                     "--out", tmp_path / "tr"]) == 0
@@ -566,13 +591,23 @@ class TestSimulatePipeline:
                     "--spectrogram", spec, "--out", tmp_path / "rec"]) == 0
 
     def test_train_takes_n_f_from_the_dataset(self, tmp_path):
-        # 16-row pairs, as build-dataset --set sra.n_f=16 writes them, and no --set
+        # 16-row labels, as build-dataset --set sra.n_f=16 writes them, and no --set
         ds = tmp_path / "ds"
-        pair = (np.full((16, 16), -1.0), np.full((16, 16), 0.5))
-        save_dataset(Dataset(train=(pair,), test=(pair,)), ds)
+        label = hidden_label(16)
+        save_dataset(Dataset(train_labels=(label,), test_labels=(label,)), ds)
         assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.n_c=8",
                     "--set", "tcn.bottleneck_dim=4", "--out", tmp_path / "tr"]) == 0
         assert load_model(tmp_path / "tr" / "model.tcn").config.n_f == 16
+
+    def test_train_refuses_labels_that_differ_in_rows(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        save_dataset(Dataset(train_labels=(hidden_label(32),),
+                             test_labels=(hidden_label(16),)), ds)
+        assert run(["train", "--dataset", ds, "--epochs", 1, "--out", tmp_path / "tr"]) == 1
+        assert error_line(capsys) == (
+            f"error: {ds / 'test' / '0000.y'}: 16 rows, expected 32 as in "
+            f"{ds / 'train' / '0000.y'}")
+        assert not (tmp_path / "tr").exists()
 
     def test_train_missing_dataset(self, tmp_path):
         assert run(["train", "--dataset", tmp_path / "none", "--out", tmp_path]) == 1
@@ -580,8 +615,7 @@ class TestSimulatePipeline:
     def test_train_empty_test_split_warns(self, tmp_path, capsys):
         # one label slice splits 0.7 / 0.3 into one train pair and no test pair
         ds = tmp_path / "one_slice"
-        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
-        save_dataset(Dataset(train=(pair,), test=()), ds)
+        save_dataset(Dataset(train_labels=(hidden_label(),), test_labels=()), ds)
         assert run(["train", "--dataset", ds, "--epochs", 1, "--set", "tcn.n_c=8",
                     "--set", "tcn.bottleneck_dim=4", "--out", tmp_path / "tr"]) == 0
         err = capsys.readouterr().err
@@ -589,8 +623,7 @@ class TestSimulatePipeline:
 
     def test_train_empty_train_split_named(self, tmp_path, capsys):
         ds = tmp_path / "no_train"
-        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
-        save_dataset(Dataset(train=(), test=(pair,)), ds)
+        save_dataset(Dataset(train_labels=(), test_labels=(hidden_label(),)), ds)
         assert run(["train", "--dataset", ds, "--epochs", 1, "--out", tmp_path / "tr"]) == 1
         err = capsys.readouterr().err
         assert "empty train split" in err and str(ds) in err and "--uniform-rate" in err
@@ -772,8 +805,8 @@ class TestCsvOutputs:
 
     @pytest.mark.parametrize("header, argv, name", CASES, ids=[c[2] for c in CASES])
     def test_header_then_lf_lines(self, tmp_path, header, argv, name):
-        pair = (np.full((32, 16), -1.0), np.full((32, 16), 0.5))
-        save_dataset(Dataset(train=(pair,), test=(pair,)), tmp_path / "ds")
+        save_dataset(Dataset(train_labels=(hidden_label(),), test_labels=(hidden_label(),)),
+                     tmp_path / "ds")
         inputs = {"{ds}": tmp_path / "ds", "{spec}": write_spectrogram(tmp_path / "spec.txt")}
         out = tmp_path / "out"
         assert run([inputs.get(a, a) for a in argv] + ["--out", out]) == 0

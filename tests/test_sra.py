@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import nfsense.sra as sra_module
 import sra_reference
 from nfsense.scene import CsiSeries
-from nfsense.sra import (SRA_BY_MOTION, Dataset, ResampledSeries, Slice, SraConfig, Spectrogram,
-                         _hampel, build_dataset, chop_labels,
+from nfsense.sra import (NO_DATA_SENTINEL, SRA_BY_MOTION, ResampledSeries, Slice, SraConfig,
+                         Spectrogram, _hampel, build_dataset, chop_labels,
                          extract_label_slices, load_dataset, load_spectrogram,
                          lowpass_taps, make_mask, minmax_normalize, normalize,
                          process_series, resample, save_dataset,
@@ -650,13 +650,14 @@ class TestBuildDataset:
 
     def _saved(self, tmp_path):
         save_dataset(build_dataset(self._labels(3), 1, 0.4, 4.0, seed=2), tmp_path / "ds")
-        return tmp_path / "ds", tmp_path / "ds" / "train" / "0000.x", \
+        return tmp_path / "ds", tmp_path / "ds" / "train" / "0000.0000.x", \
             tmp_path / "ds" / "train" / "0000.y"
 
     def _rejects(self, ds, named, match):
         with pytest.raises(ValueError, match=match) as exc:
             load_dataset(ds)
         assert str(named) in str(exc.value)
+        return str(exc.value)
 
     def test_missing_target_named(self, tmp_path):
         ds, _, yf = self._saved(tmp_path)
@@ -664,17 +665,18 @@ class TestBuildDataset:
         self._rejects(ds, yf, "missing")
 
     def test_shape_mismatch_named(self, tmp_path):
+        # the first label is one row short, so the second is named against it
         ds, _, yf = self._saved(tmp_path)
-        yf.write_text("\n".join(yf.read_text().splitlines()[:-1]) + "\n")   # one row short
-        self._rejects(ds, yf, "shape")
+        yf.write_text("\n".join(yf.read_text().splitlines()[:-1]) + "\n")
+        self._rejects(ds, yf, "0001.y: 8 rows, expected 7 as in ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_named(self, tmp_path, value):
-        ds, xf, _ = self._saved(tmp_path)
-        rows = xf.read_text().splitlines()
+        ds, _, yf = self._saved(tmp_path)
+        rows = yf.read_text().splitlines()
         rows[1] = " ".join([value] + rows[1].split()[1:])
-        xf.write_text("\n".join(rows) + "\n")
-        self._rejects(ds, xf, "non-finite")
+        yf.write_text("\n".join(rows) + "\n")
+        self._rejects(ds, yf, "non-finite")
 
     def test_non_numeric_value_named(self, tmp_path):
         ds, _, yf = self._saved(tmp_path)
@@ -684,16 +686,69 @@ class TestBuildDataset:
         self._rejects(ds, yf, "convert")
 
     def test_ragged_file_named(self, tmp_path):
-        ds, xf, _ = self._saved(tmp_path)
-        rows = xf.read_text().splitlines()
+        ds, _, yf = self._saved(tmp_path)
+        rows = yf.read_text().splitlines()
         rows[2] = " ".join(rows[2].split()[:-1])
-        xf.write_text("\n".join(rows) + "\n")
-        self._rejects(ds, xf, "columns")
+        yf.write_text("\n".join(rows) + "\n")
+        self._rejects(ds, yf, "columns")
 
     def test_empty_file_named(self, tmp_path):
+        ds, _, yf = self._saved(tmp_path)
+        for text in ("", "\n"):
+            yf.write_text(text)
+            self._rejects(ds, yf, "no values")
+
+    def test_blank_line_named(self, tmp_path):
+        ds, _, yf = self._saved(tmp_path)
+        rows = yf.read_text().splitlines()
+        yf.write_text("\n".join(rows[:3] + [""] + rows[3:]) + "\n")
+        self._rejects(ds, yf, "blank line")
+
+    @pytest.mark.parametrize("mask", [
+        "0 1 " * 19 + "0 2\n",          # a token other than 0/1
+        "0 1 " * 19 + "0\n",            # 39 tokens
+        "0 1 " * 20 + "\n0\n",          # a second line
+        "0 1 " * 20 + "\n\n",           # a blank second line
+        "",
+        "1.0 " * 40 + "\n"])
+    def test_bad_mask_named(self, tmp_path, mask):
+        ds, xf, yf = self._saved(tmp_path)
+        xf.write_text(mask)
+        assert str(yf) in self._rejects(ds, xf, "one line of 40 0/1 tokens")
+
+    def test_mask_without_label_named(self, tmp_path):
         ds, xf, _ = self._saved(tmp_path)
-        xf.write_text("")
-        self._rejects(ds, xf, "no values")
+        stray = xf.with_name("0009.0000.x")
+        stray.write_bytes(xf.read_bytes())
+        self._rejects(ds, stray, "0009.y is missing")
+
+    def test_label_without_mask_named(self, tmp_path):
+        ds, xf, yf = self._saved(tmp_path)
+        xf.unlink()
+        self._rejects(ds, yf, "no 0000.JJJJ.x mask names it")
+
+    def test_older_pair_format_refused(self, tmp_path):
+        # NNNN.x held the input as a table of the label's values and the -1 sentinel
+        ds, xf, yf = self._saved(tmp_path)
+        old = xf.with_name("0000.x")
+        old.write_bytes(yf.read_bytes())
+        xf.unlink()
+        err = self._rejects(ds, old, "older pair format: rebuild the dataset with nfsense "
+                                     "build-dataset")
+        assert "0000.x: must be one line of 40 0/1 tokens" in err
+
+    def test_files_store_each_label_once(self, tmp_path):
+        ds = build_dataset(self._labels(3), 2, 0.4, 4.0, seed=2)
+        save_dataset(ds, tmp_path / "ds")
+        assert sorted(p.name for p in (tmp_path / "ds" / "train").iterdir()) == [
+            "0000.0000.x", "0000.0001.x", "0000.y", "0001.0000.x", "0001.0001.x", "0001.y"]
+        loaded = load_dataset(tmp_path / "ds")
+        for (_, masks), (_, masks2) in zip(ds.train_labels + ds.test_labels,
+                                           loaded.train_labels + loaded.test_labels):
+            assert masks2.dtype == bool and np.array_equal(masks, masks2)
+        for x, y in loaded.train + loaded.test:
+            hidden = np.all(x == NO_DATA_SENTINEL, axis=0)
+            assert np.array_equal(np.where(hidden, NO_DATA_SENTINEL, y), x)
 
 
 class TestLabelSlices:

@@ -11,6 +11,7 @@ ValueError that names the file.
 """
 
 import math
+import pathlib
 import re
 import warnings
 
@@ -23,7 +24,7 @@ import textio_reference as ref
 from nfsense import config, kvtext
 from nfsense.config import load_config
 from nfsense.geometry import load_raster, save_raster
-from nfsense.kvtext import TEXT_MAX, format_rows, format_table
+from nfsense.kvtext import TEXT_MAX, format_table
 from nfsense.scene import CsiSeries, load_csi_csv, save_csi_csv
 from nfsense.sra import (NO_DATA_SENTINEL, Dataset, Spectrogram, load_dataset,
                          load_spectrogram, save_dataset, save_spectrogram)
@@ -53,7 +54,7 @@ def too_large(*arrays):
     return bool(np.any((a >= TEXT_MAX) & np.isfinite(a)))
 
 
-PAIR_FILE = r"/t\w+/\d{4}\.[xy]: "       # a train/ or test/ pair file of a dataset
+LABEL_FILE = r"/t\w+/\d{4}\.y: "       # a train/ or test/ label file of a dataset
 
 
 def refused(save, path, named=None):
@@ -75,20 +76,25 @@ def tables(draw, cells=values(), min_side=0, shape=None):
 
 @st.composite
 def datasets(draw, cells=values(), min_side=0):
-    """Runs of masked copies of one label, as build_dataset makes them, and odd pairs."""
-    pairs = []
+    """Labels of one row count, each with 1 to 3 masks, as build_dataset makes them."""
+    n_f, labels = draw(st.integers(min_side, 6)), []
     for _ in range(draw(st.integers(0, 4))):
-        y = draw(tables(cells, min_side))
-        if draw(st.booleans()):                # an unrelated input
-            pairs.append((draw(tables(cells, shape=y.shape)), y))
-            continue
-        for _ in range(draw(st.integers(1, 3))):
-            x = y.copy()
-            x[:, draw(st.lists(st.booleans(), min_size=y.shape[1],
-                               max_size=y.shape[1]))] = NO_DATA_SENTINEL
-            pairs.append((x, y.copy()))
-    n_train = draw(st.integers(0, len(pairs)))
-    return Dataset(train=tuple(pairs[:n_train]), test=tuple(pairs[n_train:]))
+        y = draw(tables(cells, shape=(n_f, draw(st.integers(min_side, 6)))))
+        n_masks = draw(st.integers(1, 3))
+        hidden = draw(st.lists(st.booleans(), min_size=n_masks * y.shape[1],
+                               max_size=n_masks * y.shape[1]))
+        labels.append((y, np.array(hidden, dtype=bool).reshape(n_masks, y.shape[1])))
+    n_train = draw(st.integers(0, len(labels)))
+    return Dataset(train_labels=tuple(labels[:n_train]), test_labels=tuple(labels[n_train:]))
+
+
+def one_label(y):
+    """A dataset of one train label ``y`` and one masked copy that hides its first column."""
+    return Dataset(train_labels=((y, np.arange(y.shape[1])[None, :] == 0),), test_labels=())
+
+
+def labels_of(ds):
+    return [y for y, _ in ds.train_labels + ds.test_labels]
 
 
 @st.composite
@@ -122,12 +128,6 @@ def tree_bytes(root):
 
 
 class TestFormatters:
-    def test_format_rows_keeps_each_shape_and_sign_of_zero(self):
-        a = np.array([[-0.0, 0.0, -1.0], [2.5, -0.0, 0.0]])
-        b = np.array([[2.5], [-1.0]])
-        assert format_rows([a, b, np.zeros((2, 0)), np.zeros((0, 3))], "%g") == [
-            "-0 0 -1\n2.5 -0 0\n", "2.5\n-1\n", "\n\n", ""]
-
     def test_format_table_takes_a_row_format(self):
         a = np.array([[-0.0, 0.0, -1.0], [2.5, -0.0, 0.0]])
         assert format_table(a, "%g,%g;%g\n") == "-0,0;-1\n2.5,-0;0\n"
@@ -182,8 +182,8 @@ class TestTextMax:
 
     def test_largest_double_refused_naming_the_file(self, tmp_path):
         a = np.array([[0.5, -1.7976931348623157e308]])
-        refused(lambda: save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds"),
-                tmp_path / "ds", named=re.escape(str(tmp_path / "ds" / "train" / "0000.x")))
+        refused(lambda: save_dataset(one_label(a), tmp_path / "ds"),
+                tmp_path / "ds", named=re.escape(str(tmp_path / "ds" / "train" / "0000.y")))
         spec = Spectrogram(data=a, no_data_cols=np.zeros(2), t0_s=0.0, frame_dt_s=1.0,
                            df_hz=0.25)
         refused(lambda: save_spectrogram(spec, tmp_path / "s.txt"), tmp_path / "s.txt")
@@ -193,8 +193,8 @@ class TestTextMax:
 
     def test_just_below_reads_back_and_inf_cells_stay(self, tmp_path):
         a = np.array([[self.BELOW, -self.BELOW]])
-        save_dataset(Dataset(train=((a, a),), test=()), tmp_path / "ds")
-        assert np.isfinite(load_dataset(tmp_path / "ds").train[0][0]).all()
+        save_dataset(one_label(a), tmp_path / "ds")
+        assert np.isfinite(load_dataset(tmp_path / "ds").train[0][1]).all()
         save_spectrogram(Spectrogram(data=a, no_data_cols=np.zeros(2), t0_s=0.0,
                                      frame_dt_s=1.0, df_hz=0.25), tmp_path / "s.txt")
         assert np.isfinite(load_spectrogram(tmp_path / "s.txt").data).all()
@@ -239,18 +239,25 @@ class TestWritersMatchReference:
 
     @given(ds=datasets(values(non_finite=True)))
     @settings(max_examples=60, deadline=None)
-    @example(ds=Dataset(train=((np.array([[-1.0, -0.0]]), np.array([[0.0, -0.0]])),
-                               (np.array([[0.0, -1.0]]), np.array([[0.0, -0.0]]))),
-                        test=((np.zeros((0, 2)), np.zeros((2, 0))),
-                              (np.array([[5e-324], [-1.0]]), np.array([[1e300], [-1e-300]])))))
+    @example(ds=Dataset(train_labels=((np.array([[0.0, -0.0]]),
+                                       np.array([[True, False], [False, True]])),),
+                        test_labels=((np.zeros((0, 2)), np.zeros((1, 2), dtype=bool)),
+                                     (np.zeros((2, 0)), np.zeros((1, 0), dtype=bool)),
+                                     (np.array([[1e300], [-1e-300]]), np.ones((1, 1), bool)))))
     def test_dataset(self, tmp_path_factory, ds):
+        """Each KKKK.y holds np.savetxt's bytes of its label and each KKKK.JJJJ.x
+        the 0/1 row of its mask, as the spectrogram's flag row."""
         d = tmp_path_factory.mktemp("ds")
-        if too_large(0.0, *(a for pair in ds.train + ds.test for a in pair)):
+        if too_large(0.0, *labels_of(ds)):
             return refused(lambda: save_dataset(ds, d / "new"), d / "new",
-                           named=re.escape(str(d / "new")) + PAIR_FILE)
+                           named=re.escape(str(d / "new")) + LABEL_FILE)
         save_dataset(ds, d / "new")
-        ref.save_dataset(ds, d / "ref")
-        assert tree_bytes(d / "new") == tree_bytes(d / "ref")
+        ref.save_labels(ds, d / "ref")
+        masks = {pathlib.Path(name, f"{k:04d}.{j:04d}.x"):
+                 (" ".join("1" if h else "0" for h in mask) + "\n").encode()
+                 for name, labels in (("train", ds.train_labels), ("test", ds.test_labels))
+                 for k, (_, m) in enumerate(labels) for j, mask in enumerate(m)}
+        assert tree_bytes(d / "new") == {**tree_bytes(d / "ref"), **masks}
 
     @given(series=csi_series(values()))
     @settings(max_examples=60, deadline=None)
@@ -326,17 +333,17 @@ class TestReadersFuzzed:
     def test_dataset(self, tmp_path_factory, data):
         d = tmp_path_factory.mktemp("ds")
         ds = data.draw(datasets(finite, min_side=1))
-        if too_large(0.0, *(a for pair in ds.train + ds.test for a in pair)):
+        if too_large(0.0, *labels_of(ds)):
             refused(lambda: save_dataset(ds, d / "a"), d / "a",
-                    named=re.escape(str(d / "a")) + PAIR_FILE)
+                    named=re.escape(str(d / "a")) + LABEL_FILE)
         else:
             save_dataset(ds, d / "a")
             save_dataset(load_dataset(d / "a"), d / "b")
             assert tree_bytes(d / "a") == tree_bytes(d / "b")
 
         y = data.draw(tables(writable, min_side=1))
-        save_dataset(Dataset(train=((y, y),), test=()), d / "c")
-        path = d / "c" / "train" / data.draw(st.sampled_from(["0000.x", "0000.y"]))
+        save_dataset(one_label(y), d / "c")
+        path = d / "c" / "train" / "0000.y"
         damage_file(path, data, 0, y.shape[0] - 1)
         rejected(load_dataset, path.parent.parent, named=path)
 
@@ -393,7 +400,7 @@ class TestHashRefused:
 
     def test_dataset_pair(self, tmp_path):
         y = np.ones((2, 3))
-        save_dataset(Dataset(train=((y, y),), test=()), tmp_path / "ds")
+        save_dataset(one_label(y), tmp_path / "ds")
         path = tmp_path / "ds" / "train" / "0000.y"
         path.write_text("# 1 2 3\n" + path.read_text())
         rejected(load_dataset, tmp_path / "ds", named=path)

@@ -1,12 +1,13 @@
 """Reference text writers for the numeric tables.
 
 ``save_csi_csv``, ``save_sample_times``, ``save_spectrogram``,
-``save_dataset`` and ``save_raster`` below are the implementations the
+``save_labels`` and ``save_raster`` below are the implementations the
 package used before its writers formatted each distinct value once, copied
-verbatim: ``np.savetxt`` for dataset pairs and per-row f-string loops for
-the rest.  The spectrogram header alone is the current one, which carries
-``df_hz``.  ``tests/test_textio.py`` checks the package against them byte for
-byte.
+verbatim: ``np.savetxt`` for a dataset's label files and per-row f-string
+loops for the rest.  The spectrogram header alone is the current one, which
+carries ``df_hz``, and ``save_labels`` keeps only the ``.y`` half of the
+older pair format, since a dataset no longer stores its inputs as tables.
+``tests/test_textio.py`` checks the package against them byte for byte.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ def save_spectrogram(spec, path) -> None:
         fh.write(" ".join("1" if f else "0" for f in spec.no_data_cols) + "\n")
 
 
-def save_dataset(ds, out_dir) -> None:
-    """Numbered pair files NNNN.x / NNNN.y under train/ and test/ subdirs."""
-    for name, pairs in (("train", ds.train), ("test", ds.test)):
+def save_labels(ds, out_dir) -> None:
+    """Numbered label files KKKK.y under train/ and test/ subdirs."""
+    for name, labels in (("train", ds.train_labels), ("test", ds.test_labels)):
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)
-        for i, (x, y) in enumerate(pairs):
-            np.savetxt(os.path.join(sub, f"{i:04d}.x"), x, fmt="%.9e")
-            np.savetxt(os.path.join(sub, f"{i:04d}.y"), y, fmt="%.9e")
+        for k, (y, _) in enumerate(labels):
+            np.savetxt(os.path.join(sub, f"{k:04d}.y"), y, fmt="%.9e")
 
 
 def save_raster(path, values: np.ndarray, x0: float, y0: float,
