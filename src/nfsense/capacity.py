@@ -82,13 +82,6 @@ def radial_series(n: int, alpha: float) -> float:
     return float(np.sum(np.sin(j * np.pi / n) ** (-alpha)))
 
 
-def radial_fit(n: int, params: FitParams = DEFAULT_FIT) -> float:
-    """Fitted radial series: p1 * N^p2 + p3."""
-    if n < 3:
-        raise ValueError(f"radial layout needs N >= 3, got {n}")
-    return params.p1 * float(n) ** params.p2 + params.p3
-
-
 def _mirror_sums(k: int, phi: np.ndarray, alpha: float) -> np.ndarray:
     """:func:`mirror_series` at every entry of ``phi``, one (len(phi), K) grid.
 
@@ -112,11 +105,6 @@ def mirror_series(k: int, phi: float, alpha: float) -> float:
     worst-interfered one only while (2K+1) phi < 2 pi, so that is the domain.
     """
     return float(_mirror_sums(k, np.array([phi], dtype=float), alpha)[0])
-
-
-def mirror_fit(phi: float, params: FitParams = DEFAULT_FIT) -> float:
-    """Fitted mirror series: q1 * sin(phi/2)^q2 + q3."""
-    return params.q1 * math.sin(phi / 2.0) ** params.q2 + params.q3
 
 
 def _headroom(q: CapacityQuery) -> float:

@@ -178,19 +178,18 @@ def cmd_simulate(args) -> int:
     for idx, user in enumerate(scn.users):
         if args.uniform_rate is not None:
             n = int(math.floor(duration * args.uniform_rate)) + 1
-            times = traffic_mod.SampleTimes(np.arange(n) / args.uniform_rate, duration)
+            times = np.arange(n) / args.uniform_rate
         else:
             model = cfg.traffic(seed=(scn.seed * 1000 + idx))
             model = dataclasses.replace(
                 model, contention_users=max(model.contention_users, len(scn.users)))
-            times = traffic_mod.generate_arrivals(model, duration)
-        traffic_mod.save_sample_times(times, _out_path(args, f"times_{user.user_id}.txt"))
-        series = scene_mod.render_csi(scn, user.user_id, times.times)
+            times = traffic_mod.generate_arrivals(model, duration).times
+        series = scene_mod.render_csi(scn, user.user_id, times)
         scene_mod.save_csi_csv(series, _out_path(args, f"csi_{user.user_id}.csv"))
     if scn.baseline_observer is not None:
         n = int(math.floor(duration * cfg["sra.f_rs"])) + 1
         times = np.arange(n) / cfg["sra.f_rs"]
-        series = scene_mod.render_baseline(scn, times)
+        series = scene_mod.render_csi(scn, "baseline", times)
         scene_mod.save_csi_csv(series, _out_path(args, "csi_baseline.csv"))
     print(f"rendered {len(scn.users)} links over {duration:.1f} s")
     return 0

@@ -39,8 +39,16 @@ _CLI_DEFAULTS = {
     "dataset.label_stride": 96,
 }
 
-# Frame counts where 0 means "keep label slices whole" and "stride = width".
-_NON_NEGATIVE = ("dataset.max_label_frames", "dataset.label_stride")
+# Keys only the CLI reads whose values have a range: key -> (test, what it must be).
+# The frame counts take 0 for "keep label slices whole" and "stride = width".
+_RANGES = {
+    "dataset.max_label_frames": (lambda v: v >= 0, ">= 0"),
+    "dataset.label_stride": (lambda v: v >= 0, ">= 0"),
+    "dataset.masks_per_label": (lambda v: v >= 1, ">= 1"),
+    "dataset.split_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mask.fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mask.mean_run_frames": (lambda v: v > 0, "> 0"),
+}
 
 # Every accepted key with its annotation and default.
 _SCHEMA: dict[str, tuple[str, Any]] = {
@@ -68,8 +76,9 @@ class RunConfig:
         if key not in _SCHEMA:
             raise ValueError(f"{source}: unknown config key {key!r}")
         parsed = kvtext.parse(_SCHEMA[key][0], str(value), key, source)
-        if key in _NON_NEGATIVE and parsed < 0:
-            raise ValueError(f"{source}: bad config value {key}={value!r}: must be >= 0")
+        if key in _RANGES and not _RANGES[key][0](parsed):
+            raise ValueError(f"{source}: bad config value {key}={value!r}: "
+                             f"must be {_RANGES[key][1]}")
         self.values[key] = parsed
 
     def _build(self, section: str, **supplied: Any):

@@ -127,23 +127,6 @@ def variation_power(cfg: RadioConfig, d_as: float, d_se: float, v: float) -> flo
     return cfg.g_tilde * v * v * (d_as * d_se) ** (-cfg.alpha)
 
 
-def variation_power_exact(cfg: RadioConfig, d_as: float, d_se: float, v: float) -> float:
-    """Exact variation power: amplitude- plus phase-variation terms.
-
-    Always >= the approximate form; the two agree closely whenever the
-    subject sits in the near field of the UE and far from the AP.
-    """
-    _check_distances(d_as, d_se)
-    if v < 0:
-        raise ValueError(f"speed must be >= 0, got {v}")
-    lam, alpha = cfg.lambda_m, cfg.alpha
-    prefactor = (cfg.raw_gain * lam ** 4 * v * v
-                 / (FOUR_PI ** 4 * (d_as * d_se) ** alpha))
-    bracket = (alpha ** 2 / 4.0 * ((d_as + d_se) / (d_as * d_se)) ** 2
-               + 16.0 * math.pi ** 2 / lam ** 2)
-    return prefactor * bracket
-
-
 def dynamic_power(cfg: RadioConfig, d_ae: float) -> float:
     """Variation power of the direct-path dynamic channel: eta lambda^2 d^-alpha + b."""
     _check_distances(d_ae)
@@ -295,27 +278,3 @@ def save_raster(path, values: np.ndarray, x0: float, y0: float,
     with open(path, "w") as fh:
         fh.write(f"# {x0:.10g} {y0:.10g} {dx:.10g} {dy:.10g} {nx} {ny}\n")
         fh.write(kvtext.format_table(arr, " ".join(["%.10g"] * nx) + "\n"))
-
-
-def load_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    """Read a raster written by :func:`save_raster`; returns (values, (x0, y0, dx, dy)).
-
-    Malformed headers, cell sizes that are not finite and > 0, shape mismatches
-    and NaN cells raise ``ValueError`` naming the file; ``inf`` cells are kept.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        parts = header[1:].split()
-        if not header.startswith("#") or len(parts) < 6:
-            raise ValueError(f"{path}: raster header needs '# x0 y0 dx dy nx ny', got {header!r}")
-        try:
-            x0, y0, dx, dy = (float(p) for p in parts[:4])
-            nx, ny = int(parts[4]), int(parts[5])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        values = kvtext.read_table(path, fh, allow_inf=True)
-    if not (nx >= 1 and ny >= 1 and all(math.isfinite(d) and d > 0 for d in (dx, dy))):
-        raise ValueError(f"{path}: need nx, ny >= 1 and finite dx, dy > 0, got {parts[:6]}")
-    if values.shape != (ny, nx):
-        raise ValueError(f"{path}: expected {ny}x{nx} raster, got {values.shape}")
-    return values, (x0, y0, dx, dy)

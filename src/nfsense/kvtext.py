@@ -9,11 +9,11 @@ str as is, ``tuple[int, ...]`` as ``1,2,4`` and hold intervals as
 Annotations are compared as text, since every module postpones them.
 Errors name the file (or other source) and the key.
 
-Numeric tables (CSI series, sample times, spectrograms, rasters, dataset
-labels) are written by :func:`format_table`, one ``%`` over all values, and
-their readers parse the values with :func:`read_table`.  The CSV outputs
-are written by :func:`write_csv`, and the registration script is read by
-:func:`parse_csv`.
+Numeric tables (CSI series, spectrograms, rasters, dataset labels) are
+written by :func:`format_table`, one ``%`` over all values, and the CSI,
+spectrogram and label readers parse the values with :func:`read_table`.
+The CSV outputs are written by :func:`write_csv`, and the registration
+script is read by :func:`parse_csv`.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ def format_table(a: np.ndarray, row_fmt: str) -> str:
 
 
 def read_table(path, lines: Iterable[str], delimiter: str | None = None,
-               allow_inf: bool = False, what: str = "") -> np.ndarray:
+               what: str = "") -> np.ndarray:
     """The 2-D array ``np.loadtxt`` reads from ``lines``; no values give an empty one.
 
     Every error names ``path``, and ``what`` opens a parse error's reason.
-    NaN is refused, and inf unless ``allow_inf``; ``#`` starts no comment.
+    NaN and inf are refused; ``#`` starts no comment.
     """
     try:
         with warnings.catch_warnings():
@@ -157,8 +157,8 @@ def read_table(path, lines: Iterable[str], delimiter: str | None = None,
             data = np.loadtxt(lines, delimiter=delimiter, ndmin=2, comments=None)
     except ValueError as exc:    # UnicodeDecodeError included
         raise ValueError(f"{path}: {what}{exc}") from None
-    if (np.isnan(data) if allow_inf else ~np.isfinite(data)).any():
-        raise ValueError(f"{path}: {'NaN' if allow_inf else 'non-finite'} value")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value")
     return data
 
 

@@ -289,15 +289,11 @@ def render_components(scene: Scene, link: str, sample_times) -> dict[str, np.nda
 
 
 def render_csi(scene: Scene, link: str, sample_times) -> CsiSeries:
-    """Render the complex channel of one AP-UE link at the given times."""
+    """Render the complex channel of one AP-UE link at the given times; link
+    ``"baseline"`` is the far observer, to which every subject contributes comparably."""
     parts = render_components(scene, link, sample_times)
     total = sum(parts.values())
     return CsiSeries(timestamps=np.asarray(sample_times, dtype=float), values=total)
-
-
-def render_baseline(scene: Scene, sample_times) -> CsiSeries:
-    """Render the non-near-field observer; every subject contributes comparably."""
-    return render_csi(scene, "baseline", sample_times)
 
 
 def save_csi_csv(series: CsiSeries, path) -> None:

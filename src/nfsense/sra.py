@@ -546,7 +546,9 @@ def load_dataset(out_dir) -> Dataset:
     splits, first = [], None
     for name in ("train", "test"):
         sub = os.path.join(out_dir, name)
-        files = sorted(os.listdir(sub)) if os.path.isdir(sub) else []
+        # by integer keys, not by name, which sorts 10000.y between 1000.y and 1001.y
+        names = os.listdir(sub) if os.path.isdir(sub) else []
+        files = sorted(names, key=lambda f: [(len(k), k) for k in f.split(".")])
         labels: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
         for f in (f for f in files if f.endswith(".y")):
             path = os.path.join(sub, f)

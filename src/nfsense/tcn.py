@@ -150,9 +150,6 @@ class TcnModel:
     def copy(self) -> "TcnModel":
         return TcnModel(config=self.config, params={k: v.copy() for k, v in self.params.items()})
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     @property
     def dtype(self):
         return next(iter(self.params.values())).dtype

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from . import kvtext
 
 KINDS = ("ul_csi", "dl_csi", "ul_bfi")
 
@@ -136,26 +133,6 @@ def _thin_and_cap(times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.array(out)
 
 
-def windowed_counts(times: Sequence[float] | np.ndarray, duration: float,
-                    window_s: float) -> np.ndarray:
-    """Arrival counts over consecutive windows covering [0, duration]."""
-    t = np.asarray(times, dtype=float)
-    n_win = max(int(np.floor(duration / window_s + 1e-9)), 1)
-    idx = np.minimum((t / window_s).astype(int), n_win - 1)
-    counts = np.bincount(idx, minlength=n_win)
-    return counts[:n_win]
-
-
-def burstiness_index(times: Sequence[float] | np.ndarray, duration: float,
-                     window_s: float = 0.1) -> float:
-    """Variance-to-mean ratio of windowed counts; 1 for a Poisson stream."""
-    counts = windowed_counts(times, duration, window_s)
-    mean = counts.mean()
-    if mean == 0:
-        return 0.0
-    return float(counts.var() / mean)
-
-
 def max_rate_in_window(times: np.ndarray, window_s: float = 1.0) -> int:
     """Largest arrival count in any sliding window of the given length."""
     t = np.asarray(times, dtype=float)
@@ -165,9 +142,3 @@ def max_rate_in_window(times: np.ndarray, window_s: float = 1.0) -> int:
     hi = np.arange(1, t.size + 1)
     lo = np.searchsorted(t, t - window_s, side="right")
     return int(np.max(hi - lo))
-
-
-def save_sample_times(st: SampleTimes, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# duration_s {st.duration:.6f}\n")
-        fh.write(kvtext.format_table(st.times, "%.6f\n"))

@@ -5,7 +5,8 @@
 ``nfsense.capacity`` used before its searches ran over a whole r sweep at
 once, copied verbatim.  ``capacity_rows`` rebuilds a ``capacity_curve``
 sweep from them.  ``tests/test_capacity.py`` checks the package against
-them bit for bit.
+them bit for bit.  ``radial_fit`` and ``mirror_fit`` are the paper's fitted
+closed forms of the two series, which the tests hold to the exact series.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def mirror_series(k: int, phi: float, alpha: float) -> float:
         raise ValueError(f"phi must be in (0, 2pi/(2K+1)] = (0, {phi_max:.6g}], got {phi}")
     j = np.arange(1, k + 1)
     return float(np.sum(np.sin(j * phi / 2.0) ** (-alpha)))
+
+
+def radial_fit(n: int, params: FitParams = DEFAULT_FIT) -> float:
+    """Fitted radial series: p1 * N^p2 + p3."""
+    if n < 3:
+        raise ValueError(f"radial layout needs N >= 3, got {n}")
+    return params.p1 * float(n) ** params.p2 + params.p3
+
+
+def mirror_fit(phi: float, params: FitParams = DEFAULT_FIT) -> float:
+    """Fitted mirror series: q1 * sin(phi/2)^q2 + q3."""
+    return params.q1 * math.sin(phi / 2.0) ** params.q2 + params.q3
 
 
 def _headroom(q: CapacityQuery) -> float:

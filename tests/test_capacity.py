@@ -15,15 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfsense.capacity import (CapacityQuery, DEFAULT_FIT, FitParams,
-                              _dd_min_search, _mirror_sums,
+from nfsense.capacity import (CapacityQuery, FitParams, _dd_min_search, _mirror_sums,
                               capacity_curve, delta_d_min, delta_d_min_exact,
-                              mirror_fit, mirror_series, n_max, n_max_exact,
-                              radial_fit, radial_series, refit_mirror,
-                              refit_radial, write_capacity_csv)
+                              mirror_series, n_max, n_max_exact, radial_series,
+                              refit_mirror, refit_radial, write_capacity_csv)
 from nfsense.geometry import RadioConfig
 
 import capacity_reference as ref
+from capacity_reference import mirror_fit, radial_fit
 
 
 def csc4_identity(n):

@@ -4,7 +4,9 @@ import dataclasses
 import filecmp
 import math
 import os
+import pathlib
 import re
+import shlex
 import warnings
 
 import numpy as np
@@ -16,11 +18,12 @@ from nfsense.capacity import (DEFAULT_FIT, FitParams, refit_mirror, refit_radial
                               write_capacity_csv)
 from nfsense.cli import demo_scene, main
 from nfsense.config import RunConfig, load_config
-from nfsense.geometry import RadioConfig, load_raster
+from nfsense.geometry import RadioConfig
 from nfsense.scene import MotionProfile, save_scene
 from nfsense.sra import Dataset, Spectrogram, SraConfig, save_dataset, save_spectrogram
 from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, load_model, save_model
 from nfsense.traffic import TrafficModel
+from textio_reference import load_raster
 
 
 def run(args):
@@ -344,10 +347,9 @@ class TestSimulatePipeline:
         rc = run(["simulate", "--duration", 4.0, "--seed", 1, "--out", out])
         assert rc == 0
         assert (out / "scene.txt").exists()
-        for i in range(4):
-            assert (out / f"csi_ue{i}.csv").exists()
-            assert (out / f"times_ue{i}.txt").exists()
-        assert (out / "csi_baseline.csv").exists()
+        # a link's sample times are the t_s column of its CSI file, and no other
+        assert sorted(p.name for p in out.iterdir()) == [
+            "csi_baseline.csv", *(f"csi_ue{i}.csv" for i in range(4)), "scene.txt"]
 
     def test_gesture_and_activity_scene(self, tmp_path):
         demo = demo_scene(seed=1)
@@ -437,15 +439,30 @@ class TestSimulatePipeline:
             "dataset: 9 train pairs, 3 test pairs from 4 label slices\n"
         assert tree_bytes(tmp_path / "flag") == tree_bytes(tmp_path / "key")
 
-    @pytest.mark.parametrize("source, setting", [
-        ("--max-label-frames", "-5"),
-        ("--set", "dataset.max_label_frames=-5"),
-        ("--set", "dataset.label_stride=-1"),
-        ("--config", "dataset.label_stride=-1"),
-    ])
-    def test_negative_frame_count_names_the_key(self, tmp_path, capsys, source, setting):
+    # (source, setting, key, range): each is refused before anything is read,
+    # even on a lone bursty link that yields no dataset to check them on
+    OUT_OF_RANGE = [
+        ("--max-label-frames", "-5", "dataset.max_label_frames", ">= 0"),
+        ("--set", "dataset.max_label_frames=-5", "dataset.max_label_frames", ">= 0"),
+        ("--set", "dataset.label_stride=-1", "dataset.label_stride", ">= 0"),
+        ("--config", "dataset.label_stride=-1", "dataset.label_stride", ">= 0"),
+        ("--set", "dataset.masks_per_label=0", "dataset.masks_per_label", ">= 1"),
+        ("--config", "dataset.masks_per_label=-2", "dataset.masks_per_label", ">= 1"),
+        ("--set", "mask.fraction=5", "mask.fraction", "in [0, 1]"),
+        ("--config", "mask.fraction=-0.1", "mask.fraction", "in [0, 1]"),
+        ("--set", "dataset.split_fraction=1.5", "dataset.split_fraction", "in [0, 1]"),
+        ("--config", "dataset.split_fraction=-1", "dataset.split_fraction", "in [0, 1]"),
+        ("--set", "mask.mean_run_frames=0", "mask.mean_run_frames", "> 0"),
+        ("--config", "mask.mean_run_frames=-8", "mask.mean_run_frames", "> 0"),
+    ]
+
+    @pytest.mark.parametrize("source, setting, key, bound", OUT_OF_RANGE,
+                             ids=[f"{source}-{setting}" for source, setting, *_ in OUT_OF_RANGE])
+    def test_negative_frame_count_names_the_key(self, tmp_path, capsys, source, setting,
+                                                key, bound):
         sim = tmp_path / "sim"
-        assert run(["simulate", "--duration", 4, "--uniform-rate", 64, "--out", sim]) == 0
+        assert run(["simulate", "--duration", 4, "--traffic-kind", "dl-csi",
+                    "--out", sim]) == 0
         flags = [source, setting]
         if source == "--config":     # the error names the file
             source = tmp_path / "run.cfg"
@@ -456,9 +473,17 @@ class TestSimulatePipeline:
         assert run(["build-dataset", "--csi", sim / "csi_ue0.csv", "--duration", 4,
                     "--out", out, *flags]) == 1
         line = error_line(capsys)
-        assert line.startswith(f"error: {source}: bad config value dataset.") and \
-            line.endswith("must be >= 0")
+        assert line.startswith(f"error: {source}: bad config value {key}=") and \
+            line.endswith(f"must be {bound}")
         assert not out.exists()
+
+    def test_in_range_edges_accepted(self):
+        cfg = RunConfig()
+        for key, value in (("dataset.masks_per_label", 1), ("mask.fraction", 0),
+                           ("mask.fraction", 1), ("dataset.split_fraction", 1),
+                           ("mask.mean_run_frames", 0.5), ("dataset.label_stride", 0)):
+            cfg.set(key, str(value))
+            assert cfg[key] == value
 
     def test_traffic_kind_flag_is_the_key(self, tmp_path):
         def simulate(name, *flags):
@@ -831,3 +856,16 @@ class TestDeterminism:
         for name in sorted(os.listdir(out_a)):
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
 
+
+
+def test_readme_chain_runs_verbatim(tmp_path, monkeypatch):
+    # the README's block of nfsense commands, each line as written there, its
+    # out/ under tmp_path
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+    chain = next(b.splitlines() for b in blocks if b.startswith("nfsense "))
+    monkeypatch.chdir(tmp_path)
+    for line in chain:
+        argv = shlex.split(line)
+        assert argv[0] == "nfsense" and main(argv[1:]) == 0, line
+    assert (tmp_path / "out" / "tr" / "model.tcn").exists()

@@ -13,7 +13,7 @@ from nfsense.cli import demo_scene
 from nfsense.geometry import Point2D, RadioConfig
 from nfsense.scene import (_OU_BLOCK_U, _OU_TAU_S, MOTION_KINDS, CsiSeries, MotionProfile,
                            Scene, SceneUser, _ou_track, _reflection_track, displacement,
-                           load_csi_csv, load_scene, render_baseline, render_components,
+                           load_csi_csv, load_scene, render_components,
                            render_csi, save_csi_csv, save_scene)
 from nfsense.traffic import KINDS, TrafficModel, generate_arrivals
 
@@ -209,7 +209,7 @@ class TestRenderCsi:
         scn = Scene(ap=Point2D(0, 0), users=users, cfg=radio,
                     baseline_observer=Point2D(0.6, 0.6), noise_std=0.0, seed=2)
         times = np.arange(0, 90.0, 1 / 64)
-        series = render_baseline(scn, times)
+        series = render_csi(scn, "baseline", times)
         phase = series.phase()
         spec = np.abs(np.fft.rfft((phase - phase.mean()) * np.hanning(len(phase))))
         freqs = np.fft.rfftfreq(len(phase), 1 / 64)
@@ -225,7 +225,7 @@ class TestRenderCsi:
                          motion=MotionProfile.still())
         scn = Scene(ap=Point2D(0, 0), users=(user,), cfg=radio)
         with pytest.raises(ValueError, match="observer"):
-            render_baseline(scn, np.arange(5) / 64)
+            render_csi(scn, "baseline", np.arange(5) / 64)
 
 
 def ou_longdouble(cfg, d_ae, times, rng):

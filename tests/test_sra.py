@@ -751,6 +751,20 @@ class TestBuildDataset:
             assert np.array_equal(np.where(hidden, NO_DATA_SENTINEL, y), x)
 
 
+    def test_labels_load_in_the_order_of_their_integer_keys(self, tmp_path):
+        # by name, 10000.y would sort before 9999.y, and 9999.10000.x before 9999.9999.x
+        sub = tmp_path / "ds" / "train"
+        sub.mkdir(parents=True)
+        for key, value in (("9999", 0.25), ("10000", 0.75)):
+            (sub / f"{key}.y").write_text(f"{value} {value}\n")
+            (sub / f"{key}.9999.x").write_text("1 0\n")
+            (sub / f"{key}.10000.x").write_text("0 1\n")
+        loaded = load_dataset(tmp_path / "ds")
+        assert [label[0, 0] for label, _ in loaded.train_labels] == [0.25, 0.75]
+        for _, masks in loaded.train_labels:
+            assert masks.tolist() == [[True, False], [False, True]]
+
+
 class TestLabelSlices:
     def test_extraction_and_chopping(self):
         cfg = SraConfig()

@@ -96,7 +96,8 @@ class TestConfig:
 
     def test_param_count_formula(self):
         for cfg in (TINY, TcnConfig()):
-            assert TcnModel.initialize(cfg).n_params() == param_count(cfg)
+            params = TcnModel.initialize(cfg).params
+            assert sum(v.size for v in params.values()) == param_count(cfg)
 
     def test_receptive_field_formula(self):
         assert block_stack_receptive_field(TcnConfig()) == 121

@@ -7,7 +7,8 @@ A 10-digit writer refuses, naming the file and writing nothing, a finite
 value that its text would round above the largest double.  Every reader
 must reproduce a written file byte for byte after load and save, and must
 reject a truncated line, a non-numeric token, a ragged row or a NaN with a
-ValueError that names the file.
+ValueError that names the file.  The package reads no raster, so rasters
+are read back with ``textio_reference.load_raster``.
 """
 
 import math
@@ -23,13 +24,12 @@ from hypothesis import strategies as st
 import textio_reference as ref
 from nfsense import config, kvtext
 from nfsense.config import load_config
-from nfsense.geometry import load_raster, save_raster
+from nfsense.geometry import save_raster
 from nfsense.kvtext import TEXT_MAX, format_table
 from nfsense.scene import CsiSeries, load_csi_csv, save_csi_csv
 from nfsense.sra import (NO_DATA_SENTINEL, Dataset, Spectrogram, load_dataset,
                          load_spectrogram, save_dataset, save_spectrogram)
 from nfsense.tcn import TcnConfig, TcnModel, load_model, save_model
-from nfsense.traffic import SampleTimes, save_sample_times
 
 SPECIAL = (0.0, -0.0, NO_DATA_SENTINEL, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
            1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308)
@@ -144,9 +144,8 @@ class TestTableHelpers:
         assert kvtext.read_table("t.txt", ["1 -0", "2 3"]).tolist() == [[1.0, -0.0], [2.0, 3.0]]
         with pytest.raises(ValueError, match=r"^t\.txt: non-finite value$"):
             kvtext.read_table("t.txt", ["1 -inf"])
-        assert kvtext.read_table("t.txt", ["1 -inf"], allow_inf=True)[0, 1] == -math.inf
-        with pytest.raises(ValueError, match=r"^t\.txt: NaN value$"):
-            kvtext.read_table("t.txt", ["nan 1"], allow_inf=True)
+        with pytest.raises(ValueError, match=r"^t\.txt: non-finite value$"):
+            kvtext.read_table("t.txt", ["nan 1"])
         with pytest.raises(ValueError, match=r"^t\.txt: expected a,b: .*'x'"):
             kvtext.read_table("t.txt", ["1,x"], ",", what="expected a,b: ")
 
@@ -199,7 +198,7 @@ class TestTextMax:
                                      frame_dt_s=1.0, df_hz=0.25), tmp_path / "s.txt")
         assert np.isfinite(load_spectrogram(tmp_path / "s.txt").data).all()
         save_raster(tmp_path / "r.txt", np.array([[self.BELOW, math.inf]]), 0.0, 0.0, 1.0, 1.0)
-        assert load_raster(tmp_path / "r.txt")[0].tolist() == [[1.797693134e308, math.inf]]
+        assert ref.load_raster(tmp_path / "r.txt")[0].tolist() == [[1.797693134e308, math.inf]]
 
 
 class TestWritersMatchReference:
@@ -266,15 +265,6 @@ class TestWritersMatchReference:
         save_csi_csv(series, d / "new.csv")
         ref.save_csi_csv(series, d / "ref.csv")
         assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
-
-    @given(times=st.lists(st.floats(0.0, 1e12)).map(np.unique))
-    @settings(max_examples=60, deadline=None)
-    def test_sample_times(self, tmp_path_factory, times):
-        st_ = SampleTimes(times, float(times[-1]) if times.size else 0.0)
-        d = tmp_path_factory.mktemp("times")
-        save_sample_times(st_, d / "new.txt")
-        ref.save_sample_times(st_, d / "ref.txt")
-        assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
 
 
 # How a line of a table is damaged: each must be rejected.
@@ -375,12 +365,12 @@ class TestReadersFuzzed:
             values_, origin = np.ones((2, 3)), (0.0, 0.0)
         save_raster(path, values_, *origin, *sizes)
         first = path.read_bytes()
-        loaded, (x0, y0, dx, dy) = load_raster(path)
+        loaded, (x0, y0, dx, dy) = ref.load_raster(path)
         save_raster(path, loaded, x0, y0, dx, dy)
         assert path.read_bytes() == first
 
         damage_file(path, data, 1, values_.shape[0])
-        rejected(load_raster, path)
+        rejected(ref.load_raster, path)
 
 
 class TestHashRefused:
@@ -396,7 +386,7 @@ class TestHashRefused:
         path = tmp_path / "raster.txt"
         save_raster(path, np.ones((2, 3)), 0.0, 0.0, 1.0, 1.0)
         path.write_text(path.read_text() + "# 3 4\n")
-        rejected(load_raster, path)
+        rejected(ref.load_raster, path)
 
     def test_dataset_pair(self, tmp_path):
         y = np.ones((2, 3))

@@ -8,8 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfsense.traffic import (_MAX_BLOCK, KINDS, TrafficModel, _burst, _thin_and_cap,
-                             burstiness_index, generate_arrivals,
-                             max_rate_in_window, windowed_counts)
+                             generate_arrivals, max_rate_in_window)
+
+
+def windowed_counts(times, duration: float, window_s: float) -> np.ndarray:
+    """Arrival counts over consecutive windows covering [0, duration]."""
+    t = np.asarray(times, dtype=float)
+    n_win = max(int(np.floor(duration / window_s + 1e-9)), 1)
+    idx = np.minimum((t / window_s).astype(int), n_win - 1)
+    counts = np.bincount(idx, minlength=n_win)
+    return counts[:n_win]
+
+
+def burstiness_index(times, duration: float, window_s: float = 0.1) -> float:
+    """Variance-to-mean ratio of windowed counts; 1 for a Poisson stream."""
+    counts = windowed_counts(times, duration, window_s)
+    mean = counts.mean()
+    if mean == 0:
+        return 0.0
+    return float(counts.var() / mean)
 
 
 def arrivals_loop(model, duration):

@@ -1,18 +1,24 @@
-"""Reference text writers for the numeric tables.
+"""Reference text writers for the numeric tables, and the raster reader.
 
-``save_csi_csv``, ``save_sample_times``, ``save_spectrogram``,
-``save_labels`` and ``save_raster`` below are the implementations the
-package used before its writers formatted each distinct value once, copied
-verbatim: ``np.savetxt`` for a dataset's label files and per-row f-string
-loops for the rest.  The spectrogram header alone is the current one, which
-carries ``df_hz``, and ``save_labels`` keeps only the ``.y`` half of the
-older pair format, since a dataset no longer stores its inputs as tables.
-``tests/test_textio.py`` checks the package against them byte for byte.
+``save_csi_csv``, ``save_spectrogram``, ``save_labels`` and ``save_raster``
+below are the implementations the package used before its writers formatted
+each distinct value once, copied verbatim: ``np.savetxt`` for a dataset's
+label files and per-row f-string loops for the rest.  The spectrogram
+header alone is the current one, which carries ``df_hz``, and
+``save_labels`` keeps only the ``.y`` half of the older pair format, since a
+dataset no longer stores its inputs as tables.  ``tests/test_textio.py``
+checks the package against them byte for byte.
+
+``load_raster`` reads what ``nfsense.geometry.save_raster`` writes.  The
+package writes rasters and reads none; the raster, CLI and text-format
+tests read them back with it.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import warnings
 
 import numpy as np
 
@@ -22,13 +28,6 @@ def save_csi_csv(series, path) -> None:
         fh.write("t_s,re,im\n")
         for t, v in zip(series.timestamps, series.values):
             fh.write(f"{t:.9f},{v.real:.12e},{v.imag:.12e}\n")
-
-
-def save_sample_times(st, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# duration_s {st.duration:.6f}\n")
-        for t in st.times:
-            fh.write(f"{t:.6f}\n")
 
 
 def save_spectrogram(spec, path) -> None:
@@ -59,3 +58,31 @@ def save_raster(path, values: np.ndarray, x0: float, y0: float,
         fh.write(f"# {x0:.10g} {y0:.10g} {dx:.10g} {dy:.10g} {nx} {ny}\n")
         for row in arr:
             fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+
+
+def load_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
+    """Read a raster written by ``save_raster``; returns (values, (x0, y0, dx, dy)).
+
+    Malformed headers, cell sizes that are not finite and > 0, shape mismatches
+    and NaN cells raise ``ValueError`` naming the file; ``inf`` cells are kept.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        parts = header[1:].split()
+        if not header.startswith("#") or len(parts) < 6:
+            raise ValueError(f"{path}: raster header needs '# x0 y0 dx dy nx ny', got {header!r}")
+        try:
+            x0, y0, dx, dy = (float(p) for p in parts[:4])
+            nx, ny = int(parts[4]), int(parts[5])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")      # an input with no values only warns
+                values = np.loadtxt(fh, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if np.isnan(values).any():
+        raise ValueError(f"{path}: NaN value")
+    if not (nx >= 1 and ny >= 1 and all(math.isfinite(d) and d > 0 for d in (dx, dy))):
+        raise ValueError(f"{path}: need nx, ny >= 1 and finite dx, dy > 0, got {parts[:6]}")
+    if values.shape != (ny, nx):
+        raise ValueError(f"{path}: expected {ny}x{nx} raster, got {values.shape}")
+    return values, (x0, y0, dx, dy)
