@@ -521,11 +521,18 @@ def load_spectrogram(path) -> Spectrogram:
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Per label slice k of train/ and test/, ``KKKK.y`` holds the label, a row
     per line of ``%.9e`` values, and ``KKKK.JJJJ.x`` the mask of its masked
-    copy j, one line of N_T 0/1 tokens (1 = hidden)."""
+    copy j, one line of N_T 0/1 tokens (1 = hidden).  The ``.y`` and ``.x``
+    files of a dataset already in train/ and test/ are removed first, so
+    ``load_dataset`` reads this one alone."""
     splits = {"train": ds.train_labels, "test": ds.test_labels}
     for name, labels in splits.items():
         for k, (label, _) in enumerate(labels):
             kvtext.check_text_range(os.path.join(out_dir, name, f"{k:04d}.y"), label)
+    for name in splits:
+        sub = os.path.join(out_dir, name)
+        for f in os.listdir(sub) if os.path.isdir(sub) else []:
+            if f.endswith((".y", ".x")):
+                os.remove(os.path.join(sub, f))
     for name, labels in splits.items():
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)

@@ -7,8 +7,10 @@ a binary weight format are all implemented here on plain numpy arrays.
 
 Weights are float32 on disk.  In memory the model's dtype is the compute
 precision: float64 by default (gradient checks), float32 for ``nfsense
-train``.  Activations are channel-major (C, B, N), so each layer over a
-batch is one im2col GEMM, and there is one residual block per dilation.
+train``.  Activations are channel-major (C, B, N), so each convolution and
+each 1x1 projection over a batch is one im2col GEMM through ``_conv_f`` /
+``_conv_b``: a projection is the 1-tap case, whose im2col is one contiguous
+copy of its input.  There is one residual block per dilation.
 In that layout a stride-1 tap of the im2col is the input's flat array
 shifted by the tap's delay, so it is one contiguous copy, and the col2im
 that sums the column gradient back is one contiguous add per tap.
@@ -255,7 +257,10 @@ def _conv_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, chi: int, stride: int,
     """Causal dilated, strided conv of x (C_in, B, N) into out (C_out, B, M),
     M = ceil(N / stride): out[k, ., m] = sum_i w[k, i, :] . x[:, ., stride*m - chi*i] + b[k].
 
-    ``cols`` (l, C_in, B, M) is scratch for the im2col copy of x.
+    ``cols`` (l, C_in, B, M) is scratch for the im2col copy of x.  A 1x1
+    projection is the l = 1 case: its weight (C_out, C_in) is passed as
+    (C_out, 1, C_in), and its im2col is one contiguous copy of x with x's
+    layout, so the GEMM gives the bits it gives on x itself.
     """
     c_out, l, c_in = w.shape
     z2 = out.reshape(c_out, -1)
@@ -292,23 +297,6 @@ def _conv_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, chi: int, stride: int,
     return _col2im(cols, chi, stride, dx), dw, db
 
 
-def _proj_f(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1x1 conv of x (C_in, B, N) into out (C_out, B, N)."""
-    z2 = np.matmul(w, x.reshape(x.shape[0], -1), out=out.reshape(w.shape[0], -1))
-    z2 += b[:, None]
-    return out
-
-
-def _proj_b(dz: np.ndarray, x: np.ndarray, w: np.ndarray, dx: np.ndarray | None):
-    """Gradients (dx, dw, db) of _proj_f; with ``dx`` None, dx is skipped."""
-    dz2 = dz.reshape(dz.shape[0], -1)
-    dw = dz2 @ x.reshape(x.shape[0], -1).T
-    if dx is None:
-        return None, dw, _bias_grad(dz)
-    np.matmul(w.T, dz2, out=dx.reshape(x.shape[0], -1))
-    return dx, dw, _bias_grad(dz)
-
-
 # ---------------------------------------------------------------------------
 # network forward/backward
 
@@ -322,35 +310,35 @@ def _forward(model: TcnModel, x: np.ndarray, ws: _Workspace | None = None):
     cfg = model.config
     p = model.params
     ws = ws or _Workspace(x.dtype)
-    cache: dict[str, object] = {"x": x}
+    cache: dict[str, object] = {}
     _, bsz, n = x.shape
 
-    def conv(layer: str, inp: np.ndarray, chi: int = 1, stride: int = 1) -> np.ndarray:
+    def conv(layer: str, inp: np.ndarray, chi: int = 1, stride: int = 1,
+             proj_key: str | None = None) -> np.ndarray:
+        # a projection writes into proj_key, without ReLU; its 2-D weight is 1-tap
         w = p[f"{layer}.w"]
+        w = w.reshape(len(w), -1, len(inp))
         c_out, l, c_in = w.shape
         m = -(-inp.shape[2] // stride)
         z = _conv_f(inp, w, p[f"{layer}.b"], chi, stride, ws.get("cols", (l, c_in, bsz, m)),
-                    ws.get(f"{layer}.act", (c_out, bsz, m)))
-        a = np.maximum(z, 0.0, out=z)
+                    ws.get(proj_key or f"{layer}.act", (c_out, bsz, m)))
+        a = z if proj_key else np.maximum(z, 0.0, out=z)
         cache[layer] = (inp, a)
         return a
 
     h = x
     for bi, chi in enumerate(cfg.dilations):
-        out = ws.get(f"h{bi}", (cfg.n_c, bsz, n))
         a1 = conv(f"block{bi}.conv1", h, chi)
         a2 = conv(f"block{bi}.conv2", a1, chi)
-        if f"block{bi}.proj.w" in p:
-            res = _proj_f(h, p[f"block{bi}.proj.w"], p[f"block{bi}.proj.b"], out)
-        else:
-            res = h
-        h = np.add(a2, res, out=out)
+        key = f"h{bi}"
+        res = conv(f"block{bi}.proj", h, proj_key=key) if f"block{bi}.proj.w" in p else h
+        h = np.add(a2, res, out=ws.get(key, (cfg.n_c, bsz, n)))
     ae = conv("enc", h, stride=2)
     up = ws.get("up", (ae.shape[0], bsz, n))
     up[:, :, 0::2] = ae                      # nearest-neighbour x2, trimmed to n
     up[:, :, 1::2] = ae[:, :, :n // 2]
     ad = conv("dec", up)
-    y = _proj_f(ad, p["out.w"], p["out.b"], ws.get("y", (cfg.n_f, bsz, n)))
+    y = conv("out", ad, proj_key="y")
     cache["h"] = h
     return y, cache
 
@@ -386,18 +374,17 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
     def conv_b(layer: str, dz: np.ndarray, dx_key: str | None, chi: int = 1,
                stride: int = 1) -> np.ndarray | None:
         x, _ = cache[layer]
-        w = p[f"{layer}.w"]
+        g = grads[f"{layer}.w"]
+        w = p[f"{layer}.w"].reshape(len(g), -1, len(x))
         _, l, c_in = w.shape
         dx, dw, db = _conv_b(dz, x, w, chi, stride, ws.get("cols", (l, c_in) + dz.shape[1:]),
                              ws.get(dx_key, x.shape) if dx_key else None)
-        grads[f"{layer}.w"] += dw
+        g += dw.reshape(g.shape)
         grads[f"{layer}.b"] += db
         return dx
 
     _, ad = cache["dec"]
-    dad, dw, db = _proj_b(dy, ad, p["out.w"], ws.get(bufs[0], ad.shape))
-    grads["out.w"] += dw
-    grads["out.b"] += db
+    dad = conv_b("out", dy, bufs[0])
     _, ae = cache["enc"]
     dup = conv_b("dec", relu_b(dad, ad), bufs[1])
     dae = ws.get(bufs[0], ae.shape)          # transpose of nearest-neighbour x2
@@ -418,9 +405,7 @@ def _backward(model: TcnModel, dy: np.ndarray, cache, grads: dict[str, np.ndarra
         dh = np.add(dh_conv, dh, out=dh_conv)   # only block 0 can have a projection
         bufs.reverse()
     if "block0.proj.w" in p:
-        _, dw, db = _proj_b(dh, cache["x"], p["block0.proj.w"], None)
-        grads["block0.proj.w"] += dw
-        grads["block0.proj.b"] += db
+        conv_b("block0.proj", dh, None)
 
 
 def _shape_groups(batch: Sequence[tuple[np.ndarray, np.ndarray]]):

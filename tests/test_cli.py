@@ -20,7 +20,8 @@ from nfsense.cli import demo_scene, main
 from nfsense.config import RunConfig, load_config
 from nfsense.geometry import RadioConfig
 from nfsense.scene import MotionProfile, save_scene
-from nfsense.sra import Dataset, Spectrogram, SraConfig, save_dataset, save_spectrogram
+from nfsense.sra import (Dataset, Spectrogram, SraConfig, load_dataset, save_dataset,
+                         save_spectrogram)
 from nfsense.tcn import TcnConfig, TcnModel, TrainConfig, load_model, save_model
 from nfsense.traffic import TrafficModel
 from textio_reference import load_raster
@@ -581,6 +582,43 @@ class TestSimulatePipeline:
                                       "spectrogram_csi_ue0.txt; give each link its own "
                                       "file name")
         assert list(out.iterdir()) == []
+
+    def test_rebuild_replaces_the_dataset(self, tmp_path):
+        # a second build into the same --out must not pair its labels with
+        # the first build's masks
+        sim, fresh = tmp_path / "sim", tmp_path / "fresh"
+        assert run(["simulate", "--duration", 120, "--uniform-rate", 64, "--seed", 1,
+                    "--out", sim]) == 0
+        csi = [sim / f"csi_ue{i}.csv" for i in range(4)]
+        assert run(["build-dataset", "--csi", *csi, "--set", "dataset.masks_per_label=3",
+                    "--out", sim]) == 0
+        assert len(list((sim / "dataset" / "train").iterdir())) == 44
+        for out in (sim, fresh):
+            assert run(["build-dataset", "--csi", csi[0], "--set", "dataset.masks_per_label=1",
+                        "--out", out]) == 0
+        ds = load_dataset(sim / "dataset")
+        assert (len(ds.train), len(ds.test)) == (3, 1)
+        assert tree_bytes(sim / "dataset") == tree_bytes(fresh / "dataset")
+
+    def test_rebuild_removes_an_old_format_dataset(self, tmp_path, capsys):
+        # a pair-format NNNN.x (a table) left in --out made train refuse the
+        # rebuilt dataset; files that are not .y or .x are kept
+        out = tmp_path / "chain"
+        assert run(["simulate", "--duration", 40, "--uniform-rate", 64, "--seed", 2,
+                    "--out", out]) == 0
+        train_dir = out / "dataset" / "train"
+        train_dir.mkdir(parents=True)
+        (train_dir / "0000.x").write_text("0.5 -1\n0.5 -1\n")
+        (train_dir / "0000.y").write_text("0.5 0.5\n0.5 0.5\n")
+        (train_dir / "notes.txt").write_text("kept\n")
+        assert run(["build-dataset", "--csi", out / "csi_ue0.csv", "--max-label-frames", 32,
+                    "--set", "dataset.masks_per_label=1", "--out", out]) == 0
+        assert not (train_dir / "0000.x").exists()
+        assert (train_dir / "notes.txt").read_text() == "kept\n"
+        capsys.readouterr()
+        assert run(["train", "--dataset", out / "dataset", "--epochs", 1,
+                    "--set", "tcn.n_c=8", "--set", "tcn.bottleneck_dim=4",
+                    "--out", out / "tr"]) == 0
 
     @pytest.mark.parametrize("given, missing", [("--recovered", "--truth"),
                                                 ("--truth", "--recovered")])

@@ -356,7 +356,9 @@ class TestMatchesBatchFirstReference:
     (``tests/tcn_reference.py``, kept verbatim), bit for bit.
 
     The default geometry with the dataset's 128-frame pairs (64 in the mixed
-    batch) is what ``nfsense train`` runs.  Bit equality rests on BLAS giving
+    batch) is what ``nfsense train`` runs, and 37, 225 and 465 frames at
+    batch 1 are what ``recover`` runs.  With n_f = n_c = 64 block 0 has no
+    projection, and its residual is its input.  Bit equality rests on BLAS giving
     the same bits for one GEMM over B*N columns as for B GEMMs over N, and for
     a transposed operand as for its copy; with OpenBLAS that holds at these
     sizes but not at every size (tiny channel counts, or frame counts that
@@ -364,18 +366,22 @@ class TestMatchesBatchFirstReference:
     """
 
     @staticmethod
-    def _models(dtype):
-        ref_model = TcnModel.initialize(TcnConfig(seed=3), dtype=dtype)
+    def _models(dtype, n_f=32):
+        ref_model = TcnModel.initialize(TcnConfig(n_f=n_f, seed=3), dtype=dtype)
         return ref_model, ref_model.copy()
 
-    # "full": the loss over the full spectrogram, the only loss there is
+    # "full": the loss over the full spectrogram, the only loss there is;
+    # "noproj": the n_f = n_c geometry
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("widths", [[128] * 16, [128] * 15, [128],
-                                        [128, 64, 128, 128, 64, 128, 64, 128]],
-                             ids=["full-b16", "full-b15", "full-b1", "full-mixed"])
-    def test_loss_gradients_forward(self, dtype, widths):
-        ref_model, model = self._models(dtype)
-        batch = _dataset_like_pairs(np.random.default_rng(len(widths)), 32, widths)
+    @pytest.mark.parametrize("n_f, widths", [
+        (32, [128] * 16), (32, [128] * 15), (32, [128]),
+        (32, [128, 64, 128, 128, 64, 128, 64, 128]), (32, [37]), (32, [225]), (32, [465]),
+        (64, [128] * 16), (64, [128]), (64, [225])],
+        ids=["full-b16", "full-b15", "full-b1", "full-mixed", "full-37", "full-225",
+             "full-465", "noproj-b16", "noproj-b1", "noproj-225"])
+    def test_loss_gradients_forward(self, dtype, n_f, widths):
+        ref_model, model = self._models(dtype, n_f)
+        batch = _dataset_like_pairs(np.random.default_rng(len(widths)), n_f, widths)
         ref_loss, ref_grads = ref.loss_and_gradients(ref_model, batch)
         loss, grads = loss_and_gradients(model, batch)
         assert loss == ref_loss
