@@ -221,14 +221,17 @@ def cmd_build_dataset(args) -> int:
                                seed=args.seed or 0) if labels else None
     for name, spec in zip(names, specs):
         sra_mod.save_spectrogram(spec, _out_path(args, f"spectrogram_{name}.txt"))
+    path = _out_path(args, "dataset")
     if ds is None:
+        if os.path.isdir(path):     # an empty save removes an older build's files
+            sra_mod.save_dataset(sra_mod.Dataset((), ()), path)
         longest = max((b - a for spec in specs
                        for a, b, dense in sra_mod.runs(~spec.no_data_cols) if dense), default=0)
         print(f"no dataset written: the longest dense run is {longest} frames, and a label "
               f"slice needs {sra_cfg.min_label_frames} (sra.min_label_slice_s = "
-              f"{sra_cfg.min_label_slice_s:g} s)")
+              f"{sra_cfg.min_label_slice_s:g} s); no dataset is left in {path}")
         return 0
-    sra_mod.save_dataset(ds, _out_path(args, "dataset"))
+    sra_mod.save_dataset(ds, path)
     print(f"dataset: {len(ds.train)} train pairs, {len(ds.test)} test pairs "
           f"from {len(labels)} label slices")
     return 0

@@ -3,13 +3,16 @@
 Frame arrivals follow a two-state (on/off) Markov-modulated Poisson process:
 exponentially distributed bursts of traffic separated by exponentially
 distributed gaps, with gaps stretched by the number of contending users.
+After the uniform that picks the first phase, every draw is one standard
+exponential, read in order from one stream: each gap (times the contended
+mean gap), and each burst's dwell (times the mean burst) followed by its
+in-burst spacings (times 1 / rate) up to the first that passes its end.
 BFI reports ride on a small fraction of uplink frames and are additionally
 rate-capped, which makes ul_bfi the sparsest stream.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,8 @@ BFI_THINNING = 0.1
 BFI_RATE_CAP_HZ = 10.0
 BFI_CAP_WINDOW_S = 1.0
 
-# Largest block of in-burst inter-arrival draws made at once.
-_MAX_BLOCK = 4096
+# Standard exponentials drawn ahead at a time, beyond a burst's own slice.
+_READ_AHEAD = 4096
 
 
 @dataclass(frozen=True)
@@ -70,65 +73,53 @@ def generate_arrivals(model: TrafficModel, duration: float) -> SampleTimes:
     rng = np.random.default_rng(np.random.SeedSequence((model.seed, KINDS.index(model.kind))))
     gap_mean = model.mean_gap_s * model.contention_users
     p_on = model.mean_burst_s / (model.mean_burst_s + gap_mean)
+    h = 1.0 / model.rate_in_burst_hz
 
-    shadow = np.random.Generator(type(rng.bit_generator)())
-    arrivals: list[np.ndarray] = []
-    t = 0.0
     on = bool(rng.random() < p_on)
+    ahead = np.random.Generator(type(rng.bit_generator)())
+    ahead.bit_generator.state = rng.bit_generator.state
+    draws = ahead.standard_exponential(_READ_AHEAD)
+    arrivals: list[np.ndarray] = []
+    t, k, read = 0.0, 0, 0          # draws[k] is draw number read + k
     while t < duration:
+        step = (model.mean_burst_s if on else gap_mean) * draws[k]
+        k += 1
         if on:
-            dwell = rng.exponential(model.mean_burst_s)
-            end = min(t + dwell, duration)
-            arrivals.append(_burst(rng, shadow, t, end, 1.0 / model.rate_in_burst_hz))
-            t += dwell
-        else:
-            t += rng.exponential(gap_mean)
+            end = min(t + step, duration)
+            n = int((end - t) / h * 1.25) + 16
+            while True:
+                # two spare draws: the next gap and dwell read draws[k] unchecked
+                if k + n + 2 > draws.size:
+                    more = ahead.standard_exponential(n + _READ_AHEAD)
+                    draws, read, k = np.concatenate((draws[k:], more)), read + k, 0
+                u = h * draws[k:k + n]
+                u[0] += t
+                np.cumsum(u, out=u)
+                i = int(np.searchsorted(u, end, side="left"))
+                if i < n:           # draws[k + i] is the overshoot
+                    break
+                n *= 2
+            arrivals.append(u[:i])
+            k += i + 1
+        t += step
         on = not on
 
     times = np.concatenate(arrivals) if arrivals else np.array([])
     if model.kind == "ul_bfi":
+        rng.standard_exponential(read + k)      # the thinning draws follow
         times = _thin_and_cap(times, rng)
     return SampleTimes(times=times, duration=duration)
 
 
-def _burst(rng: np.random.Generator, shadow: np.random.Generator, t: float,
-           end: float, h: float) -> np.ndarray:
-    """Arrivals u = t + h*E1, u + h*E2, ... below ``end`` of one burst.
-
-    Byte-identical to one ``rng.exponential(h)`` call per arrival plus one
-    for the overshoot: blocks of standard exponentials are drawn from
-    ``shadow`` (set to rng's state), summed by a sequential cumsum, and rng
-    then advances by exactly the draws consumed.
-    """
-    shadow.bit_generator.state = rng.bit_generator.state
-    block = min(int((end - t) / h * 1.25) + 16, _MAX_BLOCK)
-    parts, used = [], 0
-    while True:
-        u = h * shadow.standard_exponential(block)
-        u[0] += t
-        np.cumsum(u, out=u)
-        k = int(np.searchsorted(u, end, side="left"))
-        parts.append(u[:k])
-        if k < block:
-            break
-        used += block
-        t = float(u[-1])
-    rng.standard_exponential(used + k + 1)  # the arrivals and the overshoot
-    return np.concatenate(parts)
-
-
 def _thin_and_cap(times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Keep ~1/10 of arrivals, then enforce the per-second BFI rate cap."""
+    """Keep ~1/10 of arrivals, then enforce the per-second BFI rate cap: an
+    arrival is kept unless the ``limit``-th last kept one is under
+    ``BFI_CAP_WINDOW_S`` older."""
     keep = rng.random(times.size) < BFI_THINNING
-    thinned = times[keep]
     out: list[float] = []
-    window: deque[float] = deque()
     limit = int(BFI_RATE_CAP_HZ * BFI_CAP_WINDOW_S)
-    for t in thinned:
-        while window and t - window[0] >= BFI_CAP_WINDOW_S:
-            window.popleft()
-        if len(window) < limit:
-            window.append(t)
+    for t in times[keep]:
+        if len(out) < limit or t - out[-limit] >= BFI_CAP_WINDOW_S:
             out.append(t)
     return np.array(out)
 

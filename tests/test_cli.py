@@ -564,7 +564,7 @@ class TestSimulatePipeline:
             assert rc == 0
             assert capsys.readouterr().out == (
                 "no dataset written: the longest dense run is 0 frames, and a label slice "
-                "needs 16 (sra.min_label_slice_s = 4 s)\n")
+                f"needs 16 (sra.min_label_slice_s = 4 s); no dataset is left in {out}/dataset\n")
             assert [p.name for p in out.iterdir()] == ["spectrogram_csi_ue0.txt"]
 
     def test_build_dataset_refuses_a_repeated_file_name(self, tmp_path, capsys):
@@ -599,6 +599,28 @@ class TestSimulatePipeline:
         ds = load_dataset(sim / "dataset")
         assert (len(ds.train), len(ds.test)) == (3, 1)
         assert tree_bytes(sim / "dataset") == tree_bytes(fresh / "dataset")
+
+    def test_failed_rebuild_leaves_no_dataset(self, tmp_path, capsys):
+        # a build that writes no dataset removes the previous one, so train
+        # cannot pair its labels with the new link's spectrogram
+        dense, bursty, out = tmp_path / "dense", tmp_path / "bursty", tmp_path / "o"
+        assert run(["simulate", "--duration", 40, "--uniform-rate", 64, "--seed", 1,
+                    "--out", dense]) == 0
+        assert run(["build-dataset", "--csi", dense / "csi_ue0.csv", dense / "csi_ue1.csv",
+                    "--duration", 40, "--out", out]) == 0
+        assert len(list((out / "dataset" / "train").iterdir())) == 4
+        assert run(["simulate", "--duration", 20, "--traffic-kind", "dl-csi", "--seed", 1,
+                    "--out", bursty]) == 0
+        (out / "dataset" / "test" / "notes.txt").write_text("kept\n")
+        capsys.readouterr()
+        assert run(["build-dataset", "--csi", bursty / "csi_ue0.csv", "--duration", 20,
+                    "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("no dataset written: ")
+        assert sorted(p.name for p in (out / "dataset").rglob("*.*")) == ["notes.txt"]
+        assert run(["train", "--dataset", out / "dataset", "--epochs", 1,
+                    "--out", out / "tr"]) == 1
+        assert error_line(capsys).startswith("error: empty train split: ")
+        assert not (out / "tr").exists()
 
     def test_rebuild_removes_an_old_format_dataset(self, tmp_path, capsys):
         # a pair-format NNNN.x (a table) left in --out made train refuse the

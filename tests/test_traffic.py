@@ -1,14 +1,17 @@
 """Arrival-process tests: burst/gap statistics, the BFI rate cap."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfsense.traffic import (_MAX_BLOCK, KINDS, TrafficModel, _burst, _thin_and_cap,
-                             generate_arrivals, max_rate_in_window)
+from nfsense import traffic
+from nfsense.traffic import (BFI_CAP_WINDOW_S, BFI_RATE_CAP_HZ, BFI_THINNING, KINDS,
+                             TrafficModel, _thin_and_cap, generate_arrivals,
+                             max_rate_in_window)
 
 
 def windowed_counts(times, duration: float, window_s: float) -> np.ndarray:
@@ -27,6 +30,29 @@ def burstiness_index(times, duration: float, window_s: float = 0.1) -> float:
     if mean == 0:
         return 0.0
     return float(counts.var() / mean)
+
+
+def cap_loop(times, rng):
+    """BFI thinning, then the rate cap as a sliding window of the kept
+    arrivals under one window old: the oracle of ``_thin_and_cap``."""
+    keep = rng.random(times.size) < BFI_THINNING
+    out = []
+    window = deque()
+    limit = int(BFI_RATE_CAP_HZ * BFI_CAP_WINDOW_S)
+    for t in times[keep]:
+        while window and t - window[0] >= BFI_CAP_WINDOW_S:
+            window.popleft()
+        if len(window) < limit:
+            window.append(t)
+            out.append(t)
+    return np.array(out)
+
+
+class KeepAll:
+    """A thinning source that keeps every arrival."""
+
+    def random(self, n):
+        return np.zeros(n)
 
 
 def arrivals_loop(model, duration):
@@ -51,7 +77,7 @@ def arrivals_loop(model, duration):
         on = not on
     times = np.array(arrivals)
     if model.kind == "ul_bfi":
-        times = _thin_and_cap(times, rng)
+        times = cap_loop(times, rng)
     return times
 
 
@@ -139,31 +165,73 @@ class TestBlockDrawsMatchLoop:
                 want = arrivals_loop(model, duration)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    # Per kind, a 4 s run with a burst that has more arrivals than its first
+    # slice holds (seeds found by counting over seeds 0..29999), and 2 s
+    # bursts at 20 kHz, whose slices outgrow the draws read ahead.
     @pytest.mark.parametrize("kind", KINDS)
     def test_bursts_spanning_several_blocks(self, kind):
-        model = TrafficModel(kind=kind, rate_in_burst_hz=20000.0, mean_burst_s=2.0, seed=5)
-        got = generate_arrivals(model, 10.0).times
-        assert got.tobytes() == arrivals_loop(model, 10.0).tobytes()
-        if kind != "ul_bfi":
-            # in-burst gaps above 5 ms have odds e^-100: longer gaps split bursts
-            cuts = np.flatnonzero(np.diff(got) > 5e-3)
-            assert np.diff(np.concatenate([[0], cuts, [got.size]])).max() > 2 * _MAX_BLOCK
+        seed = {"ul_csi": 10333, "dl_csi": 29549, "ul_bfi": 22234}[kind]
+        for model, duration in (
+                (TrafficModel(kind=kind, rate_in_burst_hz=1000.0, mean_burst_s=0.06,
+                              mean_gap_s=0.2, seed=seed), 4.0),
+                (TrafficModel(kind=kind, rate_in_burst_hz=20000.0, mean_burst_s=2.0,
+                              seed=5), 10.0)):
+            got = generate_arrivals(model, duration).times
+            assert got.tobytes() == arrivals_loop(model, duration).tobytes()
 
+    def test_grown_slice_outgrows_the_read_ahead(self):
+        # at 58.6 s a burst outgrows its first slice, and the doubled slice
+        # runs past the draws read ahead (the one seed of 0..2999 found)
+        model = TrafficModel(kind="dl_csi", rate_in_burst_hz=1000.0, mean_burst_s=0.06,
+                             mean_gap_s=0.001, seed=312)
+        got = generate_arrivals(model, 60.0).times
+        assert got.tobytes() == arrivals_loop(model, 60.0).tobytes()
+
+    @pytest.mark.parametrize("read_ahead", [2, 3, 17])
+    def test_read_ahead_size_changes_nothing(self, monkeypatch, read_ahead):
+        # a short read-ahead makes most bursts and gaps draw more
+        monkeypatch.setattr(traffic, "_READ_AHEAD", read_ahead)
+        for kind in KINDS:
+            for seed in range(4):
+                model = TrafficModel(kind=kind, rate_in_burst_hz=200.0, seed=seed)
+                got = generate_arrivals(model, 20.0).times
+                assert got.tobytes() == arrivals_loop(model, 20.0).tobytes()
 
     def test_burst_ending_exactly_on_an_arrival(self):
-        # an arrival equal to the burst end is the overshoot, not an arrival
-        h, t = 1e-3, 0.25
-        probe = np.random.default_rng(3)
-        u = [t + probe.exponential(h)]
-        for _ in range(60):
-            u.append(u[-1] + probe.exponential(h))
-        for j in (0, 1, 17, 60):
-            rng = np.random.default_rng(3)
-            got = _burst(rng, np.random.default_rng(), t, u[j], h)
-            assert got.tobytes() == np.array(u[:j]).tobytes()
-            after = np.random.default_rng(3)
-            after.standard_exponential(j + 1)  # j arrivals and the overshoot
-            assert rng.random() == after.random()
+        # a window that ends on an in-burst arrival makes it the overshoot:
+        # the arrivals before it are kept and it is not
+        for kind in ("dl_csi", "ul_csi"):
+            model = TrafficModel(kind=kind, seed=3)
+            longer = arrivals_loop(model, 5.0)
+            starts = np.flatnonzero(np.diff(longer) > 0.05) + 1   # after a gap
+            for j in (0, 1, 17, starts[0] - 1, starts[0], starts[0] + 1, longer.size - 1):
+                got = generate_arrivals(model, float(longer[j])).times
+                assert got.tobytes() == longer[:j].tobytes()
+                assert got.tobytes() == arrivals_loop(model, float(longer[j])).tobytes()
+
+
+class TestRateCap:
+    @pytest.mark.parametrize("before, kept", [(False, 11), (True, 10)])
+    def test_window_edge(self, before, kept):
+        # the 11th arrival falls exactly one window after the 10th-last kept
+        # one, or one ulp before that: kept in the first case only
+        times = 0.25 + np.arange(10) / 64
+        edge = 0.25 + BFI_CAP_WINDOW_S
+        times = np.append(times, np.nextafter(edge, 0.0) if before else edge)
+        got = _thin_and_cap(times, KeepAll())
+        assert got.tobytes() == cap_loop(times, KeepAll()).tobytes()
+        assert got.size == kept
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_window_oracle(self, seed):
+        # dyadic times a whole window apart, and one ulp before that, are common
+        rng = np.random.default_rng(seed)
+        grid = np.unique(rng.integers(0, 64 * 20, 900)) / 64
+        times = np.unique(np.concatenate([grid, np.nextafter(grid[::3], 0.0)]))
+        for thin in (KeepAll, lambda: np.random.default_rng(seed)):
+            got = _thin_and_cap(times, thin())
+            assert got.tobytes() == cap_loop(times, thin()).tobytes()
+            assert max_rate_in_window(got, BFI_CAP_WINDOW_S) <= BFI_RATE_CAP_HZ
 
 
 class TestModelValidation:
