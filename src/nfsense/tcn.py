@@ -48,7 +48,7 @@ class TcnConfig:
     n_f: int = 32
     n_c: int = 64
     kernel_len: int = 5
-    dilations: tuple[int, ...] = (1, 2, 4, 8)
+    dilations: tuple[int, ...] = (1, 2, 4)
     bottleneck_dim: int = 16
     seed: int = 0
 
@@ -491,6 +491,7 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
     ws = _Workspace(model.dtype)
     m_state = model.zeros_like_params()
     v_state = model.zeros_like_params()
+    b1, b2 = tcfg.beta1, tcfg.beta2
     step = 0
     history: list[EpochStats] = []
     for epoch in range(tcfg.epochs):
@@ -505,20 +506,31 @@ def train(model: TcnModel, train_set: Sequence[tuple[np.ndarray, np.ndarray]],
                 raise TrainingDiverged(epoch)
             epoch_loss += mse
             n_batches += 1
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            gnorm = math.sqrt(sum(float(np.sum(np.multiply(g, g, out=ws.get("adam_a", g.shape))))
+                                  for g in grads.values()))
             if tcfg.grad_clip > 0 and gnorm > tcfg.grad_clip:
                 scale = tcfg.grad_clip / gnorm
                 for g in grads.values():
                     g *= scale
             step += 1
-            bc1 = 1.0 - tcfg.beta1 ** step
-            bc2 = 1.0 - tcfg.beta2 ** step
+            bc1 = 1.0 - b1 ** step
+            bc2 = 1.0 - b2 ** step
             for name, g in grads.items():
-                m_state[name] = tcfg.beta1 * m_state[name] + (1.0 - tcfg.beta1) * g
-                v_state[name] = tcfg.beta2 * v_state[name] + (1.0 - tcfg.beta2) * g * g
-                m_hat = m_state[name] / bc1
-                v_hat = v_state[name] / bc2
-                model.params[name] -= tcfg.lr * m_hat / (np.sqrt(v_hat) + tcfg.eps)
+                # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+                # p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps): the same bits
+                m, v = m_state[name], v_state[name]
+                a, b = ws.get("adam_a", g.shape), ws.get("adam_b", g.shape)
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=a)
+                v *= b2
+                np.multiply(1.0 - b2, g, out=b)
+                v += np.multiply(b, g, out=b)
+                np.divide(m, bc1, out=a)
+                a *= tcfg.lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += tcfg.eps
+                model.params[name] -= np.divide(a, b, out=a)
         train_mse = epoch_loss / max(n_batches, 1)
         test_mse = evaluate_mse(model, test_set, workspace=ws)
         history.append(EpochStats(epoch=epoch, train_mse=train_mse, test_mse=test_mse))

@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or test group) per criterion, each printing a
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -s`` to see the
-lines as they complete; this file takes about 5 s on a 2-core machine, a
-quarter of it in the entropy-ordering criterion.
+lines as they complete; this file takes about 19 s on a 2-core machine,
+about 15 s of it in building and training criterion 4's models.
 
 Two sub-assertions are expected failures (strict xfail): the paper's own
 formulas place the minimum-spacing curve slightly outside the spec'd band at
@@ -219,6 +219,118 @@ class TestCriterion3Gradients:
                + f"; {elapsed:.1f} s")
         assert max(worst_by_type.values()) < 1e-4
         assert elapsed < 30.0
+
+
+# ---------------------------------------------------------------------------
+# criterion 4: learned recovery beats interpolation, on scenes never trained on
+
+RECOVERY_SEEDS = (1, 2, 3)      # TCN init and shuffling seeds
+RECOVERY_EPOCHS = 60
+
+
+def hidden_columns(x):
+    """The columns an input hides: every row holds the sentinel there."""
+    return np.all(x == sra.NO_DATA_SENTINEL, axis=0)
+
+
+def interpolate_hidden(x):
+    """The baseline: each row's hidden columns filled by np.interp across the
+    shown ones, so held flat before the first and after the last shown one."""
+    hidden = hidden_columns(x)
+    cols = np.arange(x.shape[1])
+    out = x.copy()
+    for row, values in zip(out, x):
+        row[hidden] = np.interp(cols[hidden], cols[~hidden], values[~hidden])
+    return out
+
+
+def masked_mse(pairs, recover):
+    """Mean over pairs of the MSE between recover(input), clipped to [0, 1], and
+    the label on the input's hidden columns.  A pair that hides no column has
+    nothing to recover and is left out; with no such pair at all it is nan."""
+    per_pair = []
+    for x, y in pairs:
+        hidden = hidden_columns(x)
+        if hidden.any():
+            out = np.clip(recover(x), 0.0, 1.0)
+            per_pair.append(float(np.mean((out[:, hidden] - y[:, hidden]) ** 2)))
+    return float(np.mean(per_pair)) if per_pair else math.nan
+
+
+def dense_scene_dataset(seed, duration=240.0):
+    """Demo scene ``seed``'s four links rendered at 64 Hz, cut into 128-frame
+    labels every 96 frames, each with three masked copies (the CLI defaults)."""
+    scene = demo_scene(seed=seed)
+    times = np.arange(int(duration * 64) + 1) / 64.0
+    cfg = sra.SraConfig()
+    labels = [label for user in scene.users
+              for label in sra.extract_label_slices(sra.process_series(
+                  scn_mod.render_csi(scene, user.user_id, times), cfg, duration), cfg)]
+    return sra.build_dataset(sra.chop_labels(labels, 128, 96), 3, 0.3, 8.0, 0.7, seed=1)
+
+
+@pytest.fixture(scope="session")
+def recovery():
+    """Scene 1's dataset, a default float32 TCN trained on its train split per
+    seed, and the test sets: scene 1's test split and every pair of the
+    held-out scenes 2 and 3.  Built once for every test that reads them."""
+    t0 = time.time()
+    scenes = {seed: dense_scene_dataset(seed) for seed in (1, 2, 3)}
+    train_set = scenes[1].train
+    models = {}
+    for seed in RECOVERY_SEEDS:
+        model = tcn.TcnModel.initialize(tcn.TcnConfig(seed=seed), dtype=np.float32)
+        models[seed], _ = tcn.train(model, train_set,
+                                    tcfg=tcn.TrainConfig(epochs=RECOVERY_EPOCHS, seed=seed))
+    return {"train": train_set,
+            "tests": {"scene 1 test split": scenes[1].test,
+                      "scene 2": scenes[2].train + scenes[2].test,
+                      "scene 3": scenes[3].train + scenes[3].test},
+            "models": models,
+            "build_s": time.time() - t0}
+
+
+class TestCriterion4LearnedRecovery:
+    def test_tcn_beats_interpolation_on_every_seed(self, recovery):
+        tests = recovery["tests"]
+        interp = {name: masked_mse(pairs, interpolate_hidden) for name, pairs in tests.items()}
+        tcn_mse = {(seed, name): masked_mse(pairs, lambda x: tcn.forward(model, x))
+                   for seed, model in recovery["models"].items()
+                   for name, pairs in tests.items()}
+        ok = all(mse < interp[name] for (_, name), mse in tcn_mse.items())
+        report("4 learned recovery beats interpolation", ok,
+               f"{len(recovery['train'])} train pairs, {RECOVERY_EPOCHS} epochs; masked MSE "
+               + "; ".join(f"{name} ({len(tests[name])} pairs): interpolation {interp[name]:.5f}, "
+                           + ", ".join(f"seed {seed} {tcn_mse[seed, name]:.5f}"
+                                       for seed in recovery["models"])
+                           for name in tests)
+               + f"; data and training {recovery['build_s']:.1f} s")
+        assert ok
+
+
+class TestCriterion4Scorer:
+    def test_linear_row_across_a_hole_scores_zero_for_interpolation(self):
+        # dyadic values on a line: np.interp reproduces them exactly
+        label = (np.arange(4)[:, None] + np.arange(16)[None, :]) / 256.0
+        hidden = np.zeros(16, bool)
+        hidden[5:9] = hidden[11] = True
+        x = np.where(hidden, sra.NO_DATA_SENTINEL, label)
+        assert np.array_equal(hidden_columns(x), hidden)
+        assert masked_mse([(x, label)], interpolate_hidden) == 0.0
+
+    def test_output_clipped_to_unit_range_before_scoring(self):
+        label = np.array([[1.0, 0.5, 0.0, 0.5]])
+        x = np.array([[sra.NO_DATA_SENTINEL] * 3 + [0.5]])
+        # 3 and -2 clip onto the label; 7 clips to 1, 0.5 off
+        out = np.array([[3.0, 7.0, -2.0, 99.0]])
+        assert masked_mse([(x, label)], lambda _: out) == pytest.approx(0.25 / 3)
+
+    def test_pair_hiding_no_column_is_left_out(self):
+        label = np.full((2, 6), 0.5)
+        hiding = np.where(np.arange(6) == 2, sra.NO_DATA_SENTINEL, label)
+        recover = lambda x: np.zeros_like(x)       # 0.25 off on every column
+        assert masked_mse([(hiding, label), (label, label)], recover) == 0.25
+        assert math.isnan(masked_mse([(label, label)], recover))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestConfig:
         "traffic.rate_in_burst_hz": 1000.0, "traffic.contention_users": 1,
         "sra.dt": 0.1, "sra.n_nsp": 2, "sra.f_rs": 64.0, "sra.f_cut": 1.0, "sra.n_f": 32,
         "sra.fft_len": 256, "sra.hop": 16, "sra.min_label_slice_s": 4.0,
-        "tcn.n_c": 64, "tcn.kernel_len": 5, "tcn.dilations": (1, 2, 4, 8),
+        "tcn.n_c": 64, "tcn.kernel_len": 5, "tcn.dilations": (1, 2, 4),
         "tcn.bottleneck_dim": 16,
         "train.lr": 1e-3, "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
         "train.batch_size": 16, "train.epochs": 30, "train.grad_clip": 5.0,

@@ -90,7 +90,7 @@ class TestConfig:
             TrainConfig(beta1=0.999, beta2=0.9)
 
     def test_block_count_is_the_dilation_count(self):
-        assert TcnConfig().n_blocks == 4
+        assert TcnConfig().n_blocks == 3
         assert TcnConfig(dilations=(1, 2)).n_blocks == 2
         assert TcnConfig(dilations=(2,)).n_blocks == 1
 
@@ -100,7 +100,7 @@ class TestConfig:
             assert sum(v.size for v in params.values()) == param_count(cfg)
 
     def test_receptive_field_formula(self):
-        assert block_stack_receptive_field(TcnConfig()) == 121
+        assert block_stack_receptive_field(TcnConfig()) == 57
 
 
 class TestDilatedConv:
