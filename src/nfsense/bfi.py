@@ -123,19 +123,14 @@ def phase_normalize(v: BeamformingMatrix) -> BeamformingMatrix:
 class BfiReport:
     """Angle-encoded beamforming feedback for one subcarrier.
 
-    ``b_phi``/``b_psi`` are quantizer bit widths; 0 means no quantization
-    (exact angles, used by analysis code).  ``phi_codes``/``psi_codes`` hold
-    the integer cell indices when quantized.
+    The angles are exact, or the midpoints of their quantizer cells when
+    :func:`compress` was given bit widths.
     """
 
     n_tx: int
     n_cols: int
-    b_phi: int
-    b_psi: int
     phi_angles: np.ndarray
     psi_angles: np.ndarray
-    phi_codes: np.ndarray | None = None
-    psi_codes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n_phi, n_psi = angle_counts(self.n_tx, self.n_cols)
@@ -144,14 +139,6 @@ class BfiReport:
                 f"angle counts {len(self.phi_angles)}/{len(self.psi_angles)} do not match "
                 f"the Givens decomposition of a {self.n_tx}x{self.n_cols} matrix "
                 f"({n_phi} phi, {n_psi} psi)")
-        if self.b_phi:
-            if self.phi_codes is None or (self.phi_codes < 0).any() or \
-                    (self.phi_codes >= 2 ** self.b_phi).any():
-                raise ValueError("phi codes out of range for the stated bit width")
-        if self.b_psi:
-            if self.psi_codes is None or (self.psi_codes < 0).any() or \
-                    (self.psi_codes >= 2 ** self.b_psi).any():
-                raise ValueError("psi codes out of range for the stated bit width")
 
 
 def angle_counts(n_tx: int, n_cols: int) -> tuple[int, int]:
@@ -160,12 +147,12 @@ def angle_counts(n_tx: int, n_cols: int) -> tuple[int, int]:
     return n, n                              # one psi per phi
 
 
-def _quantize(angles: np.ndarray, bits: int, span: float) -> tuple[np.ndarray, np.ndarray]:
+def _quantize(angles: np.ndarray, bits: int, span: float) -> np.ndarray:
     """Midpoint quantization of angles in [0, span) to 2^bits uniform cells."""
     cells = 2 ** bits
     width = span / cells
     codes = [min(max(math.floor(a % span / width), 0), cells - 1) for a in angles.tolist()]
-    return np.array(codes, dtype=int), np.array([(c + 0.5) * width for c in codes])
+    return np.array([(c + 0.5) * width for c in codes])
 
 
 def extract_angles(v: BeamformingMatrix, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,14 +198,11 @@ def compress(v: BeamformingMatrix, b_phi: int = 6, b_psi: int = 4,
     if (abs(last_row.imag) > 1e-9).any():
         raise ValueError("input is not phase-normalized: last row has imaginary parts")
     phis, psis = extract_angles(v, n_cols)
-    phi_codes = psi_codes = None
     if b_phi:
-        phi_codes, phis = _quantize(phis, b_phi, 2.0 * math.pi)
+        phis = _quantize(phis, b_phi, 2.0 * math.pi)
     if b_psi:
-        psi_codes, psis = _quantize(psis, b_psi, math.pi / 2.0)
-    return BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=b_phi, b_psi=b_psi,
-                     phi_angles=phis, psi_angles=psis,
-                     phi_codes=phi_codes, psi_codes=psi_codes)
+        psis = _quantize(psis, b_psi, math.pi / 2.0)
+    return BfiReport(n_tx=n_tx, n_cols=n_cols, phi_angles=phis, psi_angles=psis)
 
 
 def decompress(report: BfiReport) -> BeamformingMatrix:

@@ -20,6 +20,7 @@ from . import kvtext
 from .geometry import RadioConfig
 
 _N_SEARCH_CAP = 1_000_000
+_DD_REL_TOL = 1e-12            # the delta-d_min bisection's relative stopping width
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,13 @@ def delta_d_min(q: CapacityQuery, params: FitParams = DEFAULT_FIT) -> float:
     return dd
 
 
-def _dd_min_search(qs: Sequence[CapacityQuery], rel_tol: float = 1e-12) -> list[float]:
+def _dd_min_search(qs: Sequence[CapacityQuery]) -> list[float]:
     """Exact delta-d_min of every query (all share ``cfg`` and K): one bisection.
 
     VIR >= beta <=> mirror series(phi) <= rhs, and the series decreases in
     phi.  Per query: NaN when infeasible even at the largest phi, the floor
     phi = 1e-12 when that already clears rhs, else bisect until
-    (hi - lo) <= rel_tol * hi; a query that stops is left alone after.
+    (hi - lo) <= _DD_REL_TOL * hi; a query that stops is left alone after.
     """
     k, alpha = qs[0].K, qs[0].cfg.alpha
     live, rhs = _search_rhs(qs, 2.0)
@@ -234,17 +235,17 @@ def _dd_min_search(qs: Sequence[CapacityQuery], rel_tol: float = 1e-12) -> list[
         below = _mirror_sums(k, mid, alpha) <= rhs[idx]
         hi[idx[below]] = mid[below]
         lo[idx[~below]] = mid[~below]
-        idx = idx[(hi[idx] - lo[idx]) > rel_tol * hi[idx]]
+        idx = idx[(hi[idx] - lo[idx]) > _DD_REL_TOL * hi[idx]]
     return [2.0 * q.r * math.sin(phi / 2.0) if ok else math.nan
             for q, phi, ok in zip(qs, hi.tolist(), live.tolist())]
 
 
-def delta_d_min_exact(q: CapacityQuery, rel_tol: float = 1e-12) -> float:
+def delta_d_min_exact(q: CapacityQuery) -> float:
     """Bisection companion of :func:`delta_d_min` using the direct series.
 
     The one-query case of the sweep search :func:`capacity_curve` runs.
     """
-    return _dd_min_search([q], rel_tol)[0]
+    return _dd_min_search([q])[0]
 
 
 @dataclass(frozen=True)

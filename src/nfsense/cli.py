@@ -27,6 +27,7 @@ from . import traffic as traffic_mod
 from .config import RunConfig, load_config
 
 TRAFFIC_FLAG_TO_KIND = {"ul-csi": "ul_csi", "dl-csi": "dl_csi", "ul-bfi": "ul_bfi"}
+_DEMO_NOISE_STD = 2e-5         # the built-in demo scene's CSI noise
 
 
 def _load_run_config(args) -> RunConfig:
@@ -83,19 +84,29 @@ def _finite_float(above: float = -math.inf, inclusive: bool = False):
 
 
 def _floats(metavar: str):
-    """argparse type: the numbers of ``metavar``'s fields, e.g. ``X,Y`` or ``X0:Y0:X1:Y1``."""
+    """argparse type: the finite numbers of ``metavar``'s fields, e.g. ``X,Y``."""
     sep = "," if "," in metavar else ":"
     n = metavar.count(sep) + 1
 
     def fields(text: str) -> tuple[float, ...]:
-        parts = text.split(sep)
         try:
-            if len(parts) == n:
-                return tuple(float(v) for v in parts)
+            values = tuple(float(v) for v in text.split(sep))
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {metavar} ({n} numbers), got {text!r}")
+            values = ()
+        if len(values) != n:
+            raise argparse.ArgumentTypeError(f"expected {metavar} ({n} numbers), got {text!r}")
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        return values
     return fields
+
+
+def _sweep(text: str) -> tuple[float, float, float]:
+    """argparse type of ``capacity --r``: START:STOP:STEP, STEP > 0 and STOP >= START."""
+    start, stop, step = _floats("START:STOP:STEP")(text)
+    if not (step > 0 and stop >= start):
+        raise argparse.ArgumentTypeError(f"must have STEP > 0 and STOP >= START, got {text!r}")
+    return start, stop, step
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +149,7 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def demo_scene(seed: int = 0, noise_std: float = 2e-5) -> scene_mod.Scene:
+def demo_scene(seed: int = 0) -> scene_mod.Scene:
     """Four users around a central AP, 2 m apart, UEs in the near field.
 
     Each UE sits 0.15 m from its subject, tangentially to the AP ray: chest
@@ -161,7 +172,7 @@ def demo_scene(seed: int = 0, noise_std: float = 2e-5) -> scene_mod.Scene:
             motion=scene_mod.MotionProfile.respiration(rates[i], 0.005, holds)))
     return scene_mod.Scene(ap=geo.Point2D(0.0, 0.0), users=tuple(users),
                            cfg=radio, baseline_observer=geo.Point2D(0.5, 0.0),
-                           noise_std=noise_std, seed=seed)
+                           noise_std=_DEMO_NOISE_STD, seed=seed)
 
 
 def cmd_simulate(args) -> int:
@@ -268,6 +279,11 @@ def cmd_train(args) -> int:
 def cmd_recover(args) -> int:
     model = tcn_mod.load_model(args.model)
     spec = sra_mod.load_spectrogram(args.spectrogram)
+    if spec.n_f != model.config.n_f:
+        raise ValueError(
+            f"{args.spectrogram} has {spec.n_f} frequency rows, but {args.model} was trained "
+            f"on {model.config.n_f}: rebuild the spectrogram with sra.n_f={model.config.n_f}, "
+            f"or retrain the model on a dataset built with sra.n_f={spec.n_f}")
     recovered = np.clip(tcn_mod.forward(model, spec.data), 0.0, 1.0)
     out = dataclasses.replace(spec, data=recovered, no_data_cols=np.zeros(spec.n_t, dtype=bool))
     sra_mod.save_spectrogram(out, _out_path(args, "recovered.txt"))
@@ -287,6 +303,10 @@ def cmd_eval(args) -> int:
     if args.recovered:
         rec = sra_mod.load_spectrogram(args.recovered)
         tru = sra_mod.load_spectrogram(args.truth)
+        if rec.data.shape != tru.data.shape:
+            raise ValueError(f"--recovered {args.recovered} is {rec.n_f} x {rec.n_t} but "
+                             f"--truth {args.truth} is {tru.n_f} x {tru.n_t}: pass as --truth "
+                             "the spectrogram the recovery was run on")
         rows.append(("recovery_mse", f"{met.recovery_mse(rec, tru):.9e}"))
     for label, path in (("near", args.spectrogram), ("baseline", args.baseline_spectrogram)):
         if not path:
@@ -415,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, key in (("--alpha", "radio.alpha"), ("--beta", "capacity.beta"),
                       ("--delta-r", "capacity.delta_r"), ("--k", "capacity.k")):
         _set_alias(p, flag, key)
-    p.add_argument("--r", type=_floats("START:STOP:STEP"), default="0.3:4.0:0.01",
+    p.add_argument("--r", type=_sweep, default="0.3:4.0:0.01",
                    metavar="START:STOP:STEP")
     p.set_defaults(func=cmd_capacity)
 

@@ -43,7 +43,6 @@ class Decision:
     admitted: bool
     reason: str = ""
     f_cut_hz: float = 0.0
-    min_vir: float = math.inf
 
 
 @dataclass
@@ -54,8 +53,6 @@ class Registry:
     cfg: RadioConfig
     beta: float
     delta_r: float = 0.1
-    # Motion intensity (m/s) per type for the VIRs; a type not listed counts as 1.0.
-    intensities: dict[str, float] = field(default_factory=dict)
     members: dict[str, Registration] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -76,23 +73,19 @@ class Registry:
 
         Each Mover is built once per call, and a UE only when its VIR is asked for.
         """
-        movers = [Mover(reg.position, self.intensities.get(reg.motion_type, 1.0))
-                  for reg in population]
+        movers = [Mover(reg.position, 1.0) for reg in population]
         for reg, mover in zip(population, movers):
             yield reg, vir(self.cfg, self.ap, self._ue_of(reg.position), mover,
                            [m for o, m in zip(population, movers) if o.user_id != reg.user_id])
 
-    def pairwise_feasible(self, candidate: Registration) -> tuple[bool, float, str]:
-        """Check every member's VIR (and the candidate's) with the candidate added."""
+    def pairwise_feasible(self, candidate: Registration) -> str:
+        """Why some member (or the candidate) fails its VIR with the candidate added, or ""."""
         population = list(self.members.values()) + [candidate]
-        worst = math.inf
         for reg, ratio in self._virs(population):
-            worst = min(worst, ratio)
             if ratio < self.beta:
-                return False, worst, (
-                    f"pairwise VIR: user {reg.user_id!r} would see VIR "
-                    f"{ratio:.3g} < beta {self.beta:.3g}")
-        return True, worst, ""
+                return (f"pairwise VIR: user {reg.user_id!r} would see VIR "
+                        f"{ratio:.3g} < beta {self.beta:.3g}")
+        return ""
 
     def capacity_limit(self, candidate: Registration) -> int:
         """Exact radial-layout bound at the farthest occupied radius."""
@@ -110,19 +103,17 @@ class Registry:
         d = self.ap.distance(reg.position)
         if d <= 0:
             raise ValueError("candidate position coincides with the AP")
-        ok, worst, why = self.pairwise_feasible(reg)
-        if not ok:
-            return Decision(admitted=False, reason=why, min_vir=worst)
+        why = self.pairwise_feasible(reg)
+        if why:
+            return Decision(admitted=False, reason=why)
         limit = self.capacity_limit(reg)
         count_after = len(self.members) + 1
         # The radial-layout bound only constrains populations of >= 3.
         if count_after >= 3 and count_after > limit:
-            return Decision(admitted=False, min_vir=worst,
-                            reason=f"capacity: {count_after} users exceed N_max={limit} "
-                                   f"at radius {d:.3g} m")
+            return Decision(admitted=False, reason=f"capacity: {count_after} users exceed "
+                                                   f"N_max={limit} at radius {d:.3g} m")
         self.members[reg.user_id] = reg
-        return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[reg.motion_type].f_cut,
-                        min_vir=worst)
+        return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[reg.motion_type].f_cut)
 
     def deregister(self, user_id: str) -> None:
         if user_id not in self.members:

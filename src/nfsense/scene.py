@@ -71,20 +71,6 @@ class MotionProfile:
         return cls(kind="respiration", rate_bpm=rate_bpm, amplitude_m=amplitude_m,
                    holds=tuple(tuple(h) for h in holds))
 
-    @classmethod
-    def still(cls) -> "MotionProfile":
-        return cls(kind="still")
-
-    @classmethod
-    def gesture(cls, rms_speed: float = 0.3, bandwidth_hz: float = 5.0,
-                seed: int = 0) -> "MotionProfile":
-        return cls(kind="gesture", rms_speed=rms_speed, bandwidth_hz=bandwidth_hz, seed=seed)
-
-    @classmethod
-    def activity(cls, rms_speed: float = 1.0, bandwidth_hz: float = 15.0,
-                 seed: int = 0) -> "MotionProfile":
-        return cls(kind="activity", rms_speed=rms_speed, bandwidth_hz=bandwidth_hz, seed=seed)
-
 
 def _bandlimited_components(profile: MotionProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded sinusoid bank realizing the band-limited displacement process."""

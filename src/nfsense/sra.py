@@ -380,7 +380,7 @@ def process_series(series: CsiSeries, cfg: SraConfig,
 
 
 def make_mask(n_frames: int, target_missing_fraction: float,
-              mean_run_frames: float, rng: np.random.Generator | int = 0) -> np.ndarray:
+              mean_run_frames: float, rng: np.random.Generator) -> np.ndarray:
     """Bursty boolean column mask (True = missing) from a two-state chain.
 
     The stationary missing probability equals the target fraction and missing
@@ -390,8 +390,6 @@ def make_mask(n_frames: int, target_missing_fraction: float,
         raise ValueError(f"fraction must be in [0, 1], got {target_missing_fraction}")
     if mean_run_frames <= 0:
         raise ValueError(f"mean_run_frames must be > 0, got {mean_run_frames}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     mask = np.zeros(n_frames, dtype=bool)
     f = target_missing_fraction
     if f == 0.0:

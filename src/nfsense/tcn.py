@@ -149,9 +149,6 @@ class TcnModel:
     def zeros_like_params(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def copy(self) -> "TcnModel":
-        return TcnModel(config=self.config, params={k: v.copy() for k, v in self.params.items()})
-
     @property
     def dtype(self):
         return next(iter(self.params.values())).dtype

@@ -93,14 +93,11 @@ def compress(v: BeamformingMatrix, b_phi: int = 6, b_psi: int = 4,
     if np.max(np.abs(last_row.imag)) > 1e-9:
         raise ValueError("input is not phase-normalized: last row has imaginary parts")
     phis, psis = extract_angles(v, n_cols)
-    phi_codes = psi_codes = None
     if b_phi:
         phi_codes, phis = _quantize(phis, b_phi, 2.0 * math.pi)
     if b_psi:
         psi_codes, psis = _quantize(psis, b_psi, math.pi / 2.0)
-    return BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=b_phi, b_psi=b_psi,
-                     phi_angles=phis, psi_angles=psis,
-                     phi_codes=phi_codes, psi_codes=psi_codes)
+    return BfiReport(n_tx=n_tx, n_cols=n_cols, phi_angles=phis, psi_angles=psis)
 
 
 def decompress(report: BfiReport) -> BeamformingMatrix:

@@ -149,13 +149,13 @@ class TestCompressDecompress:
     def test_identity_round_trip(self):
         v = BeamformingMatrix(np.eye(3, dtype=complex))
         rep = compress(v, b_phi=6, b_psi=4)
-        assert np.all(rep.phi_codes == 0)
-        assert np.all(rep.psi_codes == 0)
+        # every angle is 0, so each sits at its first cell's midpoint
+        assert np.all(rep.phi_angles == 0.5 * 2 * math.pi / 2 ** 6)
+        assert np.all(rep.psi_angles == 0.5 * (math.pi / 2) / 2 ** 4)
 
     def test_zero_angle_report_gives_identity(self):
         n_phi, n_psi = angle_counts(3, 3)
-        rep = BfiReport(n_tx=3, n_cols=3, b_phi=0, b_psi=0,
-                        phi_angles=np.zeros(n_phi), psi_angles=np.zeros(n_psi))
+        rep = BfiReport(n_tx=3, n_cols=3, phi_angles=np.zeros(n_phi), psi_angles=np.zeros(n_psi))
         assert np.allclose(decompress(rep).v, np.eye(3), atol=1e-14)
 
     def test_exact_round_trip(self):
@@ -210,8 +210,7 @@ class TestCompressDecompress:
 
     def test_malformed_angle_counts_rejected(self):
         with pytest.raises(ValueError):
-            BfiReport(n_tx=3, n_cols=3, b_phi=0, b_psi=0,
-                      phi_angles=np.zeros(2), psi_angles=np.zeros(3))
+            BfiReport(n_tx=3, n_cols=3, phi_angles=np.zeros(2), psi_angles=np.zeros(3))
 
 
 class TestApplyMotion:
@@ -334,12 +333,9 @@ def same_bytes(a, b):
 
 
 def same_reports(a, b):
-    fields = ("n_tx", "n_cols", "b_phi", "b_psi")
-    arrays = ("phi_angles", "psi_angles", "phi_codes", "psi_codes")
-    return (all(getattr(a, f) == getattr(b, f) for f in fields)
-            and all(getattr(a, f) is None is getattr(b, f) or same_bytes(getattr(a, f),
-                                                                          getattr(b, f))
-                    for f in arrays))
+    return (a.n_tx == b.n_tx and a.n_cols == b.n_cols
+            and same_bytes(a.phi_angles, b.phi_angles)
+            and same_bytes(a.psi_angles, b.psi_angles))
 
 
 # How a drawn channel is shaped: a zero last Tx column zeroes the last-row
@@ -473,7 +469,7 @@ class TestMatchesRowLoopReference:
         tiny = [5e-324, 1e-310, 1e-200]
         angle = st.floats(-50.0, 50.0) | st.sampled_from(
             [0.0, -0.0, math.pi, -math.pi / 2] + tiny + [-x for x in tiny])
-        report = BfiReport(n_tx=n_tx, n_cols=n_cols, b_phi=0, b_psi=0,
+        report = BfiReport(n_tx=n_tx, n_cols=n_cols,
                            phi_angles=np.array(data.draw(st.lists(angle, min_size=n_phi,
                                                                   max_size=n_phi))),
                            psi_angles=np.array(data.draw(st.lists(angle, min_size=n_psi,

@@ -1,5 +1,6 @@
 """Registration state-machine tests: admission, rejection, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -49,16 +50,6 @@ class TestRegister:
         assert set(SRA_BY_MOTION) == set(MOTION_KINDS) - {"still"}
         assert MOTION_TYPES == tuple(SRA_BY_MOTION) == ("respiration", "gesture", "activity")
 
-    def test_unlisted_intensity_counts_as_one(self):
-        listed = Registry(ap=Point2D(0.0, 0.0), cfg=RadioConfig(), beta=50.0, delta_r=0.15,
-                          intensities=dict.fromkeys(MOTION_TYPES, 1.0))
-        default = new_registry()
-        assert default.intensities == {}
-        for i, (x, y) in enumerate(FIG6_POSITIONS):
-            cand = reg(f"u{i}", x, y, MOTION_TYPES[i % len(MOTION_TYPES)])
-            assert default.register(cand) == listed.register(cand)
-        assert default.min_pairwise_vir() == listed.min_pairwise_vir()
-
     def test_four_user_layout_all_admitted(self):
         registry = new_registry()
         for i, (x, y) in enumerate(FIG6_POSITIONS):
@@ -83,23 +74,22 @@ class TestRegister:
             registry.register(reg("u0", 0.0, 1.41))
 
     def test_capacity_reason_for_energetic_users(self):
-        # The envelope bound is intensity-independent while pairwise VIR
-        # scales with v^2, so fast movers keep pairwise ratios high and run
-        # into the capacity guard instead.  One user at the outer boundary
-        # pins the radius envelope where N_max is small.
-        registry = Registry(ap=Point2D(0.0, 0.0), cfg=RadioConfig(), beta=50.0,
-                            delta_r=0.1, intensities={"respiration": 10.0,
-                                                      "gesture": 10.0,
-                                                      "activity": 10.0})
+        # Users spread on a ring keep pairwise ratios high and run into the
+        # capacity guard instead.  One user at the outer boundary pins the
+        # radius envelope where N_max is small.
+        registry = Registry(ap=Point2D(0.0, 0.0), cfg=RadioConfig(), beta=50.0, delta_r=0.1)
         n_inner = 32
         for i in range(n_inner):
             ang = 2 * math.pi * i / n_inner
             d = registry.register(reg(f"u{i}", 2.0 * math.cos(ang), 2.0 * math.sin(ang)))
             assert d.admitted, d.reason
-        decision = registry.register(reg("far", 3.73, 0.0))
+        far = reg("far", 3.73, 0.0)
+        decision = registry.register(far)
         assert not decision.admitted
         assert "capacity" in decision.reason
-        assert decision.min_vir >= registry.beta  # pairwise alone would admit
+        # pairwise alone would admit
+        assert dataclasses.replace(registry, members={**registry.members, "far": far}
+                                   ).min_pairwise_vir() >= registry.beta
 
 
 class TestDeregister:
@@ -179,7 +169,7 @@ class TestValidationAndDump:
 def pair_virs(registry, population):
     """Each user's VIR by scalar geometry.vir(), every Mover and UE built afresh."""
     def mover(reg):
-        return Mover(reg.position, registry.intensities.get(reg.motion_type, 1.0))
+        return Mover(reg.position, 1.0)
 
     out = []
     for reg in population:
@@ -194,11 +184,9 @@ def pair_virs(registry, population):
 
 def expected_decision(registry, cand):
     """The admission rule recomputed pair by pair, with the scalar capacity search."""
-    worst = math.inf
     for reg, ratio in pair_virs(registry, list(registry.members.values()) + [cand]):
-        worst = min(worst, ratio)
         if ratio < registry.beta:
-            return Decision(admitted=False, min_vir=worst, reason=(
+            return Decision(admitted=False, reason=(
                 f"pairwise VIR: user {reg.user_id!r} would see VIR "
                 f"{ratio:.3g} < beta {registry.beta:.3g}"))
     radius = max(registry.ap.distance(r.position)
@@ -208,10 +196,10 @@ def expected_decision(registry, cand):
                       cfg=registry.cfg))
     count_after = len(registry.members) + 1
     if count_after >= 3 and count_after > limit:
-        return Decision(admitted=False, min_vir=worst,
-                        reason=f"capacity: {count_after} users exceed N_max={limit} "
-                               f"at radius {registry.ap.distance(cand.position):.3g} m")
-    return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[cand.motion_type].f_cut, min_vir=worst)
+        return Decision(admitted=False, reason=(
+            f"capacity: {count_after} users exceed N_max={limit} "
+            f"at radius {registry.ap.distance(cand.position):.3g} m"))
+    return Decision(admitted=True, f_cut_hz=SRA_BY_MOTION[cand.motion_type].f_cut)
 
 
 class TestMatchesScalarRecomputation:
@@ -219,8 +207,7 @@ class TestMatchesScalarRecomputation:
     def test_seeded_event_stream(self, seed):
         rng = np.random.default_rng(seed)
         registry = Registry(ap=Point2D(0.2, -0.1), cfg=RadioConfig(),
-                            beta=float(rng.choice([10.0, 30.0, 50.0])), delta_r=0.15,
-                            intensities={"respiration": 0.5, "gesture": 2.0, "activity": 1.0})
+                            beta=float(rng.choice([10.0, 30.0, 50.0])), delta_r=0.15)
         admitted = 0
         for k in range(40):
             if registry.members and rng.random() < 0.25:

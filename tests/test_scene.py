@@ -55,7 +55,7 @@ class TestMotionProfile:
             MotionProfile.respiration(15.0, holds=[(1.0, 5.0), (4.0, 8.0)])
 
     def test_still_is_zero(self):
-        prof = MotionProfile.still()
+        prof = MotionProfile()
         t = np.linspace(0, 100, 777)
         assert np.all(displacement(prof, t) == 0.0)
 
@@ -74,14 +74,14 @@ class TestMotionProfile:
 
     def test_gesture_deterministic_per_seed(self):
         t = np.linspace(0, 5, 200)
-        a = displacement(MotionProfile.gesture(seed=7), t)
-        b = displacement(MotionProfile.gesture(seed=7), t)
-        c = displacement(MotionProfile.gesture(seed=8), t)
+        a = displacement(MotionProfile(kind="gesture", seed=7), t)
+        b = displacement(MotionProfile(kind="gesture", seed=7), t)
+        c = displacement(MotionProfile(kind="gesture", seed=8), t)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_bandlimited_rms_speed(self):
-        prof = MotionProfile.activity(rms_speed=1.0, bandwidth_hz=15.0, seed=3)
+        prof = MotionProfile(kind="activity", rms_speed=1.0, bandwidth_hz=15.0, seed=3)
         t = np.arange(0, 60.0, 1 / 256)
         disp = displacement(prof, t)
         vel = np.diff(disp) * 256
@@ -89,21 +89,21 @@ class TestMotionProfile:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            displacement(MotionProfile.still(), -1.0)
+            displacement(MotionProfile(), -1.0)
 
 
 class TestSceneValidation:
     def test_near_field_placement_enforced(self):
         radio = RadioConfig()
         user = SceneUser(ue=Point2D(2.0, 0.0), subject=Point2D(1.0, 0.0),
-                         motion=MotionProfile.still())
+                         motion=MotionProfile())
         with pytest.raises(ValueError, match="near-field"):
             Scene(ap=Point2D(0, 0), users=(user,), cfg=radio)
 
     def test_coincident_positions_rejected(self):
         radio = RadioConfig()
         user = SceneUser(ue=Point2D(1.0, 0.0), subject=Point2D(1.0, 0.0),
-                         motion=MotionProfile.still())
+                         motion=MotionProfile())
         with pytest.raises(ValueError, match="coincide"):
             Scene(ap=Point2D(0, 0), users=(user,), cfg=radio)
 
@@ -114,7 +114,7 @@ class TestSceneValidation:
 
 class TestRenderCsi:
     def test_still_subject_zero_noise_is_constant(self):
-        scn = small_scene(motion=MotionProfile.still())
+        scn = small_scene(motion=MotionProfile())
         # zero out the dynamic channel too
         radio = RadioConfig.from_raw_gain(1.0, lambda_m=0.06, alpha=4.0, eta=0.0, b=0.0)
         scn = Scene(ap=scn.ap, users=scn.users, cfg=radio,
@@ -222,7 +222,7 @@ class TestRenderCsi:
     def test_missing_observer_rejected(self):
         radio = RadioConfig.from_raw_gain(1.0)
         user = SceneUser(ue=Point2D(1.41, 0.15), subject=Point2D(1.41, 0.0),
-                         motion=MotionProfile.still())
+                         motion=MotionProfile())
         scn = Scene(ap=Point2D(0, 0), users=(user,), cfg=radio)
         with pytest.raises(ValueError, match="observer"):
             render_csi(scn, "baseline", np.arange(5) / 64)
@@ -403,9 +403,10 @@ class TestSceneIO:
         assert np.allclose(a.values, b.values, rtol=1e-9)
 
     def test_gesture_and_activity_bytes_round_trip(self, tmp_path):
+        activity = MotionProfile(kind="activity", rms_speed=1.0, bandwidth_hz=15.0, seed=3)
         users = tuple(SceneUser(ue=Point2D(x, 0.15), subject=Point2D(x, 0.0), motion=motion)
-                      for x, motion in ((1.41, MotionProfile.gesture(seed=7)),
-                                        (-1.41, MotionProfile.activity(seed=3))))
+                      for x, motion in ((1.41, MotionProfile(kind="gesture", seed=7)),
+                                        (-1.41, activity)))
         path = tmp_path / "scene.txt"
         save_scene(Scene(ap=Point2D(0.0, 0.0), users=users, cfg=RadioConfig()), path)
         first = path.read_text()
@@ -417,7 +418,7 @@ class TestSceneIO:
     @pytest.mark.parametrize("old", ["gesture_like", "activity_like"])
     def test_old_motion_spelling_rejected(self, tmp_path, old):
         path = tmp_path / "scene.txt"
-        save_scene(small_scene(motion=MotionProfile.gesture()), path)
+        save_scene(small_scene(motion=MotionProfile(kind="gesture")), path)
         path.write_text(path.read_text().replace("kind=gesture", f"kind={old}"))
         with pytest.raises(ValueError, match=f"got '{old}'") as exc:
             load_scene(path)
@@ -425,7 +426,7 @@ class TestSceneIO:
 
     def test_rejected_value_names_its_user(self, tmp_path):
         users = tuple(SceneUser(ue=Point2D(x, 0.15), subject=Point2D(x, 0.0),
-                                motion=MotionProfile.gesture(seed=i))
+                                motion=MotionProfile(kind="gesture", seed=i))
                       for i, x in enumerate((1.41, -1.41)))
         path = tmp_path / "scene.txt"
         save_scene(Scene(ap=Point2D(0.0, 0.0), users=users, cfg=RadioConfig()), path)

@@ -575,13 +575,13 @@ class TestNormalize:
 
 class TestMakeMask:
     def test_extremes(self):
-        assert not make_mask(50, 0.0, 8.0, 1).any()
-        assert make_mask(50, 1.0, 8.0, 1).all()
+        assert not make_mask(50, 0.0, 8.0, np.random.default_rng(1)).any()
+        assert make_mask(50, 1.0, 8.0, np.random.default_rng(1)).all()
 
     def test_statistics(self):
         fractions, runs = [], []
         for seed in range(100):
-            mask = make_mask(2000, 0.3, 8.0, seed)
+            mask = make_mask(2000, 0.3, 8.0, np.random.default_rng(seed))
             fractions.append(mask.mean())
             # mean run length of True segments
             padded = np.concatenate([[False], mask, [False]])
@@ -594,7 +594,7 @@ class TestMakeMask:
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
-            make_mask(10, 1.5, 8.0, 0)
+            make_mask(10, 1.5, 8.0, np.random.default_rng(0))
 
 
 class TestBuildDataset:

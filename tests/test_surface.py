@@ -1,12 +1,16 @@
-"""Every public function and class of the package has a reader outside its own def.
+"""Every public function, class and class member of the package has a reader
+outside its own def.
 
 A top-level public name of ``src/nfsense/*.py`` must be used by another
 top-level statement of the package, or by the benchmark (``bench/*.py``,
-which also names the functions it wraps as strings).  A name that only
-tests read belongs in the tests.
+which also names the functions it wraps as strings).  A public method,
+classmethod or property of a package class must be read as an attribute
+somewhere in the package outside its own def, or be named by the benchmark.
+A name that only tests read belongs in the tests.
 """
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,13 +39,27 @@ def names_in(node) -> set[str]:
     return found
 
 
+def bench_names() -> set[str]:
+    return set().union(*(names_in(ast.parse(p.read_text()))
+                         for p in (ROOT / "bench").glob("*.py")))
+
+
+def package_modules():
+    """(module name, parsed module) for every module of the package."""
+    return [(p.stem, ast.parse(p.read_text()))
+            for p in sorted((ROOT / "src" / "nfsense").glob("*.py"))]
+
+
+def attribute_reads(node) -> collections.Counter:
+    return collections.Counter(sub.attr for sub in ast.walk(node)
+                               if isinstance(sub, ast.Attribute))
+
+
 def test_every_public_name_has_a_reader():
-    bench = set().union(*(names_in(ast.parse(p.read_text()))
-                          for p in (ROOT / "bench").glob("*.py")))
+    bench = bench_names()
     # (module, top-level statement, the names it reads) across the package
-    statements = [(p.stem, node, names_in(node))
-                  for p in sorted((ROOT / "src" / "nfsense").glob("*.py"))
-                  for node in ast.parse(p.read_text()).body]
+    statements = [(module, node, names_in(node))
+                  for module, tree in package_modules() for node in tree.body]
     public = [(module, node) for module, node, _ in statements
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
@@ -51,4 +69,20 @@ def test_every_public_name_has_a_reader():
         f"{module}.{node.name}" for module, node in public
         if node.name not in bench | EXPECTED_UNREAD
         and not any(node.name in names for _, other, names in statements if other is not node))
+    assert unread == []
+
+
+def test_every_public_member_has_a_reader():
+    bench = bench_names()
+    modules = package_modules()
+    reads = sum((attribute_reads(tree) for _, tree in modules), collections.Counter())
+    members = [(f"{module}.{cls.name}", member)
+               for module, tree in modules for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for member in cls.body
+               if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+    assert len(members) > 10
+    unread = sorted(f"{owner}.{member.name}" for owner, member in members
+                    if member.name not in bench
+                    and reads[member.name] <= attribute_reads(member)[member.name])
     assert unread == []

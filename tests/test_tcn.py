@@ -367,8 +367,9 @@ class TestMatchesBatchFirstReference:
 
     @staticmethod
     def _models(dtype, n_f=32):
-        ref_model = TcnModel.initialize(TcnConfig(n_f=n_f, seed=3), dtype=dtype)
-        return ref_model, ref_model.copy()
+        # two seeded initializations: the same weights in separate arrays
+        return tuple(TcnModel.initialize(TcnConfig(n_f=n_f, seed=3), dtype=dtype)
+                     for _ in range(2))
 
     # "full": the loss over the full spectrogram, the only loss there is;
     # "noproj": the n_f = n_c geometry
